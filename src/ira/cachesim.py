@@ -5,10 +5,23 @@ Keys are opaque: anything hashable and mutually comparable works. Eviction
 decisions are fully deterministic; when several cached keys are equally good
 eviction candidates under the optimal policy, the largest key in sort order is
 evicted so the eviction log is reproducible.
+
+For N accesses at capacity C, LRU costs O(N), and MIN O(N log C) plus one
+sort of the distinct keys. LRU keeps the cache in an ``OrderedDict`` in
+recency order, so a hit and an eviction are O(1). MIN (Belady 1966) keeps a
+heap of ``(-next_use, -rank, key)``, where ``rank`` is the key's index in the
+sorted set of all keys: the heap's smallest entry is the cached key used
+furthest in the future, and among equals (for instance every never-again key,
+at ``inf``) the largest key. Every access pushes a fresh entry; an entry whose
+``next_use`` no longer matches the cache is stale and is skipped when it
+surfaces (lazy deletion), and the heap is rebuilt from the live entries
+whenever it grows past twice the capacity.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -42,26 +55,26 @@ def simulate_lru(
     """Least-recently-used simulation; ``init`` pre-warms the cache in order
     (the first init entry is the least recently used)."""
     _check_capacity(capacity)
-    recency: Dict[Hashable, int] = {}
-    clock = 0
+    cache: "OrderedDict[Hashable, None]" = OrderedDict()
     for key in init or ():
-        recency[key] = clock
-        clock += 1
-    if len(recency) > capacity:
+        cache[key] = None
+        cache.move_to_end(key)  # a repeated init key takes its later position
+    if len(cache) > capacity:
         raise ValueError("initial contents exceed capacity")
 
     result = SimResult(0, 0)
+    log = result.eviction_log
+    misses = 0
     for step, key in enumerate(trace):
-        if key in recency:
-            result.hits += 1
+        if key in cache:
+            cache.move_to_end(key)
         else:
-            result.misses += 1
-            if len(recency) >= capacity:
-                victim = min(recency, key=lambda k: recency[k])
-                del recency[victim]
-                result.eviction_log.append((step, victim))
-        recency[key] = clock
-        clock += 1
+            misses += 1
+            if len(cache) >= capacity:
+                log.append((step, cache.popitem(last=False)[0]))
+            cache[key] = None
+    result.misses = misses
+    result.hits = len(trace) - misses
     return result
 
 
@@ -96,18 +109,37 @@ def simulate_belady(
     if len(cache) > capacity:
         raise ValueError("initial contents exceed capacity")
 
+    # heap of (-next_use, -rank, key): the smallest live entry is the victim
+    rank = {key: i for i, key in enumerate(sorted(first_use.keys() | cache.keys()))}
+
+    def live_heap() -> List[Tuple[float, int, Hashable]]:
+        heap = [(-nxt, -rank[key], key) for key, nxt in cache.items()]
+        heapq.heapify(heap)
+        return heap
+
+    heap = live_heap()
+    push, pop = heapq.heappush, heapq.heappop
+
     result = SimResult(0, 0)
+    log = result.eviction_log
+    misses = 0
     for step, key in enumerate(trace):
-        if key in cache:
-            result.hits += 1
-        else:
-            result.misses += 1
+        if key not in cache:
+            misses += 1
             if len(cache) >= capacity:
-                victim = max(cache.items(), key=lambda kv: (kv[1], kv[0]))[0]
+                while True:
+                    neg_nxt, _, victim = pop(heap)
+                    if cache.get(victim) == -neg_nxt:
+                        break
                 del cache[victim]
-                result.eviction_log.append((step, victim))
-            cache[key] = 0.0
-        cache[key] = next_use[step]
+                log.append((step, victim))
+        nxt = next_use[step]
+        cache[key] = nxt
+        push(heap, (-nxt, -rank[key], key))
+        if len(heap) > 2 * capacity + 64:
+            heap = live_heap()  # drop stale entries: the heap stays O(C)
+    result.misses = misses
+    result.hits = len(trace) - misses
     return result
 
 

@@ -222,10 +222,14 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
         trace: Sequence = keys
     elif args.trace and args.block is not None:
         sim_block = None
-        for blk in iter_trace_file(Path(args.trace)):
-            if blk.number == args.block:
-                sim_block = blk
-                break
+        try:
+            for blk in iter_trace_file(Path(args.trace)):
+                if blk.number == args.block:
+                    sim_block = blk
+                    break
+        except workload_mod.TraceFormatError as exc:
+            print(f"cachesim: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         if sim_block is None:
             print(f"cachesim: block {args.block} not in trace", file=sys.stderr)
             return EXIT_CONFIG
@@ -250,19 +254,24 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     init = args.init.split(",") if args.init else None
+    try:
+        if args.policy == "both":
+            table = cachesim_mod.compare_policies(trace, args.capacity, init)
+        elif args.policy == "lru":
+            res = cachesim_mod.simulate_lru(trace, args.capacity, init)
+        else:
+            res = cachesim_mod.simulate_belady(trace, args.capacity, init)
+    except ValueError as exc:  # capacity below 1, or --init larger than it
+        print(f"cachesim: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.policy == "both":
-        table = cachesim_mod.compare_policies(trace, args.capacity, init)
         print(f"accesses            {table['accesses']}")
         print(f"lru_misses          {table['lru_misses']}")
         print(f"belady_misses       {table['belady_misses']}")
         ratio = table["miss_ratio_lru_over_belady"]
         print(f"lru_over_belady     {ratio if ratio != float('inf') else 'inf'}")
-    elif args.policy == "lru":
-        res = cachesim_mod.simulate_lru(trace, args.capacity, init)
-        print(f"lru: {res.misses} misses, {res.hits} hits")
     else:
-        res = cachesim_mod.simulate_belady(trace, args.capacity, init)
-        print(f"belady: {res.misses} misses, {res.hits} hits")
+        print(f"{args.policy}: {res.misses} misses, {res.hits} hits")
     return EXIT_OK
 
 

@@ -44,6 +44,7 @@ from .store import (
     StorageKey,
     StoreView,
     pack_account,
+    unchecked_storage_key,
 )
 from .workload import Block, ExecResult, execute_block
 
@@ -75,6 +76,9 @@ class Source(IntEnum):
     PLAIN = 0      # current value in the plain state table
     ZERO = 1       # never written; value is the zero word, no I/O
     CHANGESET = 2  # must be read from historical change sets
+
+
+_SOURCES = (Source.PLAIN, Source.ZERO, Source.CHANGESET)  # indexed by source byte
 
 
 @dataclass(frozen=True)
@@ -177,31 +181,25 @@ def parse_hint(raw: bytes) -> Hint:
     expect = raw_hint_size(ns, na, nc)
     if len(raw) != expect:
         raise HintIntegrityError(f"hint length {len(raw)} != expected {expect}")
+    # the exact length proves every slice below has its full width
     off = HINT_HEADER.size
-    storage: List[Tuple[StorageKey, Source]] = []
-    prev: Optional[bytes] = None
-    for _ in range(ns):
-        key = StorageKey(raw[off : off + KEY_LEN])
-        src = raw[off + KEY_LEN]
-        off += STORAGE_ENTRY_LEN
-        if src > 2:
-            raise HintIntegrityError(f"invalid source byte {src}")
-        if prev is not None and key <= prev:
-            raise HintIntegrityError("storage entries not strictly ascending")
-        prev = key
-        storage.append((key, Source(src)))
+    end = off + STORAGE_ENTRY_LEN * ns
+    keys = [unchecked_storage_key(raw[i : i + KEY_LEN]) for i in range(off, end, STORAGE_ENTRY_LEN)]
+    srcs = raw[off + KEY_LEN : end : STORAGE_ENTRY_LEN]
+    if srcs and max(srcs) > 2:
+        raise HintIntegrityError(f"invalid source byte {max(srcs)}")
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise HintIntegrityError("storage entries not strictly ascending")
+    storage: List[Tuple[StorageKey, Source]] = list(zip(keys, [_SOURCES[b] for b in srcs]))
+    off = end
     lists: List[List[bytes]] = []
     for count in (na, nc):
-        addrs: List[bytes] = []
-        aprev: Optional[bytes] = None
-        for _ in range(count):
-            addr = bytes(raw[off : off + ADDRESS_LEN])
-            off += ADDRESS_LEN
-            if aprev is not None and addr <= aprev:
-                raise HintIntegrityError("address entries not strictly ascending")
-            aprev = addr
-            addrs.append(addr)
+        end = off + ADDRESS_LEN * count
+        addrs = [raw[i : i + ADDRESS_LEN] for i in range(off, end, ADDRESS_LEN)]
+        if any(a >= b for a, b in zip(addrs, addrs[1:])):
+            raise HintIntegrityError("address entries not strictly ascending")
         lists.append(addrs)
+        off = end
     return Hint(block_number, storage, lists[0], lists[1])
 
 

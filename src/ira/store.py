@@ -37,6 +37,7 @@ layout of each file.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -106,6 +107,11 @@ class StorageKey(bytes):
 
     def __repr__(self) -> str:  # short form: full 104 hex chars is unreadable
         return f"StorageKey({self[:6].hex()}..{self[-4:].hex()})"
+
+
+# Builds a StorageKey without the width check. Only for decoders that have
+# already proven every key slice is KEY_LEN bytes, by an exact record length.
+unchecked_storage_key = functools.partial(bytes.__new__, StorageKey)
 
 
 def word_from_int(value: int) -> bytes:

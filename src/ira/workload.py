@@ -48,10 +48,12 @@ from .store import (
     CostModel,
     DEFAULT_COST_MODEL,
     Effects,
+    KEY_LEN,
     StorageKey,
     StoreView,
     WORD_LEN,
     check_word,
+    unchecked_storage_key,
 )
 
 TRACE_MAGIC = b"TRC1"
@@ -731,37 +733,61 @@ def _encode_block(block: Block) -> bytes:
     return bytes(out)
 
 
-def _decode_block(payload: bytes) -> Block:
-    (number,) = _U64.unpack_from(payload, 0)
-    off = 8
-    beneficiary = bytes(payload[off : off + ADDRESS_LEN])
-    off += ADDRESS_LEN
-    (n_txs,) = _U32.unpack_from(payload, off)
-    off += 4
-    txs: List[Transaction] = []
-    for _ in range(n_txs):
-        sender = bytes(payload[off : off + ADDRESS_LEN])
-        off += ADDRESS_LEN
-        recipient = bytes(payload[off : off + ADDRESS_LEN])
-        off += ADDRESS_LEN
-        (n_ops,) = _U32.unpack_from(payload, off)
+def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
+    """Decode one trace record; ``keys`` interns storage keys and addresses.
+
+    Slices are taken without width checks. Instead the walk must end exactly
+    at the end of the record: ``off`` only grows, so a short slice anywhere
+    would leave it past the end.
+    """
+    get = keys.get
+    intern = keys.setdefault
+    # plain ints compare faster than the enum members
+    write, code = int(OpKind.STORAGE_WRITE), int(OpKind.CODE_LOAD)
+    try:
+        (number,) = _U64.unpack_from(payload, 0)
+        off = 8 + ADDRESS_LEN
+        raw = payload[8:off]
+        beneficiary = intern(raw, raw)
+        (n_txs,) = _U32.unpack_from(payload, off)
         off += 4
-        ops: List[Op] = []
-        for _ in range(n_ops):
-            kind = payload[off]
-            off += 1
-            if kind <= OpKind.STORAGE_WRITE:
-                key: bytes = StorageKey(payload[off : off + 52])
-                off += 52
-            else:
-                key = bytes(payload[off : off + ADDRESS_LEN])
-                off += ADDRESS_LEN
-            value = None
-            if kind == OpKind.STORAGE_WRITE:
-                value = bytes(payload[off : off + WORD_LEN])
-                off += WORD_LEN
-            ops.append(Op(kind, key, value))
-        txs.append(Transaction(sender, recipient, ops))
+        txs: List[Transaction] = []
+        for _ in range(n_txs):
+            raw = payload[off : off + ADDRESS_LEN]
+            sender = intern(raw, raw)
+            off += ADDRESS_LEN
+            raw = payload[off : off + ADDRESS_LEN]
+            recipient = intern(raw, raw)
+            off += ADDRESS_LEN
+            (n_ops,) = _U32.unpack_from(payload, off)
+            off += 4
+            ops: List[Op] = []
+            for _ in range(n_ops):
+                kind = payload[off]
+                off += 1
+                if kind <= write:
+                    raw = payload[off : off + KEY_LEN]
+                    off += KEY_LEN
+                    key = get(raw)
+                    if key is None:
+                        key = unchecked_storage_key(raw)
+                        keys[key] = key
+                    if kind == write:
+                        ops.append(Op(kind, key, payload[off : off + WORD_LEN]))
+                        off += WORD_LEN
+                        continue
+                elif kind <= code:
+                    raw = payload[off : off + ADDRESS_LEN]
+                    off += ADDRESS_LEN
+                    key = intern(raw, raw)
+                else:
+                    raise TraceFormatError(f"unknown op kind {kind} at byte {off - 1}")
+                ops.append(Op(kind, key))
+            txs.append(Transaction(sender, recipient, ops))
+    except (IndexError, struct.error):
+        raise TraceFormatError("truncated trace record") from None
+    if off != len(payload):
+        raise TraceFormatError(f"trace record of block {number} has {len(payload)} bytes, its ops {off}")
     return Block(number, beneficiary, txs)
 
 
@@ -811,6 +837,7 @@ def iter_trace_file(path: Path) -> Iterator[Block]:
         (plen,) = _U32.unpack(f.read(4))
         f.read(plen)
         (count,) = _U64.unpack(f.read(8))
+        keys: Dict[bytes, bytes] = {}  # interned across the file's blocks
         for _ in range(count):
             raw = f.read(4)
             if len(raw) < 4:
@@ -819,7 +846,7 @@ def iter_trace_file(path: Path) -> Iterator[Block]:
             payload = f.read(size)
             if len(payload) < size:
                 raise TraceFormatError("truncated trace record")
-            yield _decode_block(payload)
+            yield _decode_block(payload, keys)
 
 
 def trace_file_hash(path: Path) -> str:

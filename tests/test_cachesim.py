@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from ira.cachesim import brute_force_optimal, compare_policies, simulate_belady, simulate_lru
+from ira.cachesim import (
+    SimResult,
+    _next_use_indices,
+    brute_force_optimal,
+    compare_policies,
+    simulate_belady,
+    simulate_lru,
+)
 
 
 def test_motivating_example_lru_two_misses():
@@ -113,3 +120,118 @@ def test_hits_plus_misses_equals_trace_length():
     for sim in (simulate_lru, simulate_belady):
         result = sim(trace, capacity=3)
         assert result.hits + result.misses == len(trace)
+
+
+# -- equivalence with the O(N*C) reference simulators --------------------------
+#
+# The reference loops below are the straightforward O(N*C) simulators: each
+# miss scans the whole cache for the victim. They are a test oracle only; the
+# fast simulators must reproduce their misses, hits and eviction logs exactly.
+
+
+def _reference_lru(trace, capacity, init=None):
+    recency = {}
+    clock = 0
+    for key in init or ():
+        recency[key] = clock
+        clock += 1
+    result = SimResult(0, 0)
+    for step, key in enumerate(trace):
+        if key in recency:
+            result.hits += 1
+        else:
+            result.misses += 1
+            if len(recency) >= capacity:
+                victim = min(recency, key=lambda k: recency[k])
+                del recency[victim]
+                result.eviction_log.append((step, victim))
+        recency[key] = clock
+        clock += 1
+    return result
+
+
+def _reference_belady(trace, capacity, init=None):
+    next_use = _next_use_indices(trace)
+    first_use = {}
+    for i in range(len(trace) - 1, -1, -1):
+        first_use[trace[i]] = i
+    cache = {key: first_use.get(key, float("inf")) for key in init or ()}
+    result = SimResult(0, 0)
+    for step, key in enumerate(trace):
+        if key in cache:
+            result.hits += 1
+        else:
+            result.misses += 1
+            if len(cache) >= capacity:
+                victim = max(cache.items(), key=lambda kv: (kv[1], kv[0]))[0]
+                del cache[victim]
+                result.eviction_log.append((step, victim))
+        cache[key] = next_use[step]
+    return result
+
+
+def _assert_same_as_reference(trace, capacity, init=None):
+    for fast, slow in ((simulate_lru, _reference_lru), (simulate_belady, _reference_belady)):
+        got = fast(trace, capacity, init)
+        want = slow(trace, capacity, init)
+        assert (got.misses, got.hits, got.eviction_log) == (want.misses, want.hits, want.eviction_log), (
+            fast.__name__,
+            trace,
+            capacity,
+            init,
+        )
+
+
+def test_fast_simulators_match_reference_randomized():
+    rng = random.Random(46)
+    for _ in range(2500):
+        alphabet = [f"k{i:02d}" for i in range(rng.randrange(1, 12))]
+        strangers = ["y0", "y1", "y2"]  # warm keys the trace never touches
+        trace = [rng.choice(alphabet) for _ in range(rng.randrange(0, 60))]
+        capacity = rng.choice([1, rng.randrange(1, 6), len(alphabet), len(alphabet) + rng.randrange(1, 4)])
+        init = [rng.choice(alphabet + strangers) for _ in range(rng.randrange(0, capacity + 3))]
+        if len(set(init)) > capacity:
+            init = init[:capacity]  # keeps repeats, so some inits hold duplicates
+        _assert_same_as_reference(trace, capacity, init)
+
+
+def test_fast_simulators_match_reference_duplicate_init():
+    rng = random.Random(47)
+    for _ in range(2000):
+        alphabet = list("abcdefg")
+        trace = [rng.choice(alphabet) for _ in range(rng.randrange(1, 40))]
+        capacity = rng.randrange(2, 6)
+        distinct = rng.sample(alphabet + ["x", "y"], rng.randrange(1, capacity + 1))
+        init = distinct + [rng.choice(distinct) for _ in range(rng.randrange(1, 5))]
+        rng.shuffle(init)
+        _assert_same_as_reference(trace, capacity, init)
+
+
+def test_fast_simulators_match_reference_capacity_one():
+    rng = random.Random(48)
+    for _ in range(2000):
+        alphabet = list("abcd")[: rng.randrange(1, 5)]
+        trace = [rng.choice(alphabet) for _ in range(rng.randrange(0, 30))]
+        init = [rng.choice(alphabet + ["z"])] if rng.random() < 0.5 else None
+        _assert_same_as_reference(trace, 1, init)
+
+
+def test_fast_simulators_match_reference_never_again_ties():
+    # mostly one-shot keys: many cached keys tie at next use = inf
+    rng = random.Random(49)
+    for case in range(2000):
+        hot = [f"h{i}" for i in range(3)]
+        trace = [rng.choice(hot) if rng.random() < 0.3 else f"c{case}-{i:03d}" for i in range(rng.randrange(1, 50))]
+        capacity = rng.randrange(1, 8)
+        init = rng.sample(hot + ["w0", "w1", "w2"], rng.randrange(0, min(capacity, 6) + 1))
+        _assert_same_as_reference(trace, capacity, init)
+
+
+def test_fast_simulators_match_reference_benchmark_sized():
+    # 5,000 accesses at capacity 500 on 52-byte keys written as hex, with a
+    # skewed hot set and a long tail of cold keys
+    rng = random.Random(50)
+    keys = [f"{rng.getrandbits(416):0104x}" for _ in range(2500)]
+    trace = [keys[min(int(rng.paretovariate(0.8)) - 1, 2499)] if rng.random() < 0.6 else rng.choice(keys) for _ in range(5000)]
+    _assert_same_as_reference(trace, 500)
+    _assert_same_as_reference(trace, 500, keys[:500])

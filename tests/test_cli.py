@@ -293,6 +293,35 @@ def test_cachesim_block_route_init_takes_hex_keys(demo_pipeline, capsys):
     assert int(warm["belady_misses"]) == int(cold["belady_misses"]) - 1
 
 
+def test_cachesim_capacity_zero_is_config_error(tmp_path, capsys):
+    key_list = tmp_path / "keys.txt"
+    key_list.write_text("C\nA\nC\n")
+    rc = main(["cachesim", "--trace-file", str(key_list), "--capacity", "0"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cachesim: cache capacity must be >= 1")
+
+
+@pytest.mark.parametrize("policy", ["lru", "belady", "both"])
+def test_cachesim_init_over_capacity_is_config_error(tmp_path, capsys, policy):
+    key_list = tmp_path / "keys.txt"
+    key_list.write_text("C\nA\nC\n")
+    rc = main(
+        ["cachesim", "--trace-file", str(key_list), "--capacity", "2", "--init", "A,B,D", "--policy", policy]
+    )
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cachesim: initial contents exceed capacity")
+    assert captured.out == ""
+
+
+def test_cachesim_bad_trace_magic_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"NOPE" + bytes(64))
+    rc = main(["cachesim", "--trace", str(bad), "--block", "1", "--capacity", "4"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cachesim: bad trace magic")
+
+
 def test_proto_scenario(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(

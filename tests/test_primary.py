@@ -159,6 +159,44 @@ def test_parse_rejects_wrong_length_and_magic():
         parse_hint(b"\x00" + raw[1:])
 
 
+def _two_entry_hint() -> bytes:
+    hint = hint_from_sets(3, [(mk_key(1), Source.PLAIN), (mk_key(2), Source.CHANGESET)], [mk_addr(1)], [])
+    return serialize_hint(hint)
+
+
+def test_parse_rejects_source_byte_three():
+    raw = bytearray(_two_entry_hint())
+    src_at = 16 + 53 + 52  # header, first entry, second entry's key
+    assert raw[src_at] == Source.CHANGESET
+    raw[src_at] = 3
+    with pytest.raises(HintIntegrityError, match="invalid source byte 3"):
+        parse_hint(bytes(raw))
+
+
+def test_parse_rejects_non_ascending_storage_entries():
+    raw = _two_entry_hint()
+    first, second = raw[16:69], raw[69:122]
+    with pytest.raises(HintIntegrityError, match="storage entries not strictly ascending"):
+        parse_hint(raw[:16] + second + first + raw[122:])
+    with pytest.raises(HintIntegrityError, match="storage entries not strictly ascending"):
+        parse_hint(raw[:16] + first + first + raw[122:])
+
+
+def test_parse_rejects_non_ascending_addresses():
+    hint = hint_from_sets(3, [], [mk_addr(1), mk_addr(2)], [])
+    raw = serialize_hint(hint)
+    with pytest.raises(HintIntegrityError, match="address entries not strictly ascending"):
+        parse_hint(raw[:16] + raw[36:56] + raw[16:36])
+
+
+def test_parse_yields_storage_keys_and_sources():
+    hint = parse_hint(_two_entry_hint())
+    assert [type(k) for k, _ in hint.storage_entries] == [StorageKey, StorageKey]
+    assert [s for _, s in hint.storage_entries] == [Source.PLAIN, Source.CHANGESET]
+    assert all(type(s) is Source for _, s in hint.storage_entries)
+    assert [type(a) for a in hint.accounts] == [bytes]
+
+
 def test_identity_codec_round_trip():
     hint = hint_from_sets(3, [(mk_key(1), Source.ZERO)], [mk_addr(1)], [])
     raw = serialize_hint(hint)

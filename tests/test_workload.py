@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from ira.store import Account, CostMeter, CostModel, StoreView, ZERO_WORD
+from ira.store import Account, CostMeter, CostModel, StorageKey, StoreView, ZERO_WORD
 from ira.workload import (
     Block,
     GeneratorParams,
     Op,
     OpKind,
     ParameterError,
+    TraceFormatError,
     Transaction,
     account_address,
     analyze_trace,
@@ -244,6 +245,62 @@ def test_trace_file_round_trip(tmp_path):
         for ta, tb in zip(a.txs, b.txs):
             assert (ta.sender, ta.recipient) == (tb.sender, tb.recipient)
             assert ta.ops == tb.ops
+
+
+def _one_block_trace(path):
+    """A trace of one block whose last op is a storage write (kind, key, value)."""
+    tx = Transaction(mk_addr(1), mk_addr(2), [storage_read(mk_key(1)), storage_write(mk_key(2), mk_word(5))])
+    save_trace(path, demo_params(blocks=1), [Block(1, mk_addr(9), [tx])])
+
+
+def _rewrite_record(path, edit):
+    """Replace the only record's payload with ``edit(payload)``, fixing its size."""
+    data = path.read_bytes()
+    start = 18 + int.from_bytes(data[6:10], "little")  # magic, version, params, count
+    size = int.from_bytes(data[start : start + 4], "little")
+    payload = edit(data[start + 4 : start + 4 + size])
+    path.write_bytes(data[:start] + len(payload).to_bytes(4, "little") + payload)
+
+
+# cut inside the value, right after the kind byte, and at the op boundary
+@pytest.mark.parametrize("cut", [10, 84, 85])
+def test_trace_record_truncated_inside_op_is_format_error(tmp_path, cut):
+    path = tmp_path / "t.trace"
+    _one_block_trace(path)
+    _rewrite_record(path, lambda payload: payload[:-cut])
+    with pytest.raises(TraceFormatError):
+        list(iter_trace_file(path))
+
+
+def test_trace_record_with_trailing_bytes_is_format_error(tmp_path):
+    path = tmp_path / "t.trace"
+    _one_block_trace(path)
+    _rewrite_record(path, lambda payload: payload + b"\x00\x00")
+    with pytest.raises(TraceFormatError):
+        list(iter_trace_file(path))
+
+
+def test_trace_record_with_unknown_op_kind_is_format_error(tmp_path):
+    path = tmp_path / "t.trace"
+    _one_block_trace(path)
+    first_op = 8 + 20 + 4 + 20 + 20 + 4  # number, beneficiary, tx count, sender, recipient, op count
+    _rewrite_record(path, lambda payload: payload[:first_op] + b"\x09" + payload[first_op + 1 :])
+    with pytest.raises(TraceFormatError, match="unknown op kind 9"):
+        list(iter_trace_file(path))
+
+
+def test_trace_decode_interns_storage_keys_across_blocks(tmp_path):
+    params = demo_params(blocks=4)
+    path = tmp_path / "t.trace"
+    save_trace(path, params, generate_trace(params))
+    seen = {}
+    for block in iter_trace_file(path):
+        for tx in block.txs:
+            for op in tx.ops:
+                if op.kind <= OpKind.STORAGE_WRITE:
+                    assert type(op.key) is StorageKey and len(op.key) == 52
+                assert seen.setdefault(op.key, op.key) is op.key
+    assert seen
 
 
 def test_build_store_applies_all_blocks():
