@@ -16,9 +16,11 @@ routes each entry by its source byte:
 * codes: sorted walks over the account and bytecode tables (bytecode is
   immutable, so the plain tables are authoritative at any block)
 
-With ``workers = k`` each fetch list is split into ``min(k, io_lanes)``
-contiguous ranges and the category's wall cost is its heaviest range; the
-batch wall cost is the sum of the category walls.
+Each sorted fetch list is priced by ``store.walk_wall``: with ``workers = k``
+it is split into ``min(k, io_lanes)`` contiguous ranges, each one cursor walk,
+and the list's wall cost is its longest range. Change-set pairs are point
+reads, priced per pair by ``read_as_of`` and spread over the same lanes by
+``charge_parallel``. The batch wall cost is the sum of the category walls.
 
 The pipeline is simulated on a virtual integer clock by a single coordinator
 (one producer prefetching batches, one consumer executing blocks, connected
@@ -44,6 +46,7 @@ from .store import (
     StoreView,
     ZERO_WORD,
     charge_parallel,
+    walk_wall,
 )
 from .primary import (
     Hint,
@@ -131,10 +134,6 @@ class PrefetchPlan:
     account_pairs: List[Tuple[bytes, int]]
     code_addrs: List[bytes]
 
-    @property
-    def batch_block_range(self) -> Tuple[int, int]:
-        return (self.blocks[0], self.blocks[-1]) if self.blocks else (0, 0)
-
     def entry_count(self, block_number: int) -> int:
         hint = self.per_block[block_number]
         return hint.entry_count()
@@ -172,26 +171,6 @@ def plan_prefetch(hints: Sequence[Hint]) -> PrefetchPlan:
     )
 
 
-def _chunks(items: Sequence, lanes: int) -> List[Sequence]:
-    if not items:
-        return []
-    j = min(lanes, len(items))
-    base, extra = divmod(len(items), j)
-    out = []
-    idx = 0
-    for i in range(j):
-        cnt = base + (1 if i < extra else 0)
-        out.append(items[idx : idx + cnt])
-        idx += cnt
-    return out
-
-
-def _walk_cost(n: int, model: CostModel) -> int:
-    if n <= 0:
-        return 0
-    return model.c_random_seek + (n - 1) * model.c_sequential_step
-
-
 @dataclass
 class PrefetchResult:
     caches: Dict[int, BlockCache]
@@ -199,107 +178,68 @@ class PrefetchResult:
     per_block_cost: Dict[int, int]
 
 
-def prefetch(
-    plan: PrefetchPlan,
-    store: ArchivalStore,
-    workers: int = 1,
-    crash_on_miss: bool = True,
-) -> PrefetchResult:
+def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> PrefetchResult:
     """Fetch everything a batch needs and assemble one cache per block.
 
     Each block's cache receives exactly the keys its own hint listed, with
     values routed per that hint's sources.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     model = store.cost_model
-    lanes = min(workers, model.io_lanes)
-    wall = 0
 
+    wall = walk_wall(len(plan.plain_keys), workers, model)
     plain_vals: Dict[StorageKey, bytes] = {}
-    category = 0
-    for chunk in _chunks(plan.plain_keys, lanes):
-        cost = _walk_cost(len(chunk), model)
-        category = max(category, cost)
-        for key in chunk:
-            value = store.plain_storage.get(key)
-            if value is None:
-                raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}")
-            plain_vals[key] = value
-    wall += category
+    for key in plan.plain_keys:
+        value = store.plain_storage.get(key)
+        if value is None:
+            raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}")
+        plain_vals[key] = value
 
     cs_vals: Dict[Tuple[StorageKey, int], bytes] = {}
-    category = 0
-    for chunk in _chunks(plan.changeset_pairs, lanes):
-        meter = CostMeter(model)
-        for key, block in chunk:
-            cs_vals[(key, block)] = store.read_as_of(key, block, meter)
-        category = max(category, meter.total)
-    wall += category
+    cs_costs: List[int] = []
+    meter = CostMeter(model)
+    for key, block in plan.changeset_pairs:
+        before = meter.total
+        cs_vals[(key, block)] = store.read_as_of(key, block, meter)
+        cs_costs.append(meter.total - before)
+    wall += charge_parallel(cs_costs, workers, model)
 
-    # accounts: history consult over unique addresses, then block-dependent
-    # resolution via sorted change-set and plain walks
+    # accounts: a history consult over the unique addresses, then
+    # block-dependent values from a change-set walk in (block, address) order
+    # and a plain walk over the addresses no later block modified
     acct_vals: Dict[Tuple[bytes, int], Optional[Account]] = {}
-    unique_addrs = sorted({addr for addr, _ in plan.account_pairs})
-    category = 0
-    for chunk in _chunks(unique_addrs, lanes):
-        category = max(category, _walk_cost(len(chunk), model))
-    wall += category
-
-    cs_fetches: List[Tuple[int, bytes, int]] = []  # (mod block, addr, asof block)
-    plain_addr_set: Set[bytes] = set()
+    n_cs_fetches = 0
+    plain_addrs: Set[bytes] = set()
     for addr, block in plan.account_pairs:
         n = store.account_history.first_at_or_after(addr, block)
         if n is not None:
-            cs_fetches.append((n, addr, block))
+            n_cs_fetches += 1
+            acct_vals[(addr, block)] = store.account_changesets[n][addr]
         elif addr in store.plain_accounts:
-            plain_addr_set.add(addr)
+            plain_addrs.add(addr)
             acct_vals[(addr, block)] = store.plain_accounts[addr]
         else:
             acct_vals[(addr, block)] = None
-
-    cs_fetches.sort()
-    category = 0
-    for chunk in _chunks(cs_fetches, lanes):
-        category = max(category, _walk_cost(len(chunk), model))
-        for n, addr, block in chunk:
-            acct_vals[(addr, block)] = store.account_changesets[n][addr]
-    wall += category
-
-    category = 0
-    for chunk in _chunks(sorted(plain_addr_set), lanes):
-        category = max(category, _walk_cost(len(chunk), model))
-    wall += category
+    unique_addrs = {addr for addr, _ in plan.account_pairs}
+    wall += walk_wall(len(unique_addrs), workers, model)
+    wall += walk_wall(n_cs_fetches, workers, model)
+    wall += walk_wall(len(plain_addrs), workers, model)
 
     # codes: bytecode is immutable, so plain account and bytecode tables are
     # authoritative for any block
     code_vals: Dict[bytes, Optional[bytes]] = {}
     hashes: Set[bytes] = set()
-    category = 0
-    for chunk in _chunks(plan.code_addrs, lanes):
-        category = max(category, _walk_cost(len(chunk), model))
-        for addr in chunk:
-            acc = store.plain_accounts.get(addr)
-            if acc is None or acc.code_hash is None:
-                code_vals[addr] = None
-            else:
-                hashes.add(acc.code_hash)
-    wall += category
-    hash_list = sorted(hashes)
-    hash_code: Dict[bytes, bytes] = {}
-    category = 0
-    for chunk in _chunks(hash_list, lanes):
-        category = max(category, _walk_cost(len(chunk), model))
-        for ch in chunk:
-            code = store.bytecodes.get(ch)
-            if code is None:
-                raise PrefetchError(f"bytecode missing for hash {ch.hex()}")
-            hash_code[ch] = code
-    wall += category
     for addr in plan.code_addrs:
-        if addr not in code_vals:
-            acc = store.plain_accounts.get(addr)
-            code_vals[addr] = hash_code[acc.code_hash] if acc and acc.code_hash else None
+        acc = store.plain_accounts.get(addr)
+        if acc is None or acc.code_hash is None:
+            code_vals[addr] = None
+            continue
+        code = store.bytecodes.get(acc.code_hash)
+        if code is None:
+            raise PrefetchError(f"bytecode missing for hash {acc.code_hash.hex()}")
+        code_vals[addr] = code
+        hashes.add(acc.code_hash)
+    wall += walk_wall(len(plan.code_addrs), workers, model)
+    wall += walk_wall(len(hashes), workers, model)
 
     caches: Dict[int, BlockCache] = {}
     per_block_cost: Dict[int, int] = {}
@@ -307,7 +247,7 @@ def prefetch(
     remainder = wall
     for i, b in enumerate(plan.blocks):
         hint = plan.per_block[b]
-        cache = BlockCache(b, crash_on_miss)
+        cache = BlockCache(b)
         for key, src in hint.storage_entries:
             if src == Source.PLAIN:
                 cache.storage[key] = plain_vals[key]
@@ -359,10 +299,9 @@ def replay_block(block: Block, cache: BlockCache, cost_model: CostModel) -> Repl
 class PipelineConfig:
     batch_size: int = 32
     channel_capacity: int = 100
-    warmup_blocks: int = 3000
+    warmup_blocks: int = 32
     warmup_buffer_entries: int = 134_217_728  # 8 GiB at ~64 bytes per entry
     workers: int = 1
-    crash_on_miss: bool = True
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -465,6 +404,8 @@ def _decode_batch(batch: List[Block], hint_db: Optional[HintDb]) -> Tuple[_Batch
         try:
             raw = decompress_hint(data)
             hint = parse_hint(raw)
+            if hint.block_number != block.number:
+                raise HintIntegrityError(f"hint for block {hint.block_number} filed under {block.number}")
         except HintIntegrityError:
             corrupt += 1
             fallback.add(block.number)
@@ -517,7 +458,7 @@ def pipeline_run(
         entries = sum(plan.entry_count(b) for b in plan.blocks)
         if warmup_entries + entries > config.warmup_buffer_entries and warmup_batches > 0:
             break
-        pf = prefetch(plan, store, workers=1, crash_on_miss=config.crash_on_miss)
+        pf = prefetch(plan, store, workers=1)
         warmup_tasks.append((task, pf))
         warmup_costs.append(pf.wall_cost)
         warmup_entries += entries
@@ -622,7 +563,7 @@ def pipeline_run(
         task, corrupt = _decode_batch(batch, hint_db)
         corrupt_total += corrupt
         plan = plan_prefetch(task.hints)
-        pf = prefetch(plan, store, workers=config.workers, crash_on_miss=config.crash_on_miss)
+        pf = prefetch(plan, store, workers=config.workers)
         done = max(prod_free, room_time) + pf.wall_cost
         prod_free = done
         prefetch_total += pf.wall_cost

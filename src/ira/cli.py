@@ -25,7 +25,7 @@ from . import protocol as protocol_mod
 from . import workload as workload_mod
 from .backup import CacheMissError
 from .primary import DigestLog, HintDb, run_primary_block
-from .store import ArchivalStore
+from .store import ArchivalStore, StoreError
 from .workload import iter_trace, iter_trace_file, read_trace_params
 
 EXIT_OK = 0
@@ -91,13 +91,22 @@ def cmd_build_store(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_store(args: argparse.Namespace) -> ArchivalStore:
-    return ArchivalStore.load(Path(args.store))
+def _load_store(args: argparse.Namespace, cfg: Dict) -> ArchivalStore:
+    """Load ``--store``. Its costs come from the model in its manifest, so a
+    config naming another model would label reports with costs they were not
+    computed under."""
+    store = ArchivalStore.load(Path(args.store))
+    model = config_mod.cost_model(cfg)
+    if model != store.cost_model:
+        raise config_mod.ConfigError(
+            f"config cost model {model.as_dict()} differs from the store's {store.cost_model.as_dict()}"
+        )
+    return store
 
 
 def cmd_run_baseline(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config)
-    store = _load_store(args)
+    store = _load_store(args, cfg)
     cache_cfg = config_mod.baseline_cache(cfg)
     metrics = backup_mod.run_baseline(iter_trace_file(Path(args.trace)), store, cache_cfg)
     report = _out(args, args.report)
@@ -107,7 +116,7 @@ def cmd_run_baseline(args: argparse.Namespace) -> int:
         {
             "subcommand": "run-baseline",
             **_config_fingerprints(cfg),
-            "cost_model": cfg["cost_model"],
+            "cost_model": store.cost_model.as_dict(),
             "rows": len(metrics.rows),
             "total_cost": metrics.total_cost,
             "io_fraction": round(metrics.io_fraction, 6),
@@ -122,7 +131,7 @@ def cmd_run_baseline(args: argparse.Namespace) -> int:
 
 def cmd_run_primary(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config)
-    store = _load_store(args)
+    store = _load_store(args, cfg)
     codec = cfg["hint_codec"]
     hint_db = HintDb(_out(args, args.hints_out))
     digest_log = DigestLog(_out(args, args.digests_out)) if args.digests_out else None
@@ -132,7 +141,7 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         writer = csv.writer(f)
         writer.writerow(["block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"])
         for block in iter_trace_file(Path(args.trace)):
-            result = run_primary_block(block, store, mode="archival", codec=codec)
+            result = run_primary_block(block, store, codec=codec)
             hint_db.write_hint(block.number, result.compressed_bytes)
             if digest_log is not None:
                 digest_log.write(block.number, result.digest)
@@ -153,7 +162,7 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         {
             "subcommand": "run-primary",
             **_config_fingerprints(cfg),
-            "cost_model": cfg["cost_model"],
+            "cost_model": store.cost_model.as_dict(),
             "rows": rows,
             "hint_codec": codec,
         },
@@ -164,7 +173,7 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
 
 def cmd_run_backup(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config)
-    store = _load_store(args)
+    store = _load_store(args, cfg)
     pipeline_cfg = config_mod.pipeline_config(
         cfg, workers=args.workers, batch_size=args.batch, channel_capacity=args.channel
     )
@@ -184,7 +193,7 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
         {
             "subcommand": "run-backup",
             **_config_fingerprints(cfg),
-            "cost_model": cfg["cost_model"],
+            "cost_model": store.cost_model.as_dict(),
             "rows": len(metrics.rows),
             "wall_cost": metrics.wall_cost,
             "prefetch_total": metrics.prefetch_total,
@@ -544,6 +553,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StoreError as exc:
+        print(f"store error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CacheMissError as exc:
         print(f"completeness violation: {exc}", file=sys.stderr)

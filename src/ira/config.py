@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -24,14 +25,8 @@ class ConfigError(Exception):
 DEFAULT_CONFIG: Dict[str, Any] = {
     "generator": GeneratorParams().as_dict(),
     "cost_model": CostModel().as_dict(),
-    "baseline_cache": {"accounts": 100_000, "storage": 1_000_000, "codes": 10_000},
-    "pipeline": {
-        "batch_size": 32,
-        "channel_capacity": 100,
-        "warmup_blocks": 32,
-        "warmup_buffer_entries": 134_217_728,
-        "workers": 1,
-    },
+    "baseline_cache": asdict(BaselineCacheConfig()),
+    "pipeline": asdict(PipelineConfig()),
     "hint_codec": "zlib",
 }
 

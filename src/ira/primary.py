@@ -81,15 +81,6 @@ class Source(IntEnum):
 _SOURCES = (Source.PLAIN, Source.ZERO, Source.CHANGESET)  # indexed by source byte
 
 
-@dataclass(frozen=True)
-class AccessSets:
-    """Unique keys touched by one block, split by domain."""
-
-    storage: frozenset
-    accounts: frozenset
-    codes: frozenset
-
-
 @dataclass
 class Hint:
     """Canonical per-block access hint: sorted, deduplicated entry lists."""
@@ -279,7 +270,6 @@ def state_change_hash(effects: Effects) -> bytes:
 class PrimaryBlockResult:
     block_number: int
     effects: Effects
-    access_sets: AccessSets
     hint: Hint
     raw_bytes: bytes
     compressed_bytes: bytes
@@ -289,32 +279,18 @@ class PrimaryBlockResult:
     serialize_cost: int
 
 
-def run_primary_block(
-    block: Block,
-    store: ArchivalStore,
-    mode: str = "archival",
-    codec: str = "zlib",
-    collect_log: bool = False,
-) -> PrimaryBlockResult:
+def run_primary_block(block: Block, store: ArchivalStore, codec: str = "zlib") -> PrimaryBlockResult:
     """Execute one block with access instrumentation and produce its hint.
 
-    ``archival`` mode requires the store head to be at or past the block
-    (replaying history); ``live`` mode requires head == block.number - 1
-    (hints then never carry change-set sources, and are only valid for
-    backups replaying in lock step at the same head).
+    The store must already hold the block (head at or past it): the primary
+    replays history, and the hint's sources say where each value lives then.
     """
-    if mode == "archival":
-        if store.head_block < block.number:
-            raise ValueError(f"archival mode needs head >= {block.number}, have {store.head_block}")
-    elif mode == "live":
-        if store.head_block != block.number - 1:
-            raise ValueError(f"live mode needs head == {block.number - 1}, have {store.head_block}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if store.head_block < block.number:
+        raise ValueError(f"primary needs store head >= {block.number}, have {store.head_block}")
 
     model = store.cost_model
     exec_meter = CostMeter(model)
-    result: ExecResult = execute_block(block, StoreView(store, block.number, exec_meter), exec_meter, collect_log)
+    result: ExecResult = execute_block(block, StoreView(store, block.number, exec_meter), exec_meter)
 
     construct_meter = CostMeter(model)
     entries = annotate_sources(result.storage_keys, store, block.number, construct_meter)
@@ -327,11 +303,6 @@ def run_primary_block(
     return PrimaryBlockResult(
         block_number=block.number,
         effects=result.effects,
-        access_sets=AccessSets(
-            storage=frozenset(result.storage_keys),
-            accounts=frozenset(result.account_addrs),
-            codes=frozenset(result.code_addrs),
-        ),
         hint=hint,
         raw_bytes=raw,
         compressed_bytes=compressed,

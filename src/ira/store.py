@@ -20,10 +20,11 @@ according to a :class:`CostModel`. The charging rules are fixed:
 * ``read_as_of`` / ``account_as_of``: one random seek for the history index,
   plus one random seek when a value is actually fetched from a table
   (zero reads touch no table beyond the index)
-* ``cursor_scan``: one random seek for the first key, one sequential step per
-  subsequent key; absent keys are charged as a step
 * ``charge_parallel``: contiguous, count-balanced split of per-item costs over
   ``min(lanes, io_lanes)`` lanes, wall cost = the heaviest lane
+* ``walk_wall``: a cursor walk over sorted keys costs one random seek for the
+  first key and one sequential step per subsequent key; split over lanes by
+  the same rule, its wall cost is the walk over the longest range
 
 Identical access sequences always produce identical totals (all costs are
 integers).
@@ -42,7 +43,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 ADDRESS_LEN = 20
 SLOT_LEN = 32
@@ -68,10 +69,6 @@ class OrderingError(StoreError):
 
 class MalformedEffectsError(StoreError):
     """Effects violate their shape contract (duplicate keys, bad widths)."""
-
-
-class UnsortedKeysError(StoreError):
-    """Cursor scan input was not strictly ascending."""
 
 
 class StorageKey(bytes):
@@ -117,10 +114,6 @@ unchecked_storage_key = functools.partial(bytes.__new__, StorageKey)
 def word_from_int(value: int) -> bytes:
     """Encode an unsigned integer as a 32-byte big-endian word."""
     return value.to_bytes(WORD_LEN, "big")
-
-
-def word_to_int(word: bytes) -> int:
-    return int.from_bytes(word, "big")
 
 
 def check_word(word: bytes) -> bytes:
@@ -467,37 +460,6 @@ class ArchivalStore:
             meter.charge_seek()
         return code
 
-    def cursor_scan(
-        self,
-        table: str,
-        keys: Sequence[bytes],
-        meter: Optional[CostMeter] = None,
-    ) -> List[Tuple[bytes, object]]:
-        """Ordered point lookups priced as one forward cursor walk.
-
-        ``keys`` must be strictly ascending in the table's native byte order.
-        Cost: one random seek for the first key, one sequential step for each
-        subsequent key; absent keys yield ``None`` and are charged as a step.
-        """
-        tables = {
-            "plain_storage": self.plain_storage,
-            "plain_accounts": self.plain_accounts,
-            "bytecodes": self.bytecodes,
-        }
-        try:
-            mapping = tables[table]
-        except KeyError:
-            raise ValueError(f"unknown table {table!r}") from None
-        prev = None
-        for k in keys:
-            if prev is not None and k <= prev:
-                raise UnsortedKeysError("cursor_scan keys must be strictly ascending")
-            prev = k
-        if keys and meter is not None:
-            meter.charge_seek()
-            meter.charge_step(len(keys) - 1)
-        return [(k, mapping.get(k)) for k in keys]
-
     # -- persistence ----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
@@ -588,79 +550,81 @@ class ArchivalStore:
             raise StoreError(f"unsupported store format: {manifest.get('format')}")
         store = cls(CostModel.from_dict(manifest["cost_model"]))
 
-        buf = (directory / "plain_storage.bin").read_bytes()
-        (count,) = _U64.unpack_from(buf, 0)
-        off = 8
-        for _ in range(count):
-            key = StorageKey(buf[off : off + KEY_LEN])
-            off += KEY_LEN
-            store.plain_storage[key] = bytes(buf[off : off + WORD_LEN])
-            off += WORD_LEN
+        # Fixed-width tables are checked against their record count up front;
+        # the other tables must end exactly where their last record does.
+        path = directory / "plain_storage.bin"
+        try:
+            width = KEY_LEN + WORD_LEN
+            buf, count = _read_table(path, width)
+            for off in range(8, 8 + count * width, width):
+                key = unchecked_storage_key(buf[off : off + KEY_LEN])
+                store.plain_storage[key] = buf[off + KEY_LEN : off + width]
 
-        buf = (directory / "plain_accounts.bin").read_bytes()
-        (count,) = _U64.unpack_from(buf, 0)
-        off = 8
-        for _ in range(count):
-            addr = bytes(buf[off : off + ADDRESS_LEN])
-            off += ADDRESS_LEN
-            acc, off = _unpack_account(buf, off)
-            store.plain_accounts[addr] = acc
-
-        buf = (directory / "bytecodes.bin").read_bytes()
-        (count,) = _U64.unpack_from(buf, 0)
-        off = 8
-        for _ in range(count):
-            code_hash = bytes(buf[off : off + 32])
-            off += 32
-            (clen,) = _U32.unpack_from(buf, off)
-            off += 4
-            store.bytecodes[code_hash] = bytes(buf[off : off + clen])
-            off += clen
-
-        buf = (directory / "storage_changesets.bin").read_bytes()
-        (count,) = _U64.unpack_from(buf, 0)
-        off = 8
-        for _ in range(count):
-            (block,) = _U64.unpack_from(buf, off)
-            off += 8
-            key = StorageKey(buf[off : off + KEY_LEN])
-            off += KEY_LEN
-            word = bytes(buf[off : off + WORD_LEN])
-            off += WORD_LEN
-            store.storage_changesets.setdefault(block, {})[key] = word
-
-        buf = (directory / "account_changesets.bin").read_bytes()
-        (count,) = _U64.unpack_from(buf, 0)
-        off = 8
-        for _ in range(count):
-            (block,) = _U64.unpack_from(buf, off)
-            off += 8
-            addr = bytes(buf[off : off + ADDRESS_LEN])
-            off += ADDRESS_LEN
-            flag = buf[off]
-            off += 1
-            prior: Optional[Account] = None
-            if flag:
-                prior, off = _unpack_account(buf, off)
-            store.account_changesets.setdefault(block, {})[addr] = prior
-
-        for name, index, make_key in (
-            ("storage_history.bin", store.storage_history, StorageKey),
-            ("account_history.bin", store.account_history, bytes),
-        ):
-            buf = (directory / name).read_bytes()
-            (count,) = _U64.unpack_from(buf, 0)
+            path = directory / "plain_accounts.bin"
+            buf, count = _read_table(path)
             off = 8
-            klen = KEY_LEN if make_key is StorageKey else ADDRESS_LEN
             for _ in range(count):
-                key = make_key(buf[off : off + klen])
-                off += klen
-                (n,) = _U32.unpack_from(buf, off)
+                addr = bytes(buf[off : off + ADDRESS_LEN])
+                off += ADDRESS_LEN
+                acc, off = _unpack_account(buf, off)
+                store.plain_accounts[addr] = acc
+            _check_end(path, buf, off)
+
+            path = directory / "bytecodes.bin"
+            buf, count = _read_table(path)
+            off = 8
+            for _ in range(count):
+                code_hash = bytes(buf[off : off + 32])
+                off += 32
+                (clen,) = _U32.unpack_from(buf, off)
                 off += 4
-                for _ in range(n):
-                    (b,) = _U64.unpack_from(buf, off)
-                    off += 8
-                    index.add(key, b)
+                store.bytecodes[code_hash] = bytes(buf[off : off + clen])
+                off += clen
+            _check_end(path, buf, off)
+
+            path = directory / "storage_changesets.bin"
+            width = 8 + KEY_LEN + WORD_LEN
+            buf, count = _read_table(path, width)
+            for off in range(8, 8 + count * width, width):
+                (block,) = _U64.unpack_from(buf, off)
+                key = unchecked_storage_key(buf[off + 8 : off + 8 + KEY_LEN])
+                store.storage_changesets.setdefault(block, {})[key] = buf[off + 8 + KEY_LEN : off + width]
+
+            path = directory / "account_changesets.bin"
+            buf, count = _read_table(path)
+            off = 8
+            for _ in range(count):
+                (block,) = _U64.unpack_from(buf, off)
+                off += 8
+                addr = bytes(buf[off : off + ADDRESS_LEN])
+                off += ADDRESS_LEN
+                flag = buf[off]
+                off += 1
+                prior: Optional[Account] = None
+                if flag:
+                    prior, off = _unpack_account(buf, off)
+                store.account_changesets.setdefault(block, {})[addr] = prior
+            _check_end(path, buf, off)
+
+            for name, index, make_key, klen in (
+                ("storage_history.bin", store.storage_history, StorageKey, KEY_LEN),
+                ("account_history.bin", store.account_history, bytes, ADDRESS_LEN),
+            ):
+                path = directory / name
+                buf, count = _read_table(path)
+                off = 8
+                for _ in range(count):
+                    key = make_key(buf[off : off + klen])
+                    off += klen
+                    (n,) = _U32.unpack_from(buf, off)
+                    off += 4
+                    for _ in range(n):
+                        (b,) = _U64.unpack_from(buf, off)
+                        off += 8
+                        index.add(key, b)
+                _check_end(path, buf, off)
+        except (struct.error, IndexError, ValueError) as exc:
+            raise StoreError(f"{path.name}: record cut short ({exc})") from None
 
         store.head_block = manifest["head_block"]
         store.prune_horizon = manifest.get("prune_horizon")
@@ -670,6 +634,21 @@ class ArchivalStore:
             store.storage_changesets.setdefault(b, {})
             store.account_changesets.setdefault(b, {})
         return store
+
+
+def _read_table(path: Path, width: int = 0) -> Tuple[bytes, int]:
+    """A table file's bytes and its record count; for fixed-width records
+    (``width`` > 0) the file length must match the count exactly."""
+    buf = path.read_bytes()
+    (count,) = _U64.unpack_from(buf, 0)
+    if width and len(buf) != 8 + count * width:
+        raise StoreError(f"{path.name}: {len(buf)} bytes, expected {8 + count * width} for {count} records")
+    return buf, count
+
+
+def _check_end(path: Path, buf: bytes, off: int) -> None:
+    if off != len(buf):
+        raise StoreError(f"{path.name}: records end at byte {off}, file has {len(buf)}")
 
 
 class StoreView:
@@ -722,3 +701,19 @@ def charge_parallel(costs: Iterable[int], lanes: int, cost_model: CostModel = DE
         if lane > wall:
             wall = lane
     return wall
+
+
+def walk_wall(n_keys: int, lanes: int, cost_model: CostModel) -> int:
+    """Simulated wall cost of a cursor walk over ``n_keys`` sorted keys.
+
+    The keys are split as in :func:`charge_parallel`, into contiguous,
+    count-balanced ranges over ``min(lanes, io_lanes)`` lanes. Each range is
+    one walk: a random seek for its first key and a sequential step for each
+    further key. The first range is the longest, so it sets the wall cost.
+    """
+    if lanes < 1:
+        raise ValueError("lanes must be >= 1")
+    if n_keys <= 0:
+        return 0
+    j = min(lanes, cost_model.io_lanes, n_keys)
+    return cost_model.c_random_seek + ((n_keys + j - 1) // j - 1) * cost_model.c_sequential_step

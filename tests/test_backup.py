@@ -73,7 +73,7 @@ def test_plan_merges_batch_into_sorted_lists():
     plan = plan_prefetch(hints)
     assert len(plan.plain_keys) <= 32 * 50
     assert plan.plain_keys == sorted(plan.plain_keys)
-    assert plan.batch_block_range == (1, 32)
+    assert plan.blocks == list(range(1, 33))
 
 
 # -- prefetch cost model --------------------------------------------------------------
@@ -111,6 +111,26 @@ def test_prefetch_wall_monotone_and_saturating():
     walls = [prefetch(plan, store, workers=k).wall_cost for k in (1, 2, 4, 8, 16, 32, 64)]
     assert all(a >= b for a, b in zip(walls, walls[1:]))
     assert walls[-1] == walls[-2] == walls[-3]  # k >= io_lanes is flat
+
+
+@pytest.mark.parametrize(
+    "workers, wall, per_block",
+    [
+        (1, 3810, {1: 667, 2: 589, 3: 746, 4: 746, 5: 471, 6: 591}),
+        (2, 2152, {1: 377, 2: 332, 3: 421, 4: 421, 5: 266, 6: 335}),
+        (16, 702, {1: 123, 2: 108, 3: 137, 4: 137, 5: 86, 6: 111}),
+    ],
+)
+def test_prefetch_costs_pinned_on_demo_trace(workers, wall, per_block):
+    # literals recorded before the walk pricing moved into store.walk_wall;
+    # the batch has zero, change-set, account and code routes
+    params = demo_params(6)
+    trace = generate_trace(params)
+    store = build_store(trace, derive_genesis(params))
+    plan = plan_prefetch([run_primary_block(block, store).hint for block in trace])
+    result = prefetch(plan, store, workers=workers)
+    assert result.wall_cost == wall
+    assert result.per_block_cost == per_block
 
 
 def test_prefetch_missing_plain_key_raises():
@@ -348,6 +368,20 @@ def test_pipeline_corrupt_hint_falls_back(pipeline_world, tmp_path):
     assert metrics.corrupt_hints >= 1
     assert metrics.fallback_blocks >= 1
     assert all(digests[r.block] == r.digest for r in metrics.rows)
+
+
+def test_pipeline_misfiled_hint_falls_back(pipeline_world, tmp_path):
+    # a valid hint stored under another block's number is treated as corrupt
+    _, trace, store, db, digests = pipeline_world
+    misfiled = HintDb(tmp_path / "misfiled.db")
+    for block in trace:
+        misfiled.write_hint(block.number, db.read_hint(3 if block.number == 5 else block.number))
+    cfg = PipelineConfig(batch_size=8, channel_capacity=16, warmup_blocks=8, workers=1)
+    metrics = pipeline_run(trace, store, misfiled, cfg)
+    misfiled.close()
+    assert all(digests[r.block] == r.digest for r in metrics.rows)
+    assert metrics.fallback_blocks == 1 and metrics.corrupt_hints == 1
+    assert [r.block for r in metrics.rows if r.fallback] == [5]
 
 
 def test_pipeline_config_rejects_undersized_channel():

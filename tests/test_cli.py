@@ -405,3 +405,66 @@ def test_reports_reproducible(demo_pipeline, tmp_path):
     assert rc == EXIT_OK
     assert (tmp_path / "baseline2.csv").read_bytes() == (d / "baseline.csv").read_bytes()
     assert (tmp_path / "baseline2.csv.meta.json").read_bytes() == Path(str(d / "baseline.csv") + ".meta.json").read_bytes()
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    from dataclasses import asdict
+
+    from ira.backup import BaselineCacheConfig, PipelineConfig
+
+    assert content_hash(DEFAULT_CONFIG) == "1d2aae0da71fee666695b75a6b52b9ebb53e34a599a44d921aa13afc10f0316c"
+    assert asdict(PipelineConfig()) == DEFAULT_CONFIG["pipeline"]
+    assert asdict(BaselineCacheConfig()) == DEFAULT_CONFIG["baseline_cache"]
+
+
+def _copy_store(d: Path, tmp_path: Path) -> Path:
+    import shutil
+
+    return Path(shutil.copytree(d / "store", tmp_path / "store"))
+
+
+@pytest.mark.parametrize("cut, extra", [(40, b""), (0, b"\x00\x01\x02")])
+@pytest.mark.parametrize("table", ["plain_storage.bin", "plain_accounts.bin", "storage_history.bin"])
+def test_store_table_of_wrong_length_is_store_error(demo_pipeline, tmp_path, capsys, table, cut, extra):
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    blob = (store / table).read_bytes()
+    assert len(blob) > 8 + cut, "fixture table must hold records"
+    (store / table).write_bytes(blob[: len(blob) - cut] + extra)
+    rc = main(
+        [
+            "--config", c, "run-baseline",
+            "--trace", str(d / "t.trace"),
+            "--store", str(store),
+            "--report", str(tmp_path / "baseline.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert f"store error: {table}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-primary", "run-baseline", "run-backup"])
+def test_config_cost_model_must_match_store(demo_pipeline, demo_config, tmp_path, capsys, command):
+    d, _ = demo_pipeline
+    cfg = json.loads(demo_config.read_text())
+    cfg["cost_model"] = {"c_random_seek": 200}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["--config", str(path), command, "--trace", str(d / "t.trace"), "--store", str(d / "store"),
+            "--report", str(tmp_path / "report.csv")]
+    if command == "run-primary":
+        args += ["--hints-out", str(tmp_path / "hints.db")]
+    rc = main(args)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'c_random_seek': 200" in err and "'c_random_seek': 100" in err
+    assert not (tmp_path / "report.csv.meta.json").exists()
+
+
+def test_pipeline_crash_on_miss_is_not_a_config_field():
+    from ira.config import ConfigError, pipeline_config
+
+    cfg = load_config(None)
+    cfg["pipeline"]["crash_on_miss"] = 0
+    with pytest.raises(ConfigError):
+        pipeline_config(cfg)

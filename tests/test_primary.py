@@ -258,8 +258,7 @@ def test_primary_collects_implicit_accounts(demo_world):
     block = trace[0]
     result = run_primary_block(block, store)
     expected = {tx.sender for tx in block.txs} | {tx.recipient for tx in block.txs} | {block.beneficiary}
-    assert expected <= set(result.access_sets.accounts)
-    assert set(result.hint.accounts) == set(result.access_sets.accounts)
+    assert expected <= set(result.hint.accounts)
 
 
 def test_instrumentation_does_not_alter_effects(demo_world):
@@ -284,18 +283,19 @@ def test_primary_empty_block_accesses_beneficiary_only():
     store.apply_block(1, Effects())
     block = Block(number=1, beneficiary=mk_addr(7), txs=[])
     result = run_primary_block(block, store)
-    assert result.access_sets.storage == frozenset()
-    assert set(result.access_sets.accounts) == set()
+    assert result.hint.storage_entries == []
+    assert result.hint.accounts == []
     assert result.hint.entry_count() == 0
     assert result.exec_cost == 0
 
 
 def test_primary_mode_preconditions(demo_world):
-    _, trace, store = demo_world
+    # the primary replays history: the store must already hold the block
+    params, trace, _ = demo_world
+    short_store = build_store(trace[:1], derive_genesis(params))
+    run_primary_block(trace[0], short_store)
     with pytest.raises(ValueError):
-        run_primary_block(trace[0], store, mode="live")  # head is past block 1
-    with pytest.raises(ValueError):
-        run_primary_block(trace[0], store, mode="nope")
+        run_primary_block(trace[1], short_store)
 
 
 def test_hint_construct_cost_linear_in_storage(demo_world):
@@ -303,7 +303,7 @@ def test_hint_construct_cost_linear_in_storage(demo_world):
     model = store.cost_model
     for block in trace:
         r = run_primary_block(block, store)
-        assert r.hint_construct_cost == len(r.access_sets.storage) * model.c_random_seek
+        assert r.hint_construct_cost == len(r.hint.storage_entries) * model.c_random_seek
 
 
 def test_serialization_order_matches_prefetch_order(demo_world):

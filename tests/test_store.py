@@ -13,9 +13,9 @@ from ira.store import (
     MalformedEffectsError,
     OrderingError,
     ShardedIndex,
-    UnsortedKeysError,
     ZERO_WORD,
     charge_parallel,
+    walk_wall,
 )
 
 from conftest import mk_addr, mk_key, mk_word
@@ -168,51 +168,61 @@ def test_pruned_history_classifies_as_plain():
     assert store.prune_horizon == 2
 
 
-# -- cursor_scan -------------------------------------------------------------------
+# -- walk_wall ---------------------------------------------------------------------
 
 
-def test_cursor_scan_cost_model():
+def _reference_chunks(items, lanes):
+    """The lane split prefetch used before walk_wall, kept as a test oracle."""
+    if not items:
+        return []
+    j = min(lanes, len(items))
+    base, extra = divmod(len(items), j)
+    out = []
+    idx = 0
+    for i in range(j):
+        cnt = base + (1 if i < extra else 0)
+        out.append(items[idx : idx + cnt])
+        idx += cnt
+    return out
+
+
+def _reference_walk_cost(n, model):
+    if n <= 0:
+        return 0
+    return model.c_random_seek + (n - 1) * model.c_sequential_step
+
+
+def test_walk_wall_matches_reference_chunked_walks():
+    rng = random.Random(29)
+    for _ in range(2500):
+        n = rng.randrange(0, 301)
+        lanes = rng.randrange(1, 41)
+        model = CostModel(
+            c_random_seek=rng.randrange(3, 500),
+            c_sequential_step=2,
+            io_lanes=rng.randrange(1, 21),
+        )
+        chunks = _reference_chunks(list(range(n)), min(lanes, model.io_lanes))
+        expect = max((_reference_walk_cost(len(c), model) for c in chunks), default=0)
+        assert walk_wall(n, lanes, model) == expect, (n, lanes, model)
+
+
+def test_walk_wall_rejects_zero_lanes():
+    with pytest.raises(ValueError):
+        walk_wall(10, 0, CostModel())
+    with pytest.raises(ValueError):
+        walk_wall(0, 0, CostModel())
+
+
+def test_walk_wall_cost_model():
     model = CostModel()
-    store = ArchivalStore(model)
-    keys = sorted(mk_key(i) for i in range(1000))
-    store.apply_block(1, Effects(storage={k: mk_word(1) for k in keys}))
-    meter = CostMeter(model)
-    out = store.cursor_scan("plain_storage", keys, meter)
-    assert meter.io == model.c_random_seek + 999 * model.c_sequential_step
-    assert all(v == mk_word(1) for _, v in out)
+    assert walk_wall(1000, 1, model) == model.c_random_seek + 999 * model.c_sequential_step
 
 
-def test_cursor_scan_single_key_costs_one_seek():
+def test_walk_wall_single_key_costs_one_seek():
     model = CostModel()
-    store = ArchivalStore(model)
-    meter = CostMeter(model)
-    out = store.cursor_scan("plain_storage", [mk_key(1)], meter)
-    assert meter.io == model.c_random_seek
-    assert out == [(mk_key(1), None)]
-
-
-def test_cursor_scan_rejects_unsorted_input():
-    store = ArchivalStore()
-    with pytest.raises(UnsortedKeysError):
-        store.cursor_scan("plain_storage", [mk_key(2), mk_key(1)])
-    with pytest.raises(UnsortedKeysError):
-        store.cursor_scan("plain_storage", [mk_key(1), mk_key(1)])
-
-
-def test_cursor_scan_matches_point_reads():
-    rng = random.Random(3)
-    store = ArchivalStore()
-    writes = {mk_key(i): mk_word(i + 1) for i in range(0, 64, 2)}
-    store.apply_block(1, Effects(storage=writes))
-    keys = sorted(mk_key(i) for i in range(64))
-    scanned = store.cursor_scan("plain_storage", keys)
-    for key, value in scanned:
-        expect = store.read_as_of(key, store.head_block + 1)
-        if value is None:
-            assert expect == ZERO_WORD
-        else:
-            assert value == expect
-    del rng
+    assert walk_wall(1, 1, model) == walk_wall(1, 64, model) == model.c_random_seek
+    assert walk_wall(0, 1, model) == 0
 
 
 def test_point_reads_cost_ratio_vs_scan():
@@ -220,13 +230,11 @@ def test_point_reads_cost_ratio_vs_scan():
     store = ArchivalStore(model)
     keys = sorted(mk_key(i) for i in range(1000))
     store.apply_block(1, Effects(storage={k: mk_word(2) for k in keys}))
-    scan_meter = CostMeter(model)
-    store.cursor_scan("plain_storage", keys, scan_meter)
     point_meter = CostMeter(model)
     for k in keys:
         store.read_as_of(k, 2, point_meter)
     assert point_meter.io == 1000 * 2 * model.c_random_seek
-    assert point_meter.io > scan_meter.io
+    assert point_meter.io > walk_wall(len(keys), 1, model)
 
 
 # -- charge_parallel ----------------------------------------------------------------
