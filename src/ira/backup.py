@@ -71,7 +71,13 @@ class CacheMissError(Exception):
 
 
 class PrefetchError(Exception):
-    """The store could not serve a prefetch plan (caller should fall back)."""
+    """The store could not serve a prefetch plan. ``blocks`` are the blocks
+    whose hints asked for what is missing; they fall back, and the rest of
+    the batch is planned again."""
+
+    def __init__(self, message: str, blocks: List[int]):
+        self.blocks = blocks
+        super().__init__(f"{message} (blocks {blocks})")
 
 
 class BlockCache:
@@ -191,7 +197,8 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
     for key in plan.plain_keys:
         value = store.plain_storage.get(key)
         if value is None:
-            raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}")
+            blocks = [b for b in plan.blocks if (key, Source.PLAIN) in plan.per_block[b].storage_entries]
+            raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}", blocks)
         plain_vals[key] = value
 
     cs_vals: Dict[Tuple[StorageKey, int], bytes] = {}
@@ -235,7 +242,8 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
             continue
         code = store.bytecodes.get(acc.code_hash)
         if code is None:
-            raise PrefetchError(f"bytecode missing for hash {acc.code_hash.hex()}")
+            blocks = [b for b in plan.blocks if addr in plan.per_block[b].codes]
+            raise PrefetchError(f"bytecode missing for hash {acc.code_hash.hex()}", blocks)
         code_vals[addr] = code
         hashes.add(acc.code_hash)
     wall += walk_wall(len(plan.code_addrs), workers, model)
@@ -416,6 +424,22 @@ def _decode_batch(batch: List[Block], hint_db: Optional[HintDb]) -> Tuple[_Batch
     return _BatchTask(batch, hints, fallback, raw_sizes, comp_sizes), corrupt
 
 
+def _prefetch_task(task: _BatchTask, plan: PrefetchPlan, store: ArchivalStore, workers: int) -> Tuple[PrefetchResult, int]:
+    """Prefetch a decoded batch. Blocks whose hints the store cannot serve go
+    to the fallback, counted as corrupt, and the rest is planned again; each
+    retry drops at least one block, so the loop ends."""
+    corrupt = 0
+    while True:
+        try:
+            return prefetch(plan, store, workers=workers), corrupt
+        except PrefetchError as exc:
+            refused = set(exc.blocks)
+            task.fallback_blocks |= refused
+            task.hints = [h for h in task.hints if h.block_number not in refused]
+            corrupt += len(refused)
+            plan = plan_prefetch(task.hints)
+
+
 def pipeline_run(
     blocks: Iterable[Block],
     store: ArchivalStore,
@@ -428,8 +452,9 @@ def pipeline_run(
     Per block, ``t_wait`` is how long the executor stalled before the block's
     cache was ready (a stalled batch charges its wait to the batch's first
     block; later blocks of the batch are already ready when the executor gets
-    to them). Missing or corrupt hints degrade that block to direct execution
-    against the store, flagged in its row.
+    to them). Missing or corrupt hints, and hints the store cannot serve,
+    degrade that block to direct execution against the store, flagged in its
+    row.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -458,7 +483,8 @@ def pipeline_run(
         entries = sum(plan.entry_count(b) for b in plan.blocks)
         if warmup_entries + entries > config.warmup_buffer_entries and warmup_batches > 0:
             break
-        pf = prefetch(plan, store, workers=1)
+        pf, corrupt = _prefetch_task(task, plan, store, workers=1)
+        corrupt_total += corrupt
         warmup_tasks.append((task, pf))
         warmup_costs.append(pf.wall_cost)
         warmup_entries += entries
@@ -562,8 +588,8 @@ def pipeline_run(
         room_time = steady_start_times[need_started - 1] if need_started > 0 else 0
         task, corrupt = _decode_batch(batch, hint_db)
         corrupt_total += corrupt
-        plan = plan_prefetch(task.hints)
-        pf = prefetch(plan, store, workers=config.workers)
+        pf, corrupt = _prefetch_task(task, plan_prefetch(task.hints), store, config.workers)
+        corrupt_total += corrupt
         done = max(prod_free, room_time) + pf.wall_cost
         prod_free = done
         prefetch_total += pf.wall_cost

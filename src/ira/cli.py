@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import config as config_mod
 from . import protocol as protocol_mod
 from . import workload as workload_mod
 from .backup import CacheMissError
-from .primary import DigestLog, HintDb, run_primary_block
+from .primary import DigestLog, HintDb, HintIntegrityError, run_primary_block
 from .store import ArchivalStore, StoreError
 from .workload import iter_trace, iter_trace_file, read_trace_params
 
@@ -178,6 +179,9 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
         cfg, workers=args.workers, batch_size=args.batch, channel_capacity=args.channel
     )
     hint_db = HintDb(Path(args.hints), create=False) if args.hints else None
+    if hint_db is not None and hint_db.torn_bytes:
+        # a crash mid-append; the torn block falls back like a missing hint
+        print(f"run-backup: ignoring a torn tail of {hint_db.torn_bytes} bytes in {args.hints}", file=sys.stderr)
     try:
         metrics = backup_mod.pipeline_run(iter_trace_file(Path(args.trace)), store, hint_db, pipeline_cfg)
     except CacheMissError as exc:
@@ -546,6 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every command builds an acyclic heap (store tables, trace ops, hints,
+    # block caches) that reference counting frees on its own; the cyclic
+    # collector's full passes would only rescan it. tests/test_cli.py checks
+    # that no command's cyclic garbage grows with the trace.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except config_mod.ConfigError as exc:
@@ -560,6 +570,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CacheMissError as exc:
         print(f"completeness violation: {exc}", file=sys.stderr)
         return EXIT_COMPLETENESS
+    except HintIntegrityError as exc:
+        print(f"hint database error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def console_entry() -> None:

@@ -21,13 +21,16 @@ byte-exact fixtures.
 
 The hint database is a single append-only file of CRC-checked records indexed
 by block number; rereads return exact bytes, absent blocks read as ``None``
-(hints are advisory), and corruption raises so callers can fall back.
+(hints are advisory), and corruption raises so callers can fall back. A torn
+tail (a record cut short by a crash mid-append) is skipped on open, so its
+block reads as absent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -325,6 +328,11 @@ class HintDb:
 
     One hint per block; duplicate writes raise. Reads return the exact stored
     bytes, ``None`` for absent blocks, and raise on checksum failure.
+
+    A record cut short at the end of the file (a crash mid-append) is a torn
+    tail: opening keeps every whole record before it and sets ``torn_bytes``,
+    so the torn block reads as absent. A reader (``create=False``) never
+    writes to the file; a writer cuts the torn tail off before it appends.
     """
 
     def __init__(self, path: Path, create: bool = True):
@@ -334,41 +342,47 @@ class HintDb:
             if not create:
                 raise FileNotFoundError(self.path)
             self.path.write_bytes(_HDB_HEADER)
-        self._file = open(self.path, "r+b")
-        self._scan()
+        self._file = open(self.path, "r+b" if create else "rb")
+        self._end = 0  # end of the last whole record
+        self.torn_bytes = 0  # bytes after it, until a writer cuts them off
+        try:
+            self._scan()
+        except HintIntegrityError:
+            self._file.close()
+            raise
 
     def _scan(self) -> None:
         f = self._file
-        f.seek(0)
-        header = f.read(len(_HDB_HEADER))
-        if header != _HDB_HEADER:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(_HDB_HEADER)) != _HDB_HEADER:
             raise HintIntegrityError("bad hint database header")
-        while True:
-            pos = f.tell()
-            rec = f.read(_HDB_REC.size)
-            if not rec:
+        pos = len(_HDB_HEADER)
+        while pos + _HDB_REC.size <= size:
+            f.seek(pos)
+            block, length, _crc = _HDB_REC.unpack(f.read(_HDB_REC.size))
+            end = pos + _HDB_REC.size + length
+            if end > size:
                 break
-            if len(rec) < _HDB_REC.size:
-                raise HintIntegrityError("truncated hint record header")
-            block, length, _crc = _HDB_REC.unpack(rec)
-            payload_pos = f.tell()
-            f.seek(length, 1)
-            if f.tell() != payload_pos + length:
-                raise HintIntegrityError("truncated hint record payload")
             if block in self._index:
                 raise HintIntegrityError(f"duplicate record for block {block}")
             self._index[block] = (pos, length)
+            pos = end
+        self._end = pos
+        self.torn_bytes = size - pos
 
     def write_hint(self, block_number: int, data: bytes) -> None:
         if block_number in self._index:
             raise HintConflictError(f"hint for block {block_number} already written")
         f = self._file
-        f.seek(0, 2)
-        pos = f.tell()
+        if self.torn_bytes:
+            f.truncate(self._end)
+            self.torn_bytes = 0
+        f.seek(self._end)
         f.write(_HDB_REC.pack(block_number, len(data), zlib.crc32(data)))
         f.write(data)
         f.flush()
-        self._index[block_number] = (pos, len(data))
+        self._index[block_number] = (self._end, len(data))
+        self._end = f.tell()
 
     def read_hint(self, block_number: int) -> Optional[bytes]:
         entry = self._index.get(block_number)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_baseline
-from ira.primary import HintDb, run_primary_block
+from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary_block, serialize_hint
 from ira.store import StorageKey, word_from_int
 from ira.workload import (
     GeneratorParams,
@@ -31,6 +31,28 @@ def mk_word(i: int) -> bytes:
 
 def mk_addr(i: int) -> bytes:
     return bytes([i % 251 + 1]) * 20
+
+
+def reroute_zero_key_to_plain(src: HintDb, dst_path: Path, from_block: int) -> int:
+    """Copy ``src`` to ``dst_path`` with one zero-routed key of the first
+    block at or after ``from_block`` that has one routed as plain instead.
+    A never-written key has no plain value, so prefetch cannot serve that
+    hint. Returns the altered block's number."""
+    dst = HintDb(dst_path)
+    altered = None
+    for b in src.blocks():
+        data = src.read_hint(b)
+        if altered is None and b >= from_block:
+            hint = parse_hint(decompress_hint(data))
+            zero = [k for k, s in hint.storage_entries if s == Source.ZERO]
+            if zero:
+                entries = [(k, Source.PLAIN if k == zero[0] else s) for k, s in hint.storage_entries]
+                data = compress_hint(serialize_hint(Hint(b, entries, hint.accounts, hint.codes)))
+                altered = b
+        dst.write_hint(b, data)
+    dst.close()
+    assert altered is not None, "fixture hints must route a key as zero"
+    return altered
 
 
 @pytest.fixture(scope="session")

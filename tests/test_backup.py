@@ -30,7 +30,7 @@ from ira.workload import (
     storage_write,
 )
 
-from conftest import mk_addr, mk_key, mk_word
+from conftest import mk_addr, mk_key, mk_word, reroute_zero_key_to_plain
 
 
 # -- plan_prefetch -------------------------------------------------------------------
@@ -138,6 +138,26 @@ def test_prefetch_missing_plain_key_raises():
     hint = hint_from_sets(1, [(mk_key(999), Source.PLAIN)], [], [])
     with pytest.raises(PrefetchError):
         prefetch(plan_prefetch([hint]), store)
+
+
+def test_prefetch_error_names_the_blocks_at_fault():
+    store, keys = make_plain_store(4)
+    missing = mk_key(999)
+    hints = [
+        hint_from_sets(1, [(keys[0], Source.PLAIN), (missing, Source.PLAIN)], [], []),
+        hint_from_sets(2, [(keys[1], Source.PLAIN), (missing, Source.ZERO)], [], []),
+        hint_from_sets(3, [(missing, Source.PLAIN)], [], []),
+    ]
+    with pytest.raises(PrefetchError) as err:
+        prefetch(plan_prefetch(hints), store)
+    assert err.value.blocks == [1, 3]
+
+    a, b = mk_addr(1), mk_addr(2)
+    store.plain_accounts.update({a: Account(code_hash=b"\x07" * 32), b: Account()})
+    hints = [hint_from_sets(1, [], [], [b]), hint_from_sets(2, [], [], [a, b])]
+    with pytest.raises(PrefetchError) as err:
+        prefetch(plan_prefetch(hints), store)
+    assert err.value.blocks == [2]
 
 
 def test_prefetch_changeset_values_match_read_as_of():
@@ -382,6 +402,31 @@ def test_pipeline_misfiled_hint_falls_back(pipeline_world, tmp_path):
     assert all(digests[r.block] == r.digest for r in metrics.rows)
     assert metrics.fallback_blocks == 1 and metrics.corrupt_hints == 1
     assert [r.block for r in metrics.rows if r.fallback] == [5]
+
+
+@pytest.mark.parametrize("from_block, in_warmup", [(1, True), (20, False)])
+def test_pipeline_unservable_hint_falls_back(pipeline_world, tmp_path, from_block, in_warmup):
+    # a hint that routes a never-written key as plain: the store refuses its
+    # prefetch, that block falls back, and the rest of its batch is planned
+    # again, as if the refused hint had never been written
+    _, trace, store, db, digests = pipeline_world
+    bad = reroute_zero_key_to_plain(db, tmp_path / "rerouted.db", from_block)
+    cfg = PipelineConfig(batch_size=8, channel_capacity=16, warmup_blocks=8, workers=2)
+    assert (bad <= cfg.warmup_blocks) == in_warmup
+    with HintDb(tmp_path / "rerouted.db", create=False) as rerouted:
+        metrics = pipeline_run(trace, store, rerouted, cfg)
+    assert all(digests[r.block] == r.digest for r in metrics.rows)
+    assert metrics.fallback_blocks == 1 and metrics.corrupt_hints == 1
+    assert [r.block for r in metrics.rows if r.fallback] == [bad]
+
+    with HintDb(tmp_path / "without.db") as without:
+        for b in db.blocks():
+            if b != bad:
+                without.write_hint(b, db.read_hint(b))
+        unhinted = pipeline_run(trace, store, without, cfg)
+    assert unhinted.corrupt_hints == 0
+    assert metrics.rows == unhinted.rows
+    assert (metrics.wall_cost, metrics.prefetch_total) == (unhinted.wall_cost, unhinted.prefetch_total)
 
 
 def test_pipeline_config_rejects_undersized_channel():

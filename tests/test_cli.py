@@ -10,6 +10,8 @@ from ira.cli import EXIT_COMPLETENESS, EXIT_CONFIG, EXIT_DIGEST, EXIT_OK, main
 from ira.config import DEFAULT_CONFIG, content_hash, load_config
 from ira.workload import OpKind, demo_params, iter_trace_file
 
+from conftest import reroute_zero_key_to_plain
+
 
 @pytest.fixture(scope="module")
 def demo_config(tmp_path_factory) -> Path:
@@ -185,6 +187,74 @@ def test_backup_incomplete_hint_exit_code(demo_pipeline, tmp_path):
         ]
     )
     assert rc == EXIT_COMPLETENESS
+
+
+def _run_backup(d: Path, c: str, hints: Path, report: Path, capsys):
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(hints),
+            "--digests", str(d / "digests.bin"),
+            "--report", str(report),
+        ]
+    )
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_backup_unservable_hint_falls_back_for_its_block(demo_pipeline, tmp_path, capsys):
+    from ira.primary import HintDb
+
+    d, c = demo_pipeline
+    with HintDb(d / "hints.db", create=False) as src:
+        bad = reroute_zero_key_to_plain(src, tmp_path / "rerouted.db", 4)
+    rc, _, _ = _run_backup(d, c, tmp_path / "rerouted.db", tmp_path / "backup.csv", capsys)
+    assert rc == EXIT_OK
+    meta = json.loads((tmp_path / "backup.csv.meta.json").read_text())
+    assert meta["fallback_blocks"] == 1 and meta["corrupt_hints"] == 1
+    with open(tmp_path / "backup.csv") as f:
+        assert [int(r["block"]) for r in csv.DictReader(f) if r["fallback"] == "1"] == [bad]
+
+
+def test_backup_torn_hint_record_header_changes_no_output(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    torn = tmp_path / "torn.db"
+    torn.write_bytes((d / "hints.db").read_bytes() + b"\x01\x02\x03")
+    rc, out, err = _run_backup(d, c, torn, tmp_path / "torn.csv", capsys)
+    assert rc == EXIT_OK
+    assert "torn tail of 3 bytes" in err
+    rc, whole_out, _ = _run_backup(d, c, d / "hints.db", tmp_path / "whole.csv", capsys)
+    assert rc == EXIT_OK
+    assert out == whole_out
+    assert (tmp_path / "torn.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "torn.csv.meta.json").read_bytes() == (tmp_path / "whole.csv.meta.json").read_bytes()
+
+
+def test_backup_torn_hint_record_payload_falls_back_for_its_block(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    blob = (d / "hints.db").read_bytes()
+    torn = tmp_path / "torn.db"
+    torn.write_bytes(blob[:-5])  # the last block's record, cut five bytes short
+    rc, _, err = _run_backup(d, c, torn, tmp_path / "backup.csv", capsys)
+    assert rc == EXIT_OK
+    assert "torn tail of" in err
+    assert torn.read_bytes() == blob[:-5]
+    meta = json.loads((tmp_path / "backup.csv.meta.json").read_text())
+    assert meta["fallback_blocks"] == 1 and meta["corrupt_hints"] == 0
+    with open(tmp_path / "backup.csv") as f:
+        assert [int(r["block"]) for r in csv.DictReader(f) if r["fallback"] == "1"] == [6]
+
+
+def test_backup_bad_hint_database_header_is_exit_2(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(b"XDB1" + (d / "hints.db").read_bytes()[4:])
+    rc, _, err = _run_backup(d, c, bad, tmp_path / "backup.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.startswith("hint database error: bad hint database header")
 
 
 def test_cachesim_text_trace(tmp_path, capsys):
@@ -468,3 +538,95 @@ def test_pipeline_crash_on_miss_is_not_a_config_field():
     cfg["pipeline"]["crash_on_miss"] = 0
     with pytest.raises(ConfigError):
         pipeline_config(cfg)
+
+
+class _CommandFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("outcome", ["exit_0", "exit_2", "raises"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_commands_without_the_cyclic_collector(monkeypatch, enabled, outcome):
+    import gc
+
+    from ira import cli
+    from ira.config import ConfigError
+
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if outcome == "exit_2":
+            raise ConfigError("rejected")
+        if outcome == "raises":
+            raise _CommandFailed()
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_analyze", command)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(_CommandFailed):
+                main(["analyze", "--trace", "t.trace"])
+        else:
+            assert main(["analyze", "--trace", "t.trace"]) == (EXIT_OK if outcome == "exit_0" else EXIT_CONFIG)
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _cli_cycle(d: Path, blocks: int) -> list:
+    """Every subcommand once, on a demo trace of ``blocks`` blocks; the key
+    list and the proto scenario grow with it."""
+    d.mkdir()
+    cfg = {"generator": demo_params(blocks=blocks).as_dict(), "pipeline": {"batch_size": 2, "channel_capacity": 4, "warmup_blocks": 2}}
+    (d / "cfg.json").write_text(json.dumps(cfg))
+    (d / "keys.txt").write_text("".join(f"{i % 97:04x}\n" for i in range(50 * blocks)))
+    (d / "scenario.json").write_text(json.dumps({"batches": blocks, "ops_per_batch": 30, "key_space": 100, "seed": 3}))
+    c = ["--config", str(d / "cfg.json")]
+    t, s = str(d / "t.trace"), str(d / "store")
+    return [
+        ("gen-trace", c + ["gen-trace", "--out", t]),
+        ("build-store", c + ["build-store", "--trace", t, "--out", s]),
+        ("run-primary", c + ["run-primary", "--trace", t, "--store", s, "--hints-out", str(d / "hints.db"),
+                             "--digests-out", str(d / "digests.bin"), "--report", str(d / "primary.csv")]),
+        ("run-baseline", c + ["run-baseline", "--trace", t, "--store", s, "--report", str(d / "baseline.csv")]),
+        ("run-backup", c + ["run-backup", "--trace", t, "--store", s, "--hints", str(d / "hints.db"),
+                            "--digests", str(d / "digests.bin"), "--report", str(d / "backup.csv")]),
+        ("compare", ["compare", "--baseline", str(d / "baseline.csv"), "--backup", str(d / "backup.csv"),
+                     "--out", str(d / "compare.csv")]),
+        ("cachesim-file", ["cachesim", "--trace-file", str(d / "keys.txt"), "--capacity", "8"]),
+        ("cachesim-block", ["cachesim", "--trace", t, "--block", "1", "--capacity", "4"]),
+        ("proto", ["proto", "--scenario", str(d / "scenario.json"), "--report", str(d / "proto.csv")]),
+        ("analyze", ["analyze", "--trace", t]),
+    ]
+
+
+def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):
+    # main runs every command with the cyclic collector off, which is only
+    # free if what a command leaves behind is acyclic: the few cycles that
+    # argparse and json build must not scale with the trace
+    import gc
+
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    counts: dict = {}
+    gc.disable()
+    try:
+        for name, blocks in (("warm-up", 4), ("small", 4), ("large", 16)):
+            for command, argv in _cli_cycle(tmp_path / name, blocks):
+                gc.collect()
+                assert main(argv) == EXIT_OK, command
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                counts.setdefault(command, []).append(gc.collect())
+                gc.set_debug(flags)
+                del gc.garbage[:]  # the saved cycles are freed by the next collect
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        gc.collect()
+        if was_enabled:
+            gc.enable()
+    for command, (_, small, large) in counts.items():
+        assert small == large, (command, small, large)

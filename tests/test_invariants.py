@@ -1,0 +1,80 @@
+"""Randomized invariants over seeded inputs: a routed read equals
+``read_as_of`` after pruning, and hinted replay reproduces the digests of the
+unhinted fallback."""
+
+from __future__ import annotations
+
+import random
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
+from ira.primary import Hint, HintDb, annotate_sources, run_primary_block
+from ira.store import Account, ArchivalStore, Effects
+from ira.workload import build_store, demo_params, derive_genesis, generate_trace
+
+from conftest import mk_addr, mk_key, mk_word
+
+
+def _random_store(rng: random.Random):
+    """A few blocks of random writes over a small key and address universe,
+    part of it seeded at genesis and part of it never written."""
+    keys = sorted({mk_key(rng.randrange(12), contract=rng.randrange(3)) for _ in range(rng.randrange(1, 10))})
+    addrs = [mk_addr(i) for i in range(1, rng.randrange(2, 7))]
+    store = ArchivalStore()
+    store.seed_genesis(
+        storage={k: mk_word(rng.randrange(1, 99)) for k in keys if rng.random() < 0.3},
+        accounts={a: Account(balance=rng.randrange(100)) for a in addrs if rng.random() < 0.3},
+    )
+    for b in range(1, rng.randrange(2, 10)):
+        storage = {k: mk_word(rng.randrange(99)) for k in keys if rng.random() < 0.3}
+        accounts = {a: Account(balance=rng.randrange(100), nonce=b) for a in addrs if rng.random() < 0.3}
+        store.apply_block(b, Effects(storage=storage, accounts=accounts))
+    return store, keys, addrs
+
+
+def test_routed_values_equal_read_as_of_after_prune():
+    rng = random.Random(41)
+    for case in range(2000):
+        store, keys, addrs = _random_store(rng)
+        horizon = rng.randrange(1, store.head_block + 2)
+        store.prune(horizon)
+        for b in range(horizon, store.head_block + 2):
+            entries = annotate_sources(keys, store, b)
+            cache = prefetch(plan_prefetch([Hint(b, entries, addrs, [])]), store).caches[b]
+            for key, src in entries:
+                assert cache.storage[key] == store.read_as_of(key, b), (case, b, src)
+            for addr in addrs:
+                assert cache.accounts[addr] == store.account_as_of(addr, b), (case, b)
+
+
+def test_hinted_digests_equal_fallback_digests():
+    rng = random.Random(43)
+    for case in range(300):
+        params = replace(
+            demo_params(blocks=rng.randrange(2, 10), seed=rng.randrange(1 << 30)),
+            ephemeral_key_fraction=rng.random(),
+            hot_key_share=rng.random(),
+            read_write_ratio=rng.uniform(0.25, 12.0),
+        )
+        batch = rng.randrange(1, 5)
+        cfg = PipelineConfig(
+            batch_size=batch,
+            channel_capacity=batch * rng.randrange(1, 4),
+            warmup_blocks=rng.randrange(0, 9),
+            workers=rng.choice([1, 2, 3, 8, 64]),
+        )
+        trace = generate_trace(params)
+        store = build_store(trace, derive_genesis(params))
+        with tempfile.TemporaryDirectory() as td, HintDb(Path(td) / "hints.db") as db:
+            primary = {}
+            for block in trace:
+                r = run_primary_block(block, store)
+                db.write_hint(block.number, r.compressed_bytes)
+                primary[block.number] = r.digest
+            hinted = pipeline_run(trace, store, db, cfg)
+        fallback = pipeline_run(trace, store, None, cfg)
+        assert hinted.fallback_blocks == 0 and all(r.miss_count == 0 for r in hinted.rows), case
+        assert fallback.fallback_blocks == len(trace), case
+        assert hinted.digests() == fallback.digests() == primary, (case, params, cfg)

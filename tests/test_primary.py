@@ -375,6 +375,61 @@ def test_hintdb_detects_corruption(tmp_path):
     db2.close()
 
 
+def _three_record_db(path):
+    with HintDb(path) as db:
+        for b in (1, 2, 3):
+            db.write_hint(b, b"payload-%d" % b)
+    return path.read_bytes()
+
+
+def test_hintdb_torn_record_header_is_skipped(tmp_path):
+    path = tmp_path / "hints.db"
+    whole = _three_record_db(path)
+    path.write_bytes(whole + b"\x01\x02\x03")  # a crash three bytes into an append
+    with HintDb(path, create=False) as db:
+        assert db.torn_bytes == 3
+        assert db.blocks() == [1, 2, 3]
+        assert [db.read_hint(b) for b in (1, 2, 3)] == [b"payload-1", b"payload-2", b"payload-3"]
+
+
+def test_hintdb_torn_record_payload_reads_as_absent(tmp_path):
+    path = tmp_path / "hints.db"
+    whole = _three_record_db(path)
+    path.write_bytes(whole[:-4])  # block 3's payload cut four bytes short
+    with HintDb(path, create=False) as db:
+        assert db.torn_bytes == 16 + len(b"payload-3") - 4
+        assert db.blocks() == [1, 2]
+        assert db.read_hint(3) is None
+        assert db.read_hint(2) == b"payload-2"
+    assert path.read_bytes() == whole[:-4]  # a reader never writes
+
+
+def test_hintdb_writer_cuts_torn_tail_before_appending(tmp_path):
+    path = tmp_path / "hints.db"
+    whole = _three_record_db(path)
+    path.write_bytes(whole[:-4])
+    with HintDb(path) as db:
+        assert db.torn_bytes == 16 + len(b"payload-3") - 4
+        db.write_hint(3, b"payload-3")
+        db.write_hint(4, b"payload-4")
+        assert db.torn_bytes == 0
+    with HintDb(path, create=False) as db:
+        assert db.torn_bytes == 0
+        assert [db.read_hint(b) for b in (1, 2, 3, 4)] == [b"payload-%d" % b for b in (1, 2, 3, 4)]
+    assert path.read_bytes()[: len(whole)] == whole
+
+
+def test_hintdb_bad_header_still_raises(tmp_path):
+    path = tmp_path / "hints.db"
+    whole = _three_record_db(path)
+    path.write_bytes(b"XDB1" + whole[4:])
+    with pytest.raises(HintIntegrityError):
+        HintDb(path, create=False)
+    path.write_bytes(whole[:5])  # torn inside the database header
+    with pytest.raises(HintIntegrityError):
+        HintDb(path, create=False)
+
+
 def test_digest_log_round_trip(tmp_path):
     log = DigestLog(tmp_path / "digests.bin")
     log.write(1, b"\x01" * 32)
