@@ -6,9 +6,10 @@ routes each entry by its source byte:
 
 * plain keys: one forward cursor walk over the plain storage table
 * zero keys: filled with the zero word, no I/O
-* change-set keys: resolved per (key, block) through the full historical
-  lookup (these depend on the block being replayed, so they never merge
-  across blocks)
+* change-set keys: resolved as of each block via three sorted walks (history
+  index over the unique keys, change-set fetches ordered by (n, key) where n
+  is the first modification at or after the block, plain fetches for keys no
+  later block modified); blocks that resolve to the same n share one fetch
 * accounts: resolved as of each block via three sorted walks (history index,
   change-set fetches ordered by (block, address), plain fetches); account
   values change from block to block, so plain-table shortcuts would corrupt
@@ -18,9 +19,8 @@ routes each entry by its source byte:
 
 Each sorted fetch list is priced by ``store.walk_wall``: with ``workers = k``
 it is split into ``min(k, io_lanes)`` contiguous ranges, each one cursor walk,
-and the list's wall cost is its longest range. Change-set pairs are point
-reads, priced per pair by ``read_as_of`` and spread over the same lanes by
-``charge_parallel``. The batch wall cost is the sum of the category walls.
+and the list's wall cost is its longest range. The batch wall cost is the sum
+of the walls, which ``PrefetchResult.route_walls`` keeps one by one.
 
 The pipeline is simulated on a virtual integer clock by a single coordinator
 (one producer prefetching batches, one consumer executing blocks, connected
@@ -127,9 +127,10 @@ class BlockCache:
 class PrefetchPlan:
     """Merged, deduplicated fetch lists for one batch of hints.
 
-    Every (key, source) entry of every hint lands in exactly one route;
-    change-set and account fetches keep their block number because their
-    values are block-dependent.
+    Every (key, source) entry of every hint lands in exactly one route.
+    Change-set and account entries keep their block number because their
+    values are block-dependent; ``prefetch`` resolves each (key, block) pair
+    to the table entry that holds its value.
     """
 
     blocks: List[int]
@@ -177,11 +178,26 @@ def plan_prefetch(hints: Sequence[Hint]) -> PrefetchPlan:
     )
 
 
+# prefetch walks, in the order ``prefetch`` prices them
+ROUTES = (
+    "plain",
+    "changeset_consult",
+    "changeset_fetch",
+    "changeset_plain",
+    "account_consult",
+    "account_fetch",
+    "account_plain",
+    "code",
+    "bytecode",
+)
+
+
 @dataclass
 class PrefetchResult:
     caches: Dict[int, BlockCache]
     wall_cost: int
     per_block_cost: Dict[int, int]
+    route_walls: Dict[str, int]  # one wall per name in ROUTES; they sum to wall_cost
 
 
 def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> PrefetchResult:
@@ -192,7 +208,8 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
     """
     model = store.cost_model
 
-    wall = walk_wall(len(plan.plain_keys), workers, model)
+    walls: Dict[str, int] = {}
+    walls["plain"] = walk_wall(len(plan.plain_keys), workers, model)
     plain_vals: Dict[StorageKey, bytes] = {}
     for key in plan.plain_keys:
         value = store.plain_storage.get(key)
@@ -201,14 +218,26 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
             raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}", blocks)
         plain_vals[key] = value
 
+    # change-set keys: a history consult over the unique keys, then
+    # block-dependent values from a change-set walk in (n, key) order, where n
+    # is the key's first modification at or after the block, and a plain walk
+    # over the keys no later block modified; a key with neither is zero
     cs_vals: Dict[Tuple[StorageKey, int], bytes] = {}
-    cs_costs: List[int] = []
-    meter = CostMeter(model)
+    cs_fetches: Set[Tuple[int, StorageKey]] = set()
+    cs_plain: Set[StorageKey] = set()
     for key, block in plan.changeset_pairs:
-        before = meter.total
-        cs_vals[(key, block)] = store.read_as_of(key, block, meter)
-        cs_costs.append(meter.total - before)
-    wall += charge_parallel(cs_costs, workers, model)
+        n = store.storage_history.first_at_or_after(key, block)
+        if n is not None:
+            cs_fetches.add((n, key))
+            cs_vals[(key, block)] = store.storage_changesets[n][key]
+        elif key in store.plain_storage:
+            cs_plain.add(key)
+            cs_vals[(key, block)] = store.plain_storage[key]
+        else:
+            cs_vals[(key, block)] = ZERO_WORD
+    walls["changeset_consult"] = walk_wall(len({key for key, _ in plan.changeset_pairs}), workers, model)
+    walls["changeset_fetch"] = walk_wall(len(cs_fetches), workers, model)
+    walls["changeset_plain"] = walk_wall(len(cs_plain), workers, model)
 
     # accounts: a history consult over the unique addresses, then
     # block-dependent values from a change-set walk in (block, address) order
@@ -226,10 +255,9 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
             acct_vals[(addr, block)] = store.plain_accounts[addr]
         else:
             acct_vals[(addr, block)] = None
-    unique_addrs = {addr for addr, _ in plan.account_pairs}
-    wall += walk_wall(len(unique_addrs), workers, model)
-    wall += walk_wall(n_cs_fetches, workers, model)
-    wall += walk_wall(len(plain_addrs), workers, model)
+    walls["account_consult"] = walk_wall(len({addr for addr, _ in plan.account_pairs}), workers, model)
+    walls["account_fetch"] = walk_wall(n_cs_fetches, workers, model)
+    walls["account_plain"] = walk_wall(len(plain_addrs), workers, model)
 
     # codes: bytecode is immutable, so plain account and bytecode tables are
     # authoritative for any block
@@ -246,8 +274,9 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
             raise PrefetchError(f"bytecode missing for hash {acc.code_hash.hex()}", blocks)
         code_vals[addr] = code
         hashes.add(acc.code_hash)
-    wall += walk_wall(len(plan.code_addrs), workers, model)
-    wall += walk_wall(len(hashes), workers, model)
+    walls["code"] = walk_wall(len(plan.code_addrs), workers, model)
+    walls["bytecode"] = walk_wall(len(hashes), workers, model)
+    wall = sum(walls.values())
 
     caches: Dict[int, BlockCache] = {}
     per_block_cost: Dict[int, int] = {}
@@ -274,7 +303,7 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
             share = wall * plan.entry_count(b) // total_entries
         per_block_cost[b] = share
         remainder -= share
-    return PrefetchResult(caches=caches, wall_cost=wall, per_block_cost=per_block_cost)
+    return PrefetchResult(caches=caches, wall_cost=wall, per_block_cost=per_block_cost, route_walls=walls)
 
 
 @dataclass
@@ -340,6 +369,7 @@ class ReplayMetrics:
     rows: List[BlockMetrics]
     wall_cost: int
     prefetch_total: int
+    prefetch_by_route: Dict[str, int]  # prefetch_total split by ROUTES
     exec_total: int
     wait_total: int
     fallback_blocks: int
@@ -462,10 +492,15 @@ def pipeline_run(
     block_list = list(blocks)
     n = len(block_list)
     if n == 0:
-        return ReplayMetrics([], 0, 0, 0, 0, 0, 0, config)
+        return ReplayMetrics([], 0, 0, dict.fromkeys(ROUTES, 0), 0, 0, 0, 0, config)
 
     batches = [block_list[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
     corrupt_total = 0
+    by_route = dict.fromkeys(ROUTES, 0)
+
+    def add_routes(pf: PrefetchResult) -> None:
+        for route, cost in pf.route_walls.items():
+            by_route[route] += cost
 
     # Warm-up: prefetch leading batches in parallel, bounded by block count
     # and the buffer entry budget; these bypass the bounded channel.
@@ -487,6 +522,7 @@ def pipeline_run(
         corrupt_total += corrupt
         warmup_tasks.append((task, pf))
         warmup_costs.append(pf.wall_cost)
+        add_routes(pf)
         warmup_entries += entries
         warmup_blocks_count += len(batch)
         warmup_batches += 1
@@ -593,6 +629,7 @@ def pipeline_run(
         done = max(prod_free, room_time) + pf.wall_cost
         prod_free = done
         prefetch_total += pf.wall_cost
+        add_routes(pf)
         for block in task.blocks:
             b = block.number
             produced_upto += 1
@@ -626,6 +663,7 @@ def pipeline_run(
         rows=rows,
         wall_cost=exec_free,
         prefetch_total=prefetch_total,
+        prefetch_by_route=by_route,
         exec_total=exec_total,
         wait_total=wait_total,
         fallback_blocks=fallback_count,

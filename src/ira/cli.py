@@ -130,14 +130,29 @@ def cmd_run_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _first_hinted_block(hints_path: Path, trace_path: Path) -> Optional[int]:
+    """The first block of the trace that the hint database at ``hints_path``
+    already holds, if the file exists; ``None`` if there is none."""
+    if not hints_path.exists():
+        return None
+    with HintDb(hints_path, create=False) as db:
+        return next((b for b in workload_mod.trace_block_numbers(trace_path) if b in db), None)
+
+
 def cmd_run_primary(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config)
+    hints_path = _out(args, args.hints_out)
+    # one hint per block: refuse before any output is touched
+    clash = _first_hinted_block(hints_path, Path(args.trace))
+    if clash is not None:
+        print(f"run-primary: {hints_path} already holds a hint for block {clash}", file=sys.stderr)
+        return EXIT_CONFIG
     store = _load_store(args, cfg)
     codec = cfg["hint_codec"]
-    hint_db = HintDb(_out(args, args.hints_out))
+    hint_db = HintDb(hints_path)
     digest_log = DigestLog(_out(args, args.digests_out)) if args.digests_out else None
     report = _out(args, args.report)
-    rows = 0
+    rows = exec_total = construct_total = 0
     with open(report, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"])
@@ -157,6 +172,8 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
                 ]
             )
             rows += 1
+            exec_total += result.exec_cost
+            construct_total += result.hint_construct_cost
     hint_db.close()
     _write_sidecar(
         report,
@@ -166,6 +183,7 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
             "cost_model": store.cost_model.as_dict(),
             "rows": rows,
             "hint_codec": codec,
+            "hint_cost_share": round(construct_total / exec_total, 6) if exec_total else 0.0,
         },
     )
     print(f"run-primary: {rows} blocks, hints -> {args.hints_out}")
@@ -201,6 +219,7 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
             "rows": len(metrics.rows),
             "wall_cost": metrics.wall_cost,
             "prefetch_total": metrics.prefetch_total,
+            "prefetch_by_route": metrics.prefetch_by_route,
             "exec_total": metrics.exec_total,
             "wait_total": metrics.wait_total,
             "fallback_blocks": metrics.fallback_blocks,

@@ -812,41 +812,56 @@ def save_trace(path: Path, params: GeneratorParams, blocks: Iterable[Block]) -> 
     return count
 
 
+def _read_trace_header(f) -> Tuple[bytes, int]:
+    """Check a trace file's magic and version; return its params JSON and
+    block count, leaving ``f`` at the first record."""
+    magic = f.read(4)
+    if magic != TRACE_MAGIC:
+        raise TraceFormatError(f"bad trace magic: {magic!r}")
+    (version,) = _U16.unpack(f.read(2))
+    if version != TRACE_VERSION:
+        raise TraceFormatError(f"unsupported trace version {version}")
+    (plen,) = _U32.unpack(f.read(4))
+    params_json = f.read(plen)
+    (count,) = _U64.unpack(f.read(8))
+    return params_json, count
+
+
+def _iter_records(f, count: int) -> Iterator[bytes]:
+    for _ in range(count):
+        raw = f.read(4)
+        if len(raw) < 4:
+            raise TraceFormatError("truncated trace file")
+        (size,) = _U32.unpack(raw)
+        payload = f.read(size)
+        if len(payload) < size:
+            raise TraceFormatError("truncated trace record")
+        yield payload
+
+
 def read_trace_params(path: Path) -> Tuple[GeneratorParams, int]:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TRACE_MAGIC:
-            raise TraceFormatError(f"bad trace magic: {magic!r}")
-        (version,) = _U16.unpack(f.read(2))
-        if version != TRACE_VERSION:
-            raise TraceFormatError(f"unsupported trace version {version}")
-        (plen,) = _U32.unpack(f.read(4))
-        params = GeneratorParams.from_dict(json.loads(f.read(plen).decode()))
-        (count,) = _U64.unpack(f.read(8))
-    return params, count
+        params_json, count = _read_trace_header(f)
+    return GeneratorParams.from_dict(json.loads(params_json.decode())), count
 
 
 def iter_trace_file(path: Path) -> Iterator[Block]:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TRACE_MAGIC:
-            raise TraceFormatError(f"bad trace magic: {magic!r}")
-        (version,) = _U16.unpack(f.read(2))
-        if version != TRACE_VERSION:
-            raise TraceFormatError(f"unsupported trace version {version}")
-        (plen,) = _U32.unpack(f.read(4))
-        f.read(plen)
-        (count,) = _U64.unpack(f.read(8))
+        _, count = _read_trace_header(f)
         keys: Dict[bytes, bytes] = {}  # interned across the file's blocks
-        for _ in range(count):
-            raw = f.read(4)
-            if len(raw) < 4:
-                raise TraceFormatError("truncated trace file")
-            (size,) = _U32.unpack(raw)
-            payload = f.read(size)
-            if len(payload) < size:
-                raise TraceFormatError("truncated trace record")
+        for payload in _iter_records(f, count):
             yield _decode_block(payload, keys)
+
+
+def trace_block_numbers(path: Path) -> Iterator[int]:
+    """The block numbers of a trace file, in file order, without decoding
+    the blocks."""
+    with open(path, "rb") as f:
+        _, count = _read_trace_header(f)
+        for payload in _iter_records(f, count):
+            if len(payload) < 8:
+                raise TraceFormatError("truncated trace record")
+            yield _U64.unpack_from(payload)[0]
 
 
 def trace_file_hash(path: Path) -> str:

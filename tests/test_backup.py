@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ira.backup import (
+    ROUTES,
     BaselineCacheConfig,
     BlockCache,
     CacheMissError,
@@ -113,17 +114,24 @@ def test_prefetch_wall_monotone_and_saturating():
     assert walls[-1] == walls[-2] == walls[-3]  # k >= io_lanes is flat
 
 
+# The batch has 32 zero keys (free), 16 change-set pairs over 15 keys that
+# resolve to 15 (n, key) fetches and no plain or zero value, 43 account pairs
+# over 16 addresses (27 change-set fetches, 9 plain addresses), and 4 code
+# addresses with 4 bytecode hashes. With walk(n) = 100 + (ceil(n / j) - 1) * 2
+# and j = min(workers, 16, n), the walls, in ROUTES order without the empty
+# plain and change-set plain walks, are:
+#   workers=1:  128 + 128 + 130 + 152 + 116 + 106 + 106 = 866
+#   workers=2:  114 + 114 + 114 + 126 + 108 + 102 + 102 = 780
+#   workers=16: 100 + 100 + 100 + 102 + 100 + 100 + 100 = 702
 @pytest.mark.parametrize(
     "workers, wall, per_block",
     [
-        (1, 3810, {1: 667, 2: 589, 3: 746, 4: 746, 5: 471, 6: 591}),
-        (2, 2152, {1: 377, 2: 332, 3: 421, 4: 421, 5: 266, 6: 335}),
+        (1, 866, {1: 151, 2: 133, 3: 169, 4: 169, 5: 107, 6: 137}),
+        (2, 780, {1: 136, 2: 120, 3: 152, 4: 152, 5: 96, 6: 124}),
         (16, 702, {1: 123, 2: 108, 3: 137, 4: 137, 5: 86, 6: 111}),
     ],
 )
 def test_prefetch_costs_pinned_on_demo_trace(workers, wall, per_block):
-    # literals recorded before the walk pricing moved into store.walk_wall;
-    # the batch has zero, change-set, account and code routes
     params = demo_params(6)
     trace = generate_trace(params)
     store = build_store(trace, derive_genesis(params))
@@ -131,6 +139,8 @@ def test_prefetch_costs_pinned_on_demo_trace(workers, wall, per_block):
     result = prefetch(plan, store, workers=workers)
     assert result.wall_cost == wall
     assert result.per_block_cost == per_block
+    assert tuple(result.route_walls) == ROUTES
+    assert sum(result.route_walls.values()) == wall
 
 
 def test_prefetch_missing_plain_key_raises():
@@ -168,6 +178,41 @@ def test_prefetch_changeset_values_match_read_as_of():
     hint = hint_from_sets(2, [(k, Source.CHANGESET)], [], [])
     result = prefetch(plan_prefetch([hint]), store)
     assert result.caches[2].storage[k] == store.read_as_of(k, 2) == mk_word(10)
+
+
+def test_prefetch_changeset_walks_share_fetches():
+    # k is seeded and modified at blocks 2 and 4, p is seeded and never
+    # modified, z is never written; the hints route all three as change-set.
+    #   k at blocks 1, 2 -> n = 2, one shared fetch (2, k): the seeded value
+    #   k at blocks 3, 4 -> n = 4, one shared fetch (4, k): the value of block 2
+    #   k at block 5     -> no later modification: plain, the value of block 4
+    #   p at block 1     -> plain;  z at block 3 -> zero, no I/O
+    # workers=1: consult {k, p, z} 100 + 2*2 = 104, fetches {(2, k), (4, k)}
+    #            100 + 2 = 102, plain {k, p} 100 + 2 = 102; 308 in all
+    # workers=2: ceil(3/2) = 2 keys per range, 102 + 100 + 100 = 302
+    k, p, z = mk_key(1), mk_key(2), mk_key(3)
+    store = ArchivalStore()
+    store.seed_genesis(storage={k: mk_word(1), p: mk_word(7)})
+    for b in range(1, 5):
+        store.apply_block(b, Effects(storage={k: mk_word(10 * b)} if b in (2, 4) else {}))
+    hints = [hint_from_sets(b, [(k, Source.CHANGESET)], [], []) for b in range(1, 6)]
+    hints[0] = hint_from_sets(1, [(k, Source.CHANGESET), (p, Source.CHANGESET)], [], [])
+    hints[2] = hint_from_sets(3, [(k, Source.CHANGESET), (z, Source.CHANGESET)], [], [])
+    plan = plan_prefetch(hints)
+
+    result = prefetch(plan, store, workers=1)
+    assert result.wall_cost == 308
+    assert {r: w for r, w in result.route_walls.items() if w} == {
+        "changeset_consult": 104,
+        "changeset_fetch": 102,
+        "changeset_plain": 102,
+    }
+    expect = {1: mk_word(1), 2: mk_word(1), 3: mk_word(20), 4: mk_word(20), 5: mk_word(40)}
+    for b, value in expect.items():
+        assert result.caches[b].storage[k] == value == store.read_as_of(k, b)
+    assert result.caches[1].storage[p] == mk_word(7)
+    assert result.caches[3].storage[z] == ZERO_WORD
+    assert prefetch(plan, store, workers=2).wall_cost == 302
 
 
 def test_prefetch_accounts_as_of_block():
@@ -427,6 +472,7 @@ def test_pipeline_unservable_hint_falls_back(pipeline_world, tmp_path, from_bloc
     assert unhinted.corrupt_hints == 0
     assert metrics.rows == unhinted.rows
     assert (metrics.wall_cost, metrics.prefetch_total) == (unhinted.wall_cost, unhinted.prefetch_total)
+    assert metrics.prefetch_by_route == unhinted.prefetch_by_route
 
 
 def test_pipeline_config_rejects_undersized_channel():
@@ -438,6 +484,19 @@ def test_pipeline_empty_range():
     store = ArchivalStore()
     metrics = pipeline_run([], store, None, PipelineConfig())
     assert metrics.rows == [] and metrics.wall_cost == 0
+    assert metrics.prefetch_by_route == dict.fromkeys(ROUTES, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_pipeline_route_walls_sum_to_prefetch_total(pipeline_world, workers):
+    _, trace, store, db, _ = pipeline_world
+    cfg = PipelineConfig(batch_size=8, channel_capacity=16, warmup_blocks=16, workers=workers)
+    metrics = pipeline_run(trace, store, db, cfg)
+    assert tuple(metrics.prefetch_by_route) == ROUTES
+    assert sum(metrics.prefetch_by_route.values()) == metrics.prefetch_total
+    assert metrics.prefetch_by_route["changeset_fetch"] > 0
+    fallback = pipeline_run(trace, store, None, cfg)
+    assert fallback.prefetch_by_route == dict.fromkeys(ROUTES, 0) and fallback.prefetch_total == 0
 
 
 def test_pipeline_bounded_channel_limits_producer_lead(pipeline_world):

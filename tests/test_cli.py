@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ira.backup import ROUTES
 from ira.cli import EXIT_COMPLETENESS, EXIT_CONFIG, EXIT_DIGEST, EXIT_OK, main
 from ira.config import DEFAULT_CONFIG, content_hash, load_config
 from ira.workload import OpKind, demo_params, iter_trace_file
@@ -106,6 +107,65 @@ def test_primary_report_schema(demo_pipeline):
         rows = list(reader)
     assert len(rows) == 6
     assert all(int(r["raw_bytes"]) >= 16 for r in rows)
+
+
+def test_primary_sidecar_reports_hint_cost_share(demo_pipeline):
+    d, _ = demo_pipeline
+    with open(d / "primary.csv") as f:
+        rows = list(csv.DictReader(f))
+    construct = sum(int(r["hint_construct_cost"]) for r in rows)
+    execute = sum(int(r["exec_cost"]) for r in rows)
+    meta = json.loads((d / "primary.csv.meta.json").read_text())
+    assert 0 < meta["hint_cost_share"] == round(construct / execute, 6)
+
+
+def test_backup_sidecar_splits_prefetch_by_route(demo_pipeline):
+    d, _ = demo_pipeline
+    meta = json.loads((d / "backup.csv.meta.json").read_text())
+    assert tuple(meta["prefetch_by_route"]) == tuple(sorted(ROUTES))
+    assert sum(meta["prefetch_by_route"].values()) == meta["prefetch_total"] > 0
+
+
+def _run_primary(d: Path, c: str, out: Path, capsys):
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-primary",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints-out", str(out / "hints.db"),
+            "--digests-out", str(out / "digests.bin"),
+            "--report", str(out / "primary.csv"),
+        ]
+    )
+    return rc, capsys.readouterr().err
+
+
+def test_primary_rerun_into_its_own_hint_db_changes_no_output(demo_pipeline, tmp_path, capsys):
+    from ira.primary import HintDb
+
+    d, c = demo_pipeline
+    names = ("hints.db", "digests.bin", "primary.csv", "primary.csv.meta.json")
+    for name in names:
+        (tmp_path / name).write_bytes((d / name).read_bytes())
+    rc, err = _run_primary(d, c, tmp_path, capsys)
+    assert rc == EXIT_CONFIG
+    assert err.strip() == f"run-primary: {tmp_path / 'hints.db'} already holds a hint for block 1"
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+
+    # the first block of the trace that the database holds is named, in
+    # trace order, whatever order the database wrote its records in
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    with HintDb(d / "hints.db", create=False) as src, HintDb(partial / "hints.db") as dst:
+        for b in (5, 3):
+            dst.write_hint(b, src.read_hint(b))
+    blob = (partial / "hints.db").read_bytes()
+    rc, err = _run_primary(d, c, partial, capsys)
+    assert rc == EXIT_CONFIG and err.strip().endswith("already holds a hint for block 3")
+    assert (partial / "hints.db").read_bytes() == blob
+    assert sorted(p.name for p in partial.iterdir()) == ["hints.db"]
 
 
 def test_compare_refuses_mismatched_cost_model(demo_pipeline, tmp_path):

@@ -1,17 +1,19 @@
 """Randomized invariants over seeded inputs: a routed read equals
-``read_as_of`` after pruning, and hinted replay reproduces the digests of the
-unhinted fallback."""
+``read_as_of`` after pruning, also for keys a hint routes as change-set that
+the store resolves to plain or zero, and hinted replay reproduces the digests
+of the unhinted fallback."""
 
 from __future__ import annotations
 
 import random
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
-from ira.primary import Hint, HintDb, annotate_sources, run_primary_block
-from ira.store import Account, ArchivalStore, Effects
+from ira.primary import Hint, HintDb, Source, annotate_sources, run_primary_block
+from ira.store import Account, ArchivalStore, CostMeter, Effects
 from ira.workload import build_store, demo_params, derive_genesis, generate_trace
 
 from conftest import mk_addr, mk_key, mk_word
@@ -47,6 +49,36 @@ def test_routed_values_equal_read_as_of_after_prune():
                 assert cache.storage[key] == store.read_as_of(key, b), (case, b, src)
             for addr in addrs:
                 assert cache.accounts[addr] == store.account_as_of(addr, b), (case, b)
+
+
+def test_changeset_routed_batches_equal_read_as_of():
+    # every key is routed as change-set, whatever the store holds for it, in
+    # batches of several blocks; the walks price at most what point reads of
+    # the same (key, block) pairs would
+    rng = random.Random(47)
+    resolved = Counter()
+    for case in range(1500):
+        store, keys, _ = _random_store(rng)
+        horizon = rng.randrange(1, store.head_block + 2)
+        store.prune(horizon)
+        span = range(horizon, store.head_block + 2)
+        blocks = sorted(rng.sample(span, rng.randint(1, len(span))))
+        hints = [Hint(b, [(k, Source.CHANGESET) for k in keys if rng.random() < 0.7], [], []) for b in blocks]
+        plan = plan_prefetch(hints)
+        result = prefetch(plan, store)
+        for hint in hints:
+            b = hint.block_number
+            for key, _ in hint.storage_entries:
+                assert result.caches[b].storage[key] == store.read_as_of(key, b), (case, b)
+                if store.storage_history.first_at_or_after(key, b) is not None:
+                    resolved["changeset"] += 1
+                else:
+                    resolved["plain" if key in store.plain_storage else "zero"] += 1
+        point = CostMeter(store.cost_model)
+        for key, b in plan.changeset_pairs:
+            store.read_as_of(key, b, point)
+        assert result.wall_cost <= point.total, case
+    assert min(resolved[kind] for kind in ("changeset", "plain", "zero")) > 100, resolved
 
 
 def test_hinted_digests_equal_fallback_digests():
