@@ -22,19 +22,25 @@ it is split into ``min(k, io_lanes)`` contiguous ranges, each one cursor walk,
 and the list's wall cost is its longest range. The batch wall cost is the sum
 of the walls, which ``PrefetchResult.route_walls`` keeps one by one.
 
-The pipeline is simulated on a virtual integer clock by a single coordinator
-(one producer prefetching batches, one consumer executing blocks, connected
-by a bounded queue), so results are independent of host scheduling. Warm-up
-blocks bypass the queue, bounded by a buffer entry budget.
+The pipeline runs on a virtual integer clock, so results are independent of
+host scheduling: one producer prefetches batches and one executor replays
+blocks, connected by a channel that holds at most ``channel_capacity`` steady
+blocks not yet started. ``pipeline_run`` takes the batches in order. Before
+the producer takes a batch, the executor runs queued blocks until the channel
+has room for it. Each clock value depends only on values computed before it,
+so this order gives the same numbers as any event order that respects those
+dependencies. Warm-up batches bypass the channel, bounded by a buffer entry
+budget.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import OrderedDict
+import itertools
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .store import (
     Account,
@@ -412,17 +418,24 @@ class ReplayMetrics:
 
 
 @dataclass
-class _BatchTask:
+class _Batch:
+    """One batch of blocks with the prefetch plan of its decoded hints.
+
+    ``fallback`` holds the blocks replayed against the store: their hint is
+    missing, corrupt, misfiled or unservable; ``corrupt`` counts all of those
+    but the missing ones."""
+
     blocks: List[Block]
-    hints: List[Hint]
-    fallback_blocks: Set[int]
+    plan: PrefetchPlan
+    fallback: Set[int]
     raw_sizes: Dict[int, int]
     comp_sizes: Dict[int, int]
+    corrupt: int
 
 
-def _decode_batch(batch: List[Block], hint_db: Optional[HintDb]) -> Tuple[_BatchTask, int]:
-    """Decode the batch's hints; blocks with missing or corrupt hints are
-    marked for the unhinted fallback path."""
+def _decode_batch(batch: List[Block], hint_db: Optional[HintDb]) -> _Batch:
+    """Decode and plan the batch's hints; blocks with missing or corrupt hints
+    are marked for the unhinted fallback path."""
     hints: List[Hint] = []
     fallback: Set[int] = set()
     raw_sizes: Dict[int, int] = {}
@@ -451,23 +464,35 @@ def _decode_batch(batch: List[Block], hint_db: Optional[HintDb]) -> Tuple[_Batch
         raw_sizes[block.number] = len(raw)
         comp_sizes[block.number] = len(data)
         hints.append(hint)
-    return _BatchTask(batch, hints, fallback, raw_sizes, comp_sizes), corrupt
+    return _Batch(batch, plan_prefetch(hints), fallback, raw_sizes, comp_sizes, corrupt)
 
 
-def _prefetch_task(task: _BatchTask, plan: PrefetchPlan, store: ArchivalStore, workers: int) -> Tuple[PrefetchResult, int]:
+def _prefetch_batch(batch: _Batch, store: ArchivalStore, workers: int) -> PrefetchResult:
     """Prefetch a decoded batch. Blocks whose hints the store cannot serve go
     to the fallback, counted as corrupt, and the rest is planned again; each
     retry drops at least one block, so the loop ends."""
-    corrupt = 0
     while True:
         try:
-            return prefetch(plan, store, workers=workers), corrupt
+            return prefetch(batch.plan, store, workers=workers)
         except PrefetchError as exc:
             refused = set(exc.blocks)
-            task.fallback_blocks |= refused
-            task.hints = [h for h in task.hints if h.block_number not in refused]
-            corrupt += len(refused)
-            plan = plan_prefetch(task.hints)
+            batch.fallback |= refused
+            batch.corrupt += len(refused)
+            batch.plan = plan_prefetch([h for b, h in batch.plan.per_block.items() if b not in refused])
+
+
+@dataclass
+class _Queued:
+    """A block waiting for the executor: its cache (None on the fallback
+    path), the virtual time the cache is ready, and its report fields."""
+
+    block: Block
+    ready: int
+    steady: bool  # produced through the bounded channel, not by warm-up
+    cache: Optional[BlockCache] = None
+    prefetch_cost: int = 0
+    raw_bytes: int = 0
+    compressed_bytes: int = 0
 
 
 def pipeline_run(
@@ -490,184 +515,106 @@ def pipeline_run(
     config.validate()
     model = store.cost_model
     block_list = list(blocks)
-    n = len(block_list)
-    if n == 0:
-        return ReplayMetrics([], 0, 0, dict.fromkeys(ROUTES, 0), 0, 0, 0, 0, config)
-
-    batches = [block_list[i : i + config.batch_size] for i in range(0, n, config.batch_size)]
-    corrupt_total = 0
+    size = config.batch_size
+    batches = (_decode_batch(block_list[i : i + size], hint_db) for i in range(0, len(block_list), size))
+    queue: Deque[_Queued] = deque()
     by_route = dict.fromkeys(ROUTES, 0)
+    corrupt = 0
 
-    def add_routes(pf: PrefetchResult) -> None:
+    def enqueue(batch: _Batch, pf: PrefetchResult, ready: int, steady: bool) -> None:
         for route, cost in pf.route_walls.items():
             by_route[route] += cost
+        for block in batch.blocks:
+            b = block.number
+            if b in batch.fallback:
+                queue.append(_Queued(block, ready, steady))
+            else:
+                cache = pf.caches.pop(b)  # the queue holds the only reference
+                queue.append(
+                    _Queued(block, ready, steady, cache, pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b])
+                )
 
     # Warm-up: prefetch leading batches in parallel, bounded by block count
-    # and the buffer entry budget; these bypass the bounded channel.
-    warmup_tasks: List[Tuple[_BatchTask, PrefetchResult]] = []
-    warmup_costs: List[int] = []
-    warmup_entries = 0
-    warmup_batches = 0
-    warmup_blocks_count = 0
+    # and the buffer entry budget; these bypass the bounded channel. The
+    # batch that ends warm-up is the first steady batch.
+    warm: List[Tuple[_Batch, PrefetchResult]] = []
+    first_steady: List[_Batch] = []
+    warm_blocks = warm_entries = 0
     for batch in batches:
-        if warmup_blocks_count + len(batch) > min(config.warmup_blocks, n):
+        entries = sum(batch.plan.entry_count(b) for b in batch.plan.blocks)
+        if warm_blocks + len(batch.blocks) > config.warmup_blocks or (
+            warm and warm_entries + entries > config.warmup_buffer_entries
+        ):
+            first_steady.append(batch)
             break
-        task, corrupt = _decode_batch(batch, hint_db)
-        corrupt_total += corrupt
-        plan = plan_prefetch(task.hints)
-        entries = sum(plan.entry_count(b) for b in plan.blocks)
-        if warmup_entries + entries > config.warmup_buffer_entries and warmup_batches > 0:
-            break
-        pf, corrupt = _prefetch_task(task, plan, store, workers=1)
-        corrupt_total += corrupt
-        warmup_tasks.append((task, pf))
-        warmup_costs.append(pf.wall_cost)
-        add_routes(pf)
-        warmup_entries += entries
-        warmup_blocks_count += len(batch)
-        warmup_batches += 1
+        warm.append((batch, _prefetch_batch(batch, store, workers=1)))
+        warm_blocks += len(batch.blocks)
+        warm_entries += entries
+    prod_free = charge_parallel([pf.wall_cost for _, pf in warm], config.workers, model)
+    for batch, pf in warm:
+        enqueue(batch, pf, prod_free, steady=False)
+        corrupt += batch.corrupt
 
-    warmup_wall = charge_parallel(warmup_costs, config.workers, model)
-    prefetch_total = sum(warmup_costs)
-
-    # Assemble the executor's input queue state: (block, ready_time hint,
-    # cache or None, batch prefetch share, sizes, fallback?, steady batch id)
-    ready_time: List[int] = [0] * n
-    cache_of: List[Optional[BlockCache]] = [None] * n
-    pf_share: List[int] = [0] * n
-    raw_of: List[int] = [0] * n
-    comp_of: List[int] = [0] * n
-    fb_of: List[bool] = [False] * n
-    steady_flag: List[bool] = [False] * n
-
-    idx = 0
-    for task, pf in warmup_tasks:
-        for block in task.blocks:
-            b = block.number
-            ready_time[idx] = warmup_wall
-            fb = b in task.fallback_blocks
-            fb_of[idx] = fb
-            if not fb:
-                cache_of[idx] = pf.caches[b]
-                pf_share[idx] = pf.per_block_cost.get(b, 0)
-                raw_of[idx] = task.raw_sizes.get(b, 0)
-                comp_of[idx] = task.comp_sizes.get(b, 0)
-            idx += 1
-
-    steady_batches = batches[warmup_batches:]
-
-    # Co-simulation: single coordinator advancing producer and consumer on one
-    # virtual clock. The producer may only start a batch when the channel has
-    # room; channel occupancy counts steady blocks produced but not yet taken
-    # by the executor.
-    prod_free = warmup_wall
+    rows: List[BlockMetrics] = []
+    steady_starts: List[int] = []  # execution start of each steady block
     exec_free = 0
-    next_exec = 0
-    produced_upto = idx - 1
-    produced_steady = 0
-    started_steady = 0
-    steady_start_times: List[int] = []
-    next_batch = 0
-
-    rows: List[BlockMetrics] = [None] * n  # type: ignore[list-item]
-    exec_total = 0
-    wait_total = 0
-    fallback_count = 0
 
     def execute_next() -> None:
-        nonlocal next_exec, exec_free, exec_total, wait_total, started_steady, fallback_count
-        i = next_exec
-        block = block_list[i]
-        start = max(exec_free, ready_time[i])
-        wait = start - exec_free
-        if steady_flag[i]:
-            started_steady += 1
-            steady_start_times.append(start)
-        misses = 0
-        if fb_of[i]:
-            fallback_count += 1
+        nonlocal exec_free
+        entry = queue.popleft()
+        block = entry.block
+        start = max(exec_free, entry.ready)
+        if entry.steady:
+            steady_starts.append(start)
+        if entry.cache is None:
             meter = CostMeter(model)
             result = execute_block(block, StoreView(store, block.number, meter), meter)
-            t_exec = meter.total
-            digest = state_change_hash(result.effects)
+            t_exec, digest, misses = meter.total, state_change_hash(result.effects), 0
         else:
-            cache = cache_of[i]
-            rb = replay_block(block, cache, model)
-            t_exec = rb.t_exec
-            digest = rb.digest
-            misses = cache.miss_count
-            cache_of[i] = None  # memory discipline: cache dies with its block
-        exec_free = start + t_exec
-        exec_total += t_exec
-        wait_total += wait
-        rows[i] = BlockMetrics(
-            block=block.number,
-            t_wait=wait,
-            t_exec=t_exec,
-            prefetch_cost=pf_share[i],
-            miss_count=misses,
-            hint_raw_bytes=raw_of[i],
-            hint_compressed_bytes=comp_of[i],
-            fallback=fb_of[i],
-            digest=digest,
+            rb = replay_block(block, entry.cache, model)
+            t_exec, digest, misses = rb.t_exec, rb.digest, entry.cache.miss_count
+        rows.append(
+            BlockMetrics(
+                block=block.number,
+                t_wait=start - exec_free,
+                t_exec=t_exec,
+                prefetch_cost=entry.prefetch_cost,
+                miss_count=misses,
+                hint_raw_bytes=entry.raw_bytes,
+                hint_compressed_bytes=entry.compressed_bytes,
+                fallback=entry.cache is None,
+                digest=digest,
+            )
         )
-        next_exec += 1
+        exec_free = start + t_exec
 
-    def producer_can_start() -> bool:
-        nb = len(steady_batches[next_batch])
-        return produced_steady + nb - config.channel_capacity <= started_steady
-
-    def produce_next_batch() -> None:
-        nonlocal next_batch, produced_upto, produced_steady, prod_free, prefetch_total, corrupt_total
-        batch = steady_batches[next_batch]
-        need_started = produced_steady + len(batch) - config.channel_capacity
-        room_time = steady_start_times[need_started - 1] if need_started > 0 else 0
-        task, corrupt = _decode_batch(batch, hint_db)
-        corrupt_total += corrupt
-        pf, corrupt = _prefetch_task(task, plan_prefetch(task.hints), store, config.workers)
-        corrupt_total += corrupt
-        done = max(prod_free, room_time) + pf.wall_cost
-        prod_free = done
-        prefetch_total += pf.wall_cost
-        add_routes(pf)
-        for block in task.blocks:
-            b = block.number
-            produced_upto += 1
-            i = produced_upto
-            ready_time[i] = done
-            steady_flag[i] = True
-            produced_steady += 1
-            fb = b in task.fallback_blocks
-            fb_of[i] = fb
-            if not fb:
-                cache_of[i] = pf.caches[b]
-                pf_share[i] = pf.per_block_cost.get(b, 0)
-                raw_of[i] = task.raw_sizes.get(b, 0)
-                comp_of[i] = task.comp_sizes.get(b, 0)
-        next_batch += 1
-
-    while next_batch < len(steady_batches) or next_exec < n:
-        if next_exec <= produced_upto:
-            # producer runs ahead while the bounded channel has room
-            if next_batch < len(steady_batches) and producer_can_start():
-                produce_next_batch()
-            else:
-                execute_next()
-        else:
-            # executor is starving; capacity >= batch size guarantees room
-            if next_batch >= len(steady_batches) or not producer_can_start():
-                raise AssertionError("pipeline deadlock")
-            produce_next_batch()
+    # Steady state: a batch may enter the channel once at most
+    # channel_capacity steady blocks would be in it, not yet started; the
+    # executor runs queued blocks until then, and the producer starts when
+    # both it and the channel are free.
+    produced = 0
+    for batch in itertools.chain(first_steady, batches):
+        need = produced + len(batch.blocks) - config.channel_capacity
+        while len(steady_starts) < need:
+            execute_next()
+        room = steady_starts[need - 1] if need > 0 else 0
+        pf = _prefetch_batch(batch, store, config.workers)
+        prod_free = max(prod_free, room) + pf.wall_cost
+        enqueue(batch, pf, prod_free, steady=True)
+        corrupt += batch.corrupt
+        produced += len(batch.blocks)
+    while queue:
+        execute_next()
 
     return ReplayMetrics(
         rows=rows,
         wall_cost=exec_free,
-        prefetch_total=prefetch_total,
+        prefetch_total=sum(by_route.values()),
         prefetch_by_route=by_route,
-        exec_total=exec_total,
-        wait_total=wait_total,
-        fallback_blocks=fallback_count,
-        corrupt_hints=corrupt_total,
+        exec_total=sum(r.t_exec for r in rows),
+        wait_total=sum(r.t_wait for r in rows),
+        fallback_blocks=sum(r.fallback for r in rows),
+        corrupt_hints=corrupt,
         config=config,
     )
 

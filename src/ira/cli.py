@@ -592,6 +592,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HintIntegrityError as exc:
         print(f"hint database error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except workload_mod.TraceFormatError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         if gc_was_enabled:
             gc.enable()

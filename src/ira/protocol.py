@@ -105,15 +105,6 @@ class HintEncoding(Enum):
     RANGE = "range"
 
 
-_TAGS = {
-    HintEncoding.EXACT: 0x01,
-    HintEncoding.PREFIX: 0x02,
-    HintEncoding.BLOOM: 0x03,
-    HintEncoding.RANGE: 0x04,
-}
-_TAGS_REV = {v: k for k, v in _TAGS.items()}
-
-
 # -- hint generation / replay -------------------------------------------------------
 
 
@@ -432,16 +423,6 @@ def decode_hint(encoding: str, payload: bytes) -> DecodedHint:
     return DecodedHint(keys=None, _member=_decode_range(payload))
 
 
-def hint_wire_bytes(hint: GenericHint) -> bytes:
-    return bytes((_TAGS[hint.encoding],)) + hint.payload
-
-
-def hint_from_wire(data: bytes) -> GenericHint:
-    if not data or data[0] not in _TAGS_REV:
-        raise DecodeError("unknown hint tag")
-    return GenericHint(encoding=_TAGS_REV[data[0]], payload=data[1:], key_count=-1)
-
-
 # -- bandwidth / transmission --------------------------------------------------------
 
 
@@ -523,68 +504,3 @@ def simulate_transmission(
         return DeliveryTimeline(hint_ready=None, batch_ready=batch_ready)
     hint_ready = batch_ready + link.latency + link.transfer_time(hint_bytes)
     return DeliveryTimeline(hint_ready=hint_ready, batch_ready=batch_ready)
-
-
-# -- adaptive scenario runner ----------------------------------------------------------
-
-
-@dataclass
-class ScenarioBatchResult:
-    batch_index: int
-    encoding: str
-    hint_bytes: int
-    prefetched: int
-    extra_prefetches: int
-    beneficial: bool
-
-
-@dataclass
-class AdaptivePolicy:
-    """Switch encodings from observed prefetch waste: lots of unnecessary
-    prefetches suggests tightening to exact; none suggests the cheaper
-    approximate form is fine."""
-
-    start: HintEncoding = HintEncoding.BLOOM
-    tighten_above_extra: int = 8
-    loosen_below_extra: int = 1
-    target_fpr: float = 0.01
-
-
-def run_adaptive_scenario(
-    batches: Sequence[Sequence[GenericOp]],
-    initial_state: Dict[bytes, bytes],
-    policy: Optional[AdaptivePolicy] = None,
-    link: Optional[LinkModel] = None,
-    n_backups: int = 1,
-    latency_reduction: float = 0.01,
-) -> Tuple[List[ScenarioBatchResult], Dict[bytes, bytes], Dict[bytes, bytes]]:
-    """Run primary and backup over a batch sequence with encoding switching.
-
-    Returns per-batch results plus the final primary and backup states, which
-    must be identical no matter how the policy switched encodings.
-    """
-    policy = policy or AdaptivePolicy()
-    link = link or LinkModel()
-    primary = GenericStore(dict(initial_state))
-    backup = GenericStore(dict(initial_state))
-    encoding = policy.start
-    results: List[ScenarioBatchResult] = []
-    for i, batch in enumerate(batches):
-        access, _delta = generic_generate(batch, primary)
-        hint = encode_hint(access, encoding, target_fpr=policy.target_fpr)
-        stats = generic_replay(batch, hint, backup)
-        results.append(
-            ScenarioBatchResult(
-                batch_index=i,
-                encoding=encoding.value,
-                hint_bytes=hint.size(),
-                prefetched=stats.prefetched,
-                extra_prefetches=stats.extra_prefetches,
-                beneficial=benefit_check(hint.size(), link.bandwidth, latency_reduction, n_backups),
-            )
-        )
-        if stats.extra_prefetches >= policy.tighten_above_extra:
-            encoding = HintEncoding.EXACT
-        elif stats.extra_prefetches < policy.loosen_below_extra and encoding == HintEncoding.EXACT:
-            encoding = policy.start
-    return results, primary.state(), backup.state()

@@ -6,8 +6,7 @@ The store keeps three table families:
   as of ``head_block``
 * change sets: per-block records of the value each modified entry had
   *before* the block ran
-* history indexes: per-key ascending block numbers of modifications, split
-  into shards of at most ``HISTORY_SHARD_SIZE`` entries
+* history indexes: per-key ascending block numbers of modifications
 
 A historical read ("value at the start of block b") finds the first
 modification at or after ``b`` and returns its recorded pre-image; if no such
@@ -50,7 +49,6 @@ SLOT_LEN = 32
 KEY_LEN = ADDRESS_LEN + SLOT_LEN
 WORD_LEN = 32
 ZERO_WORD = b"\x00" * WORD_LEN
-HISTORY_SHARD_SIZE = 2000
 
 STORE_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -233,64 +231,47 @@ class CostMeter:
 
 
 class ShardedIndex:
-    """Per-key ascending block numbers, split into bounded shards.
+    """Per-key ascending block numbers, one sorted list per key.
 
-    Blocks must be added in strictly increasing order per key. No shard ever
-    holds more than ``shard_size`` entries.
+    Blocks must be added in strictly increasing order per key.
     """
 
-    def __init__(self, shard_size: int = HISTORY_SHARD_SIZE):
-        self.shard_size = shard_size
-        self._map: Dict[bytes, List[List[int]]] = {}
+    def __init__(self) -> None:
+        self._map: Dict[bytes, List[int]] = {}
 
     def add(self, key: bytes, block: int) -> None:
-        shards = self._map.get(key)
-        if shards is None:
-            self._map[key] = [[block]]
+        entries = self._map.get(key)
+        if entries is None:
+            self._map[key] = [block]
             return
-        last = shards[-1]
-        if last and block <= last[-1]:
+        if block <= entries[-1]:
             raise OrderingError(f"history entries must be strictly increasing (got {block})")
-        if len(last) >= self.shard_size:
-            shards.append([block])
-        else:
-            last.append(block)
+        entries.append(block)
 
     def first_at_or_after(self, key: bytes, block: int) -> Optional[int]:
-        shards = self._map.get(key)
-        if not shards:
+        entries = self._map.get(key)
+        if not entries or entries[-1] < block:
             return None
-        for shard in shards:
-            if shard[-1] >= block:
-                i = bisect.bisect_left(shard, block)
-                return shard[i]
-        return None
+        return entries[bisect.bisect_left(entries, block)]
 
     def __contains__(self, key: bytes) -> bool:
         return key in self._map
 
     def entries(self, key: bytes) -> List[int]:
-        out: List[int] = []
-        for shard in self._map.get(key, ()):
-            out.extend(shard)
-        return out
+        return list(self._map.get(key, ()))
 
     def prune_before(self, horizon: int) -> None:
         """Drop all entries with block < horizon; empty keys disappear."""
-        for key in list(self._map):
-            kept = [b for shard in self._map[key] for b in shard if b >= horizon]
+        for key, entries in list(self._map.items()):
+            kept = entries[bisect.bisect_left(entries, horizon) :]
             if kept:
-                shards = [kept[i : i + self.shard_size] for i in range(0, len(kept), self.shard_size)]
-                self._map[key] = shards
+                self._map[key] = kept
             else:
                 del self._map[key]
 
     def items(self) -> Iterator[Tuple[bytes, List[int]]]:
         for key in sorted(self._map):
-            yield key, self.entries(key)
-
-    def max_shard_len(self) -> int:
-        return max((len(s) for shards in self._map.values() for s in shards), default=0)
+            yield key, self._map[key]
 
     def key_count(self) -> int:
         return len(self._map)

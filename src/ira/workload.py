@@ -818,12 +818,15 @@ def _read_trace_header(f) -> Tuple[bytes, int]:
     magic = f.read(4)
     if magic != TRACE_MAGIC:
         raise TraceFormatError(f"bad trace magic: {magic!r}")
-    (version,) = _U16.unpack(f.read(2))
-    if version != TRACE_VERSION:
-        raise TraceFormatError(f"unsupported trace version {version}")
-    (plen,) = _U32.unpack(f.read(4))
-    params_json = f.read(plen)
-    (count,) = _U64.unpack(f.read(8))
+    try:
+        (version,) = _U16.unpack(f.read(2))
+        if version != TRACE_VERSION:
+            raise TraceFormatError(f"unsupported trace version {version}")
+        (plen,) = _U32.unpack(f.read(4))
+        params_json = f.read(plen)
+        (count,) = _U64.unpack(f.read(8))
+    except struct.error:
+        raise TraceFormatError("truncated trace header") from None
     return params_json, count
 
 
@@ -842,7 +845,10 @@ def _iter_records(f, count: int) -> Iterator[bytes]:
 def read_trace_params(path: Path) -> Tuple[GeneratorParams, int]:
     with open(path, "rb") as f:
         params_json, count = _read_trace_header(f)
-    return GeneratorParams.from_dict(json.loads(params_json.decode())), count
+    try:
+        return GeneratorParams.from_dict(json.loads(params_json.decode())), count
+    except (ValueError, TypeError) as exc:
+        raise TraceFormatError(f"bad trace params: {exc}") from None
 
 
 def iter_trace_file(path: Path) -> Iterator[Block]:

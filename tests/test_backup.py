@@ -449,6 +449,20 @@ def test_pipeline_misfiled_hint_falls_back(pipeline_world, tmp_path):
     assert [r.block for r in metrics.rows if r.fallback] == [5]
 
 
+def test_pipeline_corrupt_hint_counted_once_when_warmup_budget_binds(pipeline_world, tmp_path):
+    # the entry budget stops warm-up at the second batch, which holds the
+    # misfiled hint; that batch is decoded once, so its hint counts once
+    _, trace, store, db, digests = pipeline_world
+    with HintDb(tmp_path / "misfiled.db") as misfiled:
+        for block in trace:
+            misfiled.write_hint(block.number, db.read_hint(3 if block.number == 12 else block.number))
+        cfg = PipelineConfig(batch_size=8, channel_capacity=16, warmup_blocks=16, warmup_buffer_entries=1)
+        metrics = pipeline_run(trace, store, misfiled, cfg)
+    assert all(digests[r.block] == r.digest for r in metrics.rows)
+    assert [r.block for r in metrics.rows if r.fallback] == [12]
+    assert metrics.fallback_blocks == 1 and metrics.corrupt_hints == 1
+
+
 @pytest.mark.parametrize("from_block, in_warmup", [(1, True), (20, False)])
 def test_pipeline_unservable_hint_falls_back(pipeline_world, tmp_path, from_block, in_warmup):
     # a hint that routes a never-written key as plain: the store refuses its
@@ -508,6 +522,9 @@ def test_pipeline_bounded_channel_limits_producer_lead(pipeline_world):
     wide = PipelineConfig(batch_size=8, channel_capacity=64, warmup_blocks=0, workers=1)
     metrics_wide = pipeline_run(trace, store, db, wide)
     assert metrics_wide.wall_cost <= metrics.wall_cost  # more buffering never hurts
+    # here the one-batch channel holds the producer back; the walls are
+    # pinned so that any change to the pipeline's clock shows
+    assert (metrics.wall_cost, metrics_wide.wall_cost) == (58193, 35009)
 
 
 # -- baseline -----------------------------------------------------------------------------

@@ -317,6 +317,44 @@ def test_backup_bad_hint_database_header_is_exit_2(demo_pipeline, tmp_path, caps
     assert err.startswith("hint database error: bad hint database header")
 
 
+@pytest.mark.parametrize("command", ["build-store", "run-backup"])
+def test_bad_trace_magic_is_exit_2(demo_pipeline, tmp_path, capsys, command):
+    d, c = demo_pipeline
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"XXXX")
+    if command == "build-store":
+        args = ["--out", str(tmp_path / "store")]
+    else:
+        args = ["--store", str(d / "store"), "--hints", str(d / "hints.db"), "--report", str(tmp_path / "b.csv")]
+    capsys.readouterr()
+    rc = main(["--config", c, command, "--trace", str(bad), *args])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("trace error: bad trace magic")
+
+
+def test_trace_header_cut_short_is_exit_2(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    cut = tmp_path / "cut.trace"
+    cut.write_bytes((d / "t.trace").read_bytes()[:20])  # inside the params JSON
+    capsys.readouterr()
+    rc = main(["--config", c, "run-baseline", "--trace", str(cut), "--store", str(d / "store"),
+               "--report", str(tmp_path / "baseline.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("trace error: truncated trace header")
+
+
+@pytest.mark.parametrize("params", [b"{bad!", b'{"no_such_param": 1}', b"[]"])
+def test_bad_trace_params_are_exit_2(demo_config, tmp_path, capsys, params):
+    import struct
+
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"TRC1" + struct.pack("<HI", 1, len(params)) + params + struct.pack("<Q", 0))
+    capsys.readouterr()
+    rc = main(["--config", str(demo_config), "build-store", "--trace", str(bad), "--out", str(tmp_path / "store")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("trace error: bad trace params")
+
+
 def test_cachesim_text_trace(tmp_path, capsys):
     trace_file = tmp_path / "keys.txt"
     trace_file.write_text("C\nA\nC\n")
@@ -690,3 +728,20 @@ def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):
             gc.enable()
     for command, (_, small, large) in counts.items():
         assert small == large, (command, small, large)
+
+
+def test_bench_launcher_finds_the_names_it_wraps(demo_config, tmp_path):
+    # bench/launch.py wraps ira functions by name before it runs a command;
+    # a renamed function or class fails here rather than in a traced benchmark
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, str(root / "bench" / "launch.py"), str(spans),
+            "--config", str(demo_config), "gen-trace", "--out", str(tmp_path / "t.bin")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "store.history_lookup" in json.loads(spans.read_text())["counts"]

