@@ -17,6 +17,11 @@ routes each entry by its source byte:
 * codes: sorted walks over the account and bytecode tables (bytecode is
   immutable, so the plain tables are authoritative at any block)
 
+Change-set keys and accounts are resolved by the store's one as-of rule,
+``VersionedTable.locate``, which names the change set ``n`` or the plain
+table that holds each value; this module prices the walks but never reads a
+change set or history index itself.
+
 Each sorted fetch list is priced by ``store.walk_wall``: with ``workers = k``
 it is split into ``min(k, io_lanes)`` contiguous ranges, each one cursor walk,
 and the list's wall cost is its longest range. The batch wall cost is the sum
@@ -40,7 +45,7 @@ import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .store import (
     Account,
@@ -50,6 +55,7 @@ from .store import (
     Effects,
     StorageKey,
     StoreView,
+    VersionedTable,
     ZERO_WORD,
     charge_parallel,
     walk_wall,
@@ -87,46 +93,35 @@ class PrefetchError(Exception):
 
 
 class BlockCache:
-    """Per-block replay cache. With ``crash_on_miss`` set, any lookup outside
-    the prefetched key set halts replay naming the key; the cache is discarded
-    once its block has executed."""
+    """Per-block replay cache. Any lookup outside the prefetched key set
+    halts replay naming the key; the cache is discarded once its block has
+    executed."""
 
-    __slots__ = ("block_number", "storage", "accounts", "codes", "crash_on_miss", "miss_count")
+    __slots__ = ("block_number", "storage", "accounts", "codes")
 
-    def __init__(self, block_number: int, crash_on_miss: bool = True):
+    def __init__(self, block_number: int):
         self.block_number = block_number
         self.storage: Dict[StorageKey, bytes] = {}
         self.accounts: Dict[bytes, Optional[Account]] = {}
         self.codes: Dict[bytes, Optional[bytes]] = {}
-        self.crash_on_miss = crash_on_miss
-        self.miss_count = 0
 
     def get_storage(self, key: StorageKey) -> bytes:
         try:
             return self.storage[key]
         except KeyError:
-            if self.crash_on_miss:
-                raise CacheMissError("storage", key, self.block_number) from None
-            self.miss_count += 1
-            return ZERO_WORD
+            raise CacheMissError("storage", key, self.block_number) from None
 
     def get_account(self, address: bytes) -> Optional[Account]:
         try:
             return self.accounts[address]
         except KeyError:
-            if self.crash_on_miss:
-                raise CacheMissError("account", address, self.block_number) from None
-            self.miss_count += 1
-            return None
+            raise CacheMissError("account", address, self.block_number) from None
 
     def get_code(self, address: bytes) -> Optional[bytes]:
         try:
             return self.codes[address]
         except KeyError:
-            if self.crash_on_miss:
-                raise CacheMissError("code", address, self.block_number) from None
-            self.miss_count += 1
-            return None
+            raise CacheMissError("code", address, self.block_number) from None
 
 
 @dataclass
@@ -206,6 +201,28 @@ class PrefetchResult:
     route_walls: Dict[str, int]  # one wall per name in ROUTES; they sum to wall_cost
 
 
+def _resolve(
+    table: VersionedTable, pairs: List[Tuple[bytes, int]]
+) -> Tuple[Dict[Tuple[bytes, int], Any], List[Tuple[int, bytes]], Set[bytes]]:
+    """Resolve (key, block) pairs as of their blocks with ``table.locate``.
+
+    Returns the value of each pair (``table.absent`` for an absent key), the
+    ``(n, key)`` change-set fetch of each pair that has one, and the keys read
+    from the plain table.
+    """
+    values: Dict[Tuple[bytes, int], Any] = {}
+    fetches: List[Tuple[int, bytes]] = []
+    plain_keys: Set[bytes] = set()
+    for key, block in pairs:
+        n, value = table.locate(key, block)
+        if n is not None:
+            fetches.append((n, key))
+        elif value is not None:
+            plain_keys.add(key)
+        values[(key, block)] = table.absent if value is None else value
+    return values, fetches, plain_keys
+
+
 def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> PrefetchResult:
     """Fetch everything a batch needs and assemble one cache per block.
 
@@ -218,59 +235,34 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
     walls["plain"] = walk_wall(len(plan.plain_keys), workers, model)
     plain_vals: Dict[StorageKey, bytes] = {}
     for key in plan.plain_keys:
-        value = store.plain_storage.get(key)
+        value = store.storage.plain.get(key)
         if value is None:
             blocks = [b for b in plan.blocks if (key, Source.PLAIN) in plan.per_block[b].storage_entries]
             raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}", blocks)
         plain_vals[key] = value
 
-    # change-set keys: a history consult over the unique keys, then
-    # block-dependent values from a change-set walk in (n, key) order, where n
-    # is the key's first modification at or after the block, and a plain walk
-    # over the keys no later block modified; a key with neither is zero
-    cs_vals: Dict[Tuple[StorageKey, int], bytes] = {}
-    cs_fetches: Set[Tuple[int, StorageKey]] = set()
-    cs_plain: Set[StorageKey] = set()
-    for key, block in plan.changeset_pairs:
-        n = store.storage_history.first_at_or_after(key, block)
-        if n is not None:
-            cs_fetches.add((n, key))
-            cs_vals[(key, block)] = store.storage_changesets[n][key]
-        elif key in store.plain_storage:
-            cs_plain.add(key)
-            cs_vals[(key, block)] = store.plain_storage[key]
-        else:
-            cs_vals[(key, block)] = ZERO_WORD
+    # change-set keys and accounts: a history consult over the unique keys,
+    # then block-dependent values from a change-set walk and a plain walk
+    # over the keys no later block modified
+    cs_vals, cs_fetches, cs_plain = _resolve(store.storage, plan.changeset_pairs)
     walls["changeset_consult"] = walk_wall(len({key for key, _ in plan.changeset_pairs}), workers, model)
-    walls["changeset_fetch"] = walk_wall(len(cs_fetches), workers, model)
+    walls["changeset_fetch"] = walk_wall(len(set(cs_fetches)), workers, model)
     walls["changeset_plain"] = walk_wall(len(cs_plain), workers, model)
-
-    # accounts: a history consult over the unique addresses, then
-    # block-dependent values from a change-set walk in (block, address) order
-    # and a plain walk over the addresses no later block modified
-    acct_vals: Dict[Tuple[bytes, int], Optional[Account]] = {}
-    n_cs_fetches = 0
-    plain_addrs: Set[bytes] = set()
-    for addr, block in plan.account_pairs:
-        n = store.account_history.first_at_or_after(addr, block)
-        if n is not None:
-            n_cs_fetches += 1
-            acct_vals[(addr, block)] = store.account_changesets[n][addr]
-        elif addr in store.plain_accounts:
-            plain_addrs.add(addr)
-            acct_vals[(addr, block)] = store.plain_accounts[addr]
-        else:
-            acct_vals[(addr, block)] = None
+    acct_vals, acct_fetches, acct_plain = _resolve(store.accounts, plan.account_pairs)
     walls["account_consult"] = walk_wall(len({addr for addr, _ in plan.account_pairs}), workers, model)
-    walls["account_fetch"] = walk_wall(n_cs_fetches, workers, model)
-    walls["account_plain"] = walk_wall(len(plain_addrs), workers, model)
+    # Storage prices its unique (n, key) fetches, since blocks that resolve
+    # to the same n share one; accounts price one fetch per (address, block),
+    # walked in (block, address) order. Sharing account fetches as well would
+    # change the simulated account cost.
+    walls["account_fetch"] = walk_wall(len(acct_fetches), workers, model)
+    walls["account_plain"] = walk_wall(len(acct_plain), workers, model)
 
     # codes: bytecode is immutable, so plain account and bytecode tables are
     # authoritative for any block
     code_vals: Dict[bytes, Optional[bytes]] = {}
     hashes: Set[bytes] = set()
     for addr in plan.code_addrs:
-        acc = store.plain_accounts.get(addr)
+        acc = store.accounts.plain.get(addr)
         if acc is None or acc.code_hash is None:
             code_vals[addr] = None
             continue
@@ -569,17 +561,17 @@ def pipeline_run(
         if entry.cache is None:
             meter = CostMeter(model)
             result = execute_block(block, StoreView(store, block.number, meter), meter)
-            t_exec, digest, misses = meter.total, state_change_hash(result.effects), 0
+            t_exec, digest = meter.total, state_change_hash(result.effects)
         else:
             rb = replay_block(block, entry.cache, model)
-            t_exec, digest, misses = rb.t_exec, rb.digest, entry.cache.miss_count
+            t_exec, digest = rb.t_exec, rb.digest
         rows.append(
             BlockMetrics(
                 block=block.number,
                 t_wait=start - exec_free,
                 t_exec=t_exec,
                 prefetch_cost=entry.prefetch_cost,
-                miss_count=misses,
+                miss_count=0,  # a miss halts replay, so a finished block has none
                 hint_raw_bytes=entry.raw_bytes,
                 hint_compressed_bytes=entry.compressed_bytes,
                 fallback=entry.cache is None,
@@ -645,9 +637,6 @@ class _LruMap:
             return data[key]
         return None
 
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
     def put(self, key, value) -> None:
         data = self._data
         if key in data:
@@ -655,9 +644,6 @@ class _LruMap:
         data[key] = value
         if len(data) > self.capacity:
             data.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 _ABSENT = object()

@@ -148,7 +148,6 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         print(f"run-primary: {hints_path} already holds a hint for block {clash}", file=sys.stderr)
         return EXIT_CONFIG
     store = _load_store(args, cfg)
-    codec = cfg["hint_codec"]
     hint_db = HintDb(hints_path)
     digest_log = DigestLog(_out(args, args.digests_out)) if args.digests_out else None
     report = _out(args, args.report)
@@ -157,7 +156,7 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         writer = csv.writer(f)
         writer.writerow(["block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"])
         for block in iter_trace_file(Path(args.trace)):
-            result = run_primary_block(block, store, codec=codec)
+            result = run_primary_block(block, store)
             hint_db.write_hint(block.number, result.compressed_bytes)
             if digest_log is not None:
                 digest_log.write(block.number, result.digest)
@@ -182,7 +181,6 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
             **_config_fingerprints(cfg),
             "cost_model": store.cost_model.as_dict(),
             "rows": rows,
-            "hint_codec": codec,
             "hint_cost_share": round(construct_total / exec_total, 6) if exec_total else 0.0,
         },
     )
@@ -307,6 +305,61 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_ENCODINGS = tuple(e.value for e in protocol_mod.HintEncoding)
+_STRATEGIES = tuple(s.value for s in protocol_mod.TransmissionStrategy)
+
+
+def _fraction(v: float) -> bool:
+    return 0.0 <= v <= 1.0
+
+
+# Scenario settings: name -> (type, default, check, domain). A default of
+# None leaves an omitted setting to the protocol object that owns it:
+# LinkModel for the link, encode_hint for target_fpr and
+# simulate_transmission for miss_rate_threshold.
+_SCENARIO_FIELDS = {
+    "batches": (int, 20, lambda v: v >= 1, "an integer >= 1"),
+    "ops_per_batch": (int, 50, lambda v: v >= 1, "an integer >= 1"),
+    "key_space": (int, 200, lambda v: v >= 1, "an integer >= 1"),
+    "write_fraction": (float, 0.3, _fraction, "a number in [0, 1]"),
+    "encoding": (str, "exact", lambda v: v in _ENCODINGS, f"one of {_ENCODINGS}"),
+    "strategy": (str, "inline", lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
+    "target_fpr": (float, None, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+    "latency": (float, None, lambda v: v >= 0.0, "a number >= 0"),
+    "bandwidth": (float, None, lambda v: v > 0.0, "a number > 0"),
+    "loss_probability": (float, None, _fraction, "a number in [0, 1]"),
+    "seed": (int, None, lambda v: True, "an integer"),
+    "backups": (int, 1, lambda v: v >= 1, "an integer >= 1"),
+    "latency_reduction": (float, 0.01, lambda v: v >= 0.0, "a number >= 0"),
+    "batch_bytes": (int, 2_000_000, lambda v: v >= 0, "an integer >= 0"),
+    "miss_rate": (float, 0.1, _fraction, "a number in [0, 1]"),
+    "miss_rate_threshold": (float, None, _fraction, "a number in [0, 1]"),
+}
+_LINK_FIELDS = ("latency", "bandwidth", "loss_probability", "seed")
+
+
+def _proto_scenario(raw: object) -> Dict[str, object]:
+    """The settings of a ``proto`` scenario, each converted to its type and
+    checked against its domain; a setting outside it raises ConfigError."""
+    if not isinstance(raw, dict):
+        raise config_mod.ConfigError("proto scenario must be a JSON object")
+    out: Dict[str, object] = {}
+    for name, (kind, default, check, domain) in _SCENARIO_FIELDS.items():
+        if name not in raw:
+            if default is not None:
+                out[name] = default
+            continue
+        try:
+            value = kind(raw[name])
+            valid = check(value)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise config_mod.ConfigError(f"proto scenario: {name} must be {domain}, got {raw[name]!r}")
+        out[name] = value
+    return out
+
+
 def cmd_proto(args: argparse.Namespace) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as f:
@@ -314,26 +367,19 @@ def cmd_proto(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"proto: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    sc = _proto_scenario(scenario)
 
     import random as _random
 
-    rng = _random.Random(int(scenario.get("seed", 0)))
-    n_batches = int(scenario.get("batches", 20))
-    ops_per_batch = int(scenario.get("ops_per_batch", 50))
-    key_space = int(scenario.get("key_space", 200))
-    write_fraction = float(scenario.get("write_fraction", 0.3))
-    encoding = scenario.get("encoding", "exact")
-    strategy = scenario.get("strategy", "inline")
-    fpr = float(scenario.get("target_fpr", 0.01))
-    link = protocol_mod.LinkModel(
-        latency=float(scenario.get("latency", 0.001)),
-        bandwidth=float(scenario.get("bandwidth", 125_000_000)),
-        loss_probability=float(scenario.get("loss_probability", 0.0)),
-        seed=int(scenario.get("seed", 0)),
-    )
-    n_backups = int(scenario.get("backups", 1))
-    latency_reduction = float(scenario.get("latency_reduction", 0.01))
-    batch_bytes = int(scenario.get("batch_bytes", 2_000_000))
+    link = protocol_mod.LinkModel(**{name: sc[name] for name in _LINK_FIELDS if name in sc})
+    rng = _random.Random(link.seed)
+    n_batches, ops_per_batch, key_space = sc["batches"], sc["ops_per_batch"], sc["key_space"]
+    write_fraction = sc["write_fraction"]
+    encoding, strategy = sc["encoding"], sc["strategy"]
+    encode_options = {"target_fpr": sc["target_fpr"]} if "target_fpr" in sc else {}
+    transmit_options = {"miss_rate": sc["miss_rate"]}
+    if "miss_rate_threshold" in sc:
+        transmit_options["miss_rate_threshold"] = sc["miss_rate_threshold"]
 
     universe = [b"key:%06d" % i for i in range(key_space)]
     state = {k: b"v0" for k in universe}
@@ -354,18 +400,17 @@ def cmd_proto(args: argparse.Namespace) -> int:
             lo, hi = min(access), max(access)
             hint = protocol_mod.encode_hint(access, "range", intervals=[(lo, hi)])
         else:
-            hint = protocol_mod.encode_hint(access, encoding, target_fpr=fpr)
+            hint = protocol_mod.encode_hint(access, encoding, **encode_options)
         stats = protocol_mod.generic_replay(batch, hint, backup_store, candidates=universe)
         timeline = protocol_mod.simulate_transmission(
             strategy,
             hint.size(),
-            batch_bytes,
+            sc["batch_bytes"],
             link,
-            miss_rate=float(scenario.get("miss_rate", 0.1)),
-            miss_rate_threshold=float(scenario.get("miss_rate_threshold", 0.05)),
             rng=rng,
+            **transmit_options,
         )
-        ok = protocol_mod.benefit_check(hint.size(), link.bandwidth, latency_reduction, n_backups)
+        ok = protocol_mod.benefit_check(hint.size(), link.bandwidth, sc["latency_reduction"], sc["backups"])
         out_rows.append(
             {
                 "batch": i,

@@ -27,7 +27,6 @@ DEFAULT_CONFIG: Dict[str, Any] = {
     "cost_model": CostModel().as_dict(),
     "baseline_cache": asdict(BaselineCacheConfig()),
     "pipeline": asdict(PipelineConfig()),
-    "hint_codec": "zlib",
 }
 
 

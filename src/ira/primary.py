@@ -9,6 +9,11 @@ Hint wire format (little-endian), 16-byte header then fixed-width entries:
     account entries: 20-byte address                                  (20 B)
     code entries:    20-byte address                                  (20 B)
 
+The source byte of a storage entry is the store's own as-of rule
+(``VersionedTable.locate``) read as a route: CHANGESET when a modification
+at or after the block holds the key's pre-image, PLAIN when the plain table
+answers, ZERO when the key has neither.
+
 Entries are sorted and deduplicated (canonical form), so serialization is
 injective and doubles as the backup's prefetch order. Raw size is exactly
 ``16 + 53*|storage| + 20*(|accounts| + |codes|)``.
@@ -16,8 +21,7 @@ injective and doubles as the backup's prefetch order. Raw size is exactly
 Compression wraps zlib (window bits pinned to 15 so the first output byte is
 always 0x78, which can never collide with the header magic byte 0x48): the
 smaller of the zlib stream and the raw bytes is stored, so the compressed
-form never exceeds the raw form. An identity codec is available for
-byte-exact fixtures.
+form never exceeds the raw form.
 
 The hint database is a single append-only file of CRC-checked records indexed
 by block number; rereads return exact bytes, absent blocks read as ``None``
@@ -103,23 +107,23 @@ def annotate_sources(
     block_number: int,
     meter: Optional[CostMeter] = None,
 ) -> List[Tuple[StorageKey, Source]]:
-    """Classify each key by where its start-of-block value lives.
+    """Classify each key by where its start-of-block value lives, as
+    ``VersionedTable.locate`` finds it.
 
     A key modified at or after ``block_number`` reads from that modification's
     change set; otherwise a plain-table entry answers; a key with neither has
     never been written and reads as zero. One history-index seek is charged
     per key.
     """
-    history = store.storage_history
-    plain = store.plain_storage
+    locate = store.storage.locate
     out: List[Tuple[StorageKey, Source]] = []
     for key in sorted(storage_keys):
         if meter is not None:
             meter.charge_seek()
-        n = history.first_at_or_after(key, block_number)
+        n, value = locate(key, block_number)
         if n is not None:
             src = Source.CHANGESET
-        elif key in plain:
+        elif value is not None:
             src = Source.PLAIN
         else:
             src = Source.ZERO
@@ -197,14 +201,10 @@ def parse_hint(raw: bytes) -> Hint:
     return Hint(block_number, storage, lists[0], lists[1])
 
 
-def compress_hint(raw: bytes, codec: str = "zlib") -> bytes:
+def compress_hint(raw: bytes) -> bytes:
     """Byte-stream compression that never expands: stores whichever of the
     zlib stream or the raw bytes is shorter. Raw hints start with 0x48, zlib
     streams with 0x78, so decoding is unambiguous."""
-    if codec == "identity":
-        return raw
-    if codec != "zlib":
-        raise ValueError(f"unknown codec {codec!r}")
     comp = zlib.compressobj(level=6, wbits=15)
     z = comp.compress(raw) + comp.flush()
     return z if len(z) < len(raw) else raw
@@ -282,7 +282,7 @@ class PrimaryBlockResult:
     serialize_cost: int
 
 
-def run_primary_block(block: Block, store: ArchivalStore, codec: str = "zlib") -> PrimaryBlockResult:
+def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
     """Execute one block with access instrumentation and produce its hint.
 
     The store must already hold the block (head at or past it): the primary
@@ -300,7 +300,7 @@ def run_primary_block(block: Block, store: ArchivalStore, codec: str = "zlib") -
     hint = hint_from_sets(block.number, entries, result.account_addrs, result.code_addrs)
 
     raw = serialize_hint(hint)
-    compressed = compress_hint(raw, codec)
+    compressed = compress_hint(raw)
     serialize_cost = model.c_random_seek + math.ceil(len(raw) / _SERIALIZE_PAGE) * model.c_sequential_step
 
     return PrimaryBlockResult(

@@ -91,9 +91,6 @@ class GenericStore:
     def put(self, key: bytes, value: bytes) -> None:
         self.data[key] = value
 
-    def snapshot(self) -> "GenericStore":
-        return GenericStore(dict(self.data))
-
     def state(self) -> Dict[bytes, bytes]:
         return dict(self.data)
 

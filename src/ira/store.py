@@ -1,24 +1,26 @@
 """Versioned archival key-value store with a deterministic simulated I/O cost model.
 
-The store keeps three table families:
+The store holds two versioned tables, one for storage slots and one for
+accounts, plus the bytecode table. Each :class:`VersionedTable` keeps:
 
-* plain tables: the current value of every storage slot / account / bytecode
-  as of ``head_block``
-* change sets: per-block records of the value each modified entry had
+* a plain table: the current value of every key as of ``head_block``
+* change sets: per-block records of the value each modified key had
   *before* the block ran
-* history indexes: per-key ascending block numbers of modifications
+* a history index: per-key ascending block numbers of modifications
 
 A historical read ("value at the start of block b") finds the first
 modification at or after ``b`` and returns its recorded pre-image; if no such
 modification exists the plain table answers, and a key with no plain entry
-reads as the zero word.
+is absent (storage reads it as the zero word). :meth:`VersionedTable.locate`
+is the one place this rule is written; every as-of read, the primary's source
+annotation and the backup's prefetch go through it.
 
 I/O is simulated, never real: table accesses charge a :class:`CostMeter`
 according to a :class:`CostModel`. The charging rules are fixed:
 
 * ``read_as_of`` / ``account_as_of``: one random seek for the history index,
   plus one random seek when a value is actually fetched from a table
-  (zero reads touch no table beyond the index)
+  (absent keys touch no table beyond the index)
 * ``charge_parallel``: contiguous, count-balanced split of per-item costs over
   ``min(lanes, io_lanes)`` lanes, wall cost = the heaviest lane
 * ``walk_wall``: a cursor walk over sorted keys costs one random seek for the
@@ -42,7 +44,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 ADDRESS_LEN = 20
 SLOT_LEN = 32
@@ -52,6 +54,9 @@ ZERO_WORD = b"\x00" * WORD_LEN
 
 STORE_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+# plain table, change sets and history index of each versioned table
+_STORAGE_FILES = ("plain_storage.bin", "storage_changesets.bin", "storage_history.bin")
+_ACCOUNT_FILES = ("plain_accounts.bin", "account_changesets.bin", "account_history.bin")
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -66,7 +71,7 @@ class OrderingError(StoreError):
 
 
 class MalformedEffectsError(StoreError):
-    """Effects violate their shape contract (duplicate keys, bad widths)."""
+    """Effects violate their shape contract (bad widths, conflicting bytecode)."""
 
 
 class StorageKey(bytes):
@@ -91,14 +96,6 @@ class StorageKey(bytes):
         if len(slot) != SLOT_LEN:
             raise ValueError(f"slot must be {SLOT_LEN} bytes, got {len(slot)}")
         return super().__new__(cls, address + slot)
-
-    @property
-    def address(self) -> bytes:
-        return bytes(self[:ADDRESS_LEN])
-
-    @property
-    def slot(self) -> bytes:
-        return bytes(self[ADDRESS_LEN:])
 
     def __repr__(self) -> str:  # short form: full 104 hex chars is unreadable
         return f"StorageKey({self[:6].hex()}..{self[-4:].hex()})"
@@ -132,10 +129,8 @@ class Account:
     code_hash: Optional[bytes] = None
 
 
-_EMPTY_ACCOUNT = Account()
-
-
-def _pack_account(acc: Account) -> bytes:
+def pack_account(acc: Account) -> bytes:
+    """Canonical binary form of an account (used by persistence and digests)."""
     flag = 1 if acc.code_hash is not None else 0
     out = acc.balance.to_bytes(32, "big", signed=True) + _U64.pack(acc.nonce) + bytes((flag,))
     if flag:
@@ -143,9 +138,9 @@ def _pack_account(acc: Account) -> bytes:
     return out
 
 
-def pack_account(acc: Account) -> bytes:
-    """Canonical binary form of an account (used by persistence and digests)."""
-    return _pack_account(acc)
+def _pack_prior_account(prior: Optional[Account]) -> bytes:
+    """An account change-set value: a presence flag, then the record."""
+    return b"\x00" if prior is None else b"\x01" + pack_account(prior)
 
 
 def _unpack_account(buf: bytes, off: int) -> Tuple[Account, int]:
@@ -217,9 +212,6 @@ class CostMeter:
     def charge_seek(self, n: int = 1) -> None:
         self.io += n * self.model.c_random_seek
 
-    def charge_step(self, n: int = 1) -> None:
-        self.io += n * self.model.c_sequential_step
-
     def charge_hit(self, n: int = 1) -> None:
         self.hit += n * self.model.c_hit
 
@@ -254,9 +246,6 @@ class ShardedIndex:
             return None
         return entries[bisect.bisect_left(entries, block)]
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._map
-
     def entries(self, key: bytes) -> List[int]:
         return list(self._map.get(key, ()))
 
@@ -285,21 +274,55 @@ class Effects:
     accounts: Dict[bytes, Account] = field(default_factory=dict)
     codes: Dict[bytes, bytes] = field(default_factory=dict)  # code hash -> bytecode
 
-    @classmethod
-    def from_storage_pairs(cls, pairs: Iterable[Tuple[StorageKey, bytes]]) -> "Effects":
-        storage: Dict[StorageKey, bytes] = {}
-        for key, value in pairs:
-            if key in storage:
-                raise MalformedEffectsError(f"duplicate key in effects: {key!r}")
-            storage[key] = check_word(value)
-        return cls(storage=storage)
 
-    def is_empty(self) -> bool:
-        return not (self.storage or self.accounts or self.codes)
+class VersionedTable:
+    """One versioned key family: the plain table, the per-block pre-image
+    change sets and the history index.
+
+    ``absent`` is the pre-image recorded for a key that had no plain entry
+    (the zero word for storage, ``None`` for accounts).
+    """
+
+    __slots__ = ("plain", "changesets", "history", "absent")
+
+    def __init__(self, absent: Any):
+        self.plain: Dict[bytes, Any] = {}
+        self.changesets: Dict[int, Dict[bytes, Any]] = {}
+        self.history = ShardedIndex()
+        self.absent = absent
+
+    def apply(self, block: int, updates: Dict[bytes, Any]) -> None:
+        """Record each key's pre-image, new value and history entry."""
+        plain, history, absent = self.plain, self.history, self.absent
+        prior: Dict[bytes, Any] = {}
+        for key, value in updates.items():
+            prior[key] = plain.get(key, absent)
+            plain[key] = value
+            history.add(key, block)
+        self.changesets[block] = prior
+
+    def prune(self, horizon: int) -> None:
+        for block in list(self.changesets):
+            if block < horizon:
+                del self.changesets[block]
+        self.history.prune_before(horizon)
+
+    def locate(self, key: bytes, block: int) -> Tuple[Optional[int], Any]:
+        """Where the value of ``key`` at the start of ``block`` lives.
+
+        ``(n, pre-image)`` for the first modification ``n`` at or after the
+        block; otherwise ``(None, plain value)``, or ``(None, None)`` when the
+        key has no plain entry.
+        """
+        n = self.history.first_at_or_after(key, block)
+        if n is not None:
+            return n, self.changesets[n][key]
+        return None, self.plain.get(key)
 
 
 class ArchivalStore:
-    """Archival state store: plain tables + change sets + history indexes.
+    """Archival state store: a versioned table for storage and one for
+    accounts, plus the immutable bytecode table.
 
     Writers call :meth:`apply_block` with strictly consecutive block numbers;
     reads are safe under any concurrency once building is done. Cost
@@ -308,13 +331,9 @@ class ArchivalStore:
 
     def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
         self.cost_model = cost_model
-        self.plain_storage: Dict[StorageKey, bytes] = {}
-        self.plain_accounts: Dict[bytes, Account] = {}
+        self.storage = VersionedTable(ZERO_WORD)
+        self.accounts = VersionedTable(None)
         self.bytecodes: Dict[bytes, bytes] = {}
-        self.storage_changesets: Dict[int, Dict[StorageKey, bytes]] = {}
-        self.account_changesets: Dict[int, Dict[bytes, Optional[Account]]] = {}
-        self.storage_history = ShardedIndex()
-        self.account_history = ShardedIndex()
         self.head_block = 0
         self.prune_horizon: Optional[int] = None
 
@@ -331,44 +350,43 @@ class ArchivalStore:
         Seeded entries have no change sets and no history, so they read as
         plain state at any block. Only legal on a fresh store.
         """
-        if self.head_block != 0 or self.plain_storage or self.plain_accounts:
+        if self.head_block != 0 or self.storage.plain or self.accounts.plain:
             raise OrderingError("genesis can only be seeded into an empty store")
         if storage:
             for key, value in storage.items():
-                self.plain_storage[key] = check_word(value)
+                self.storage.plain[key] = check_word(value)
         if accounts:
-            self.plain_accounts.update(accounts)
+            self.accounts.plain.update(accounts)
         if codes:
             self.bytecodes.update(codes)
 
     def apply_block(self, block_number: int, effects: Effects) -> None:
-        """Apply one block's effects, recording pre-images and history."""
+        """Apply one block's effects, recording pre-images and history.
+
+        The whole block is checked first, so a malformed block changes nothing.
+        """
         if block_number != self.head_block + 1:
             raise OrderingError(
                 f"expected block {self.head_block + 1}, got {block_number}"
             )
-        s_prior: Dict[StorageKey, bytes] = {}
+        self._check(effects)
+        self.storage.apply(block_number, effects.storage)
+        self.accounts.apply(block_number, effects.accounts)
+        self.bytecodes.update(effects.codes)
+        self.head_block = block_number
+
+    def _check(self, effects: Effects) -> None:
         for key, value in effects.storage.items():
             if len(key) != KEY_LEN:
                 raise MalformedEffectsError(f"bad storage key width: {len(key)}")
-            s_prior[key] = self.plain_storage.get(key, ZERO_WORD)
-            self.plain_storage[key] = check_word(value)
-            self.storage_history.add(key, block_number)
-        a_prior: Dict[bytes, Optional[Account]] = {}
-        for addr, acc in effects.accounts.items():
+            check_word(value)
+        for addr in effects.accounts:
             if len(addr) != ADDRESS_LEN:
                 raise MalformedEffectsError(f"bad address width: {len(addr)}")
-            a_prior[addr] = self.plain_accounts.get(addr)
-            self.plain_accounts[addr] = acc
-            self.account_history.add(addr, block_number)
         for code_hash, code in effects.codes.items():
             existing = self.bytecodes.get(code_hash)
             if existing is not None and existing != code:
                 raise MalformedEffectsError("conflicting bytecode for one code hash")
-            self.bytecodes[code_hash] = code
-        self.storage_changesets[block_number] = s_prior
-        self.account_changesets[block_number] = a_prior
-        self.head_block = block_number
 
     def prune(self, horizon: int) -> None:
         """Drop change sets and history entries for blocks before ``horizon``.
@@ -376,56 +394,31 @@ class ArchivalStore:
         Keys whose whole history falls before the horizon then read (and
         classify) as plain state.
         """
-        for block in list(self.storage_changesets):
-            if block < horizon:
-                del self.storage_changesets[block]
-        for block in list(self.account_changesets):
-            if block < horizon:
-                del self.account_changesets[block]
-        self.storage_history.prune_before(horizon)
-        self.account_history.prune_before(horizon)
+        self.storage.prune(horizon)
+        self.accounts.prune(horizon)
         self.prune_horizon = horizon
 
     # -- reads ---------------------------------------------------------------
 
     def read_as_of(self, key: StorageKey, block_number: int, meter: Optional[CostMeter] = None) -> bytes:
-        """Storage value visible at the *start* of ``block_number``.
-
-        Resolution: pre-image of the first modification at or after the block,
-        else the plain table, else the zero word.
-        """
+        """Storage value visible at the *start* of ``block_number``; an absent
+        key reads as the zero word."""
         if block_number > self.head_block + 1:
             raise OrderingError(f"read_as_of({block_number}) past head {self.head_block}")
+        n, value = self.storage.locate(key, block_number)
         if meter is not None:
-            meter.charge_seek()  # history index consult
-        n = self.storage_history.first_at_or_after(key, block_number)
-        if n is not None:
-            if meter is not None:
-                meter.charge_seek()
-            return self.storage_changesets[n][key]
-        value = self.plain_storage.get(key)
-        if value is None:
-            return ZERO_WORD
-        if meter is not None:
-            meter.charge_seek()
-        return value
+            # the history index consult, then the change-set or plain entry
+            meter.charge_seek(1 if n is None and value is None else 2)
+        return ZERO_WORD if value is None else value
 
     def account_as_of(self, address: bytes, block_number: int, meter: Optional[CostMeter] = None) -> Optional[Account]:
         """Account record visible at the start of ``block_number`` (None = absent)."""
         if block_number > self.head_block + 1:
             raise OrderingError(f"account_as_of({block_number}) past head {self.head_block}")
+        n, acc = self.accounts.locate(address, block_number)
         if meter is not None:
-            meter.charge_seek()
-        n = self.account_history.first_at_or_after(address, block_number)
-        if n is not None:
-            if meter is not None:
-                meter.charge_seek()
-            return self.account_changesets[n][address]
-        acc = self.plain_accounts.get(address)
-        if acc is None:
-            return None
-        if meter is not None:
-            meter.charge_seek()
+            # the history index consult, then the change-set or plain entry
+            meter.charge_seek(1 if n is None and acc is None else 2)
         return acc
 
     def code_as_of(self, address: bytes, block_number: int, meter: Optional[CostMeter] = None) -> Optional[bytes]:
@@ -433,10 +426,7 @@ class ArchivalStore:
         acc = self.account_as_of(address, block_number, meter)
         if acc is None or acc.code_hash is None:
             return None
-        return self.bytecode_by_hash(acc.code_hash, meter)
-
-    def bytecode_by_hash(self, code_hash: bytes, meter: Optional[CostMeter] = None) -> Optional[bytes]:
-        code = self.bytecodes.get(code_hash)
+        code = self.bytecodes.get(acc.code_hash)
         if meter is not None and code is not None:
             meter.charge_seek()
         return code
@@ -447,17 +437,32 @@ class ArchivalStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
 
-        with open(directory / "plain_storage.bin", "wb") as f:
-            f.write(_U64.pack(len(self.plain_storage)))
-            for key in sorted(self.plain_storage):
-                f.write(key)
-                f.write(self.plain_storage[key])
+        for table, (plain_name, cs_name, history_name), pack, pack_prior in (
+            (self.storage, _STORAGE_FILES, bytes, bytes),
+            (self.accounts, _ACCOUNT_FILES, pack_account, _pack_prior_account),
+        ):
+            with open(directory / plain_name, "wb") as f:
+                f.write(_U64.pack(len(table.plain)))
+                for key in sorted(table.plain):
+                    f.write(key)
+                    f.write(pack(table.plain[key]))
 
-        with open(directory / "plain_accounts.bin", "wb") as f:
-            f.write(_U64.pack(len(self.plain_accounts)))
-            for addr in sorted(self.plain_accounts):
-                f.write(addr)
-                f.write(_pack_account(self.plain_accounts[addr]))
+            with open(directory / cs_name, "wb") as f:
+                f.write(_U64.pack(sum(len(cs) for cs in table.changesets.values())))
+                for block in sorted(table.changesets):
+                    cs = table.changesets[block]
+                    for key in sorted(cs):
+                        f.write(_U64.pack(block))
+                        f.write(key)
+                        f.write(pack_prior(cs[key]))
+
+            with open(directory / history_name, "wb") as f:
+                f.write(_U64.pack(table.history.key_count()))
+                for key, blocks in table.history.items():
+                    f.write(key)
+                    f.write(_U32.pack(len(blocks)))
+                    for b in blocks:
+                        f.write(_U64.pack(b))
 
         with open(directory / "bytecodes.bin", "wb") as f:
             f.write(_U64.pack(len(self.bytecodes)))
@@ -467,55 +472,17 @@ class ArchivalStore:
                 f.write(_U32.pack(len(code)))
                 f.write(code)
 
-        with open(directory / "storage_changesets.bin", "wb") as f:
-            total = sum(len(cs) for cs in self.storage_changesets.values())
-            f.write(_U64.pack(total))
-            for block in sorted(self.storage_changesets):
-                cs = self.storage_changesets[block]
-                for key in sorted(cs):
-                    f.write(_U64.pack(block))
-                    f.write(key)
-                    f.write(cs[key])
-
-        with open(directory / "account_changesets.bin", "wb") as f:
-            total = sum(len(cs) for cs in self.account_changesets.values())
-            f.write(_U64.pack(total))
-            for block in sorted(self.account_changesets):
-                cs = self.account_changesets[block]
-                for addr in sorted(cs):
-                    prior = cs[addr]
-                    f.write(_U64.pack(block))
-                    f.write(addr)
-                    if prior is None:
-                        f.write(b"\x00")
-                    else:
-                        f.write(b"\x01")
-                        f.write(_pack_account(prior))
-
-        for name, index, klen in (
-            ("storage_history.bin", self.storage_history, KEY_LEN),
-            ("account_history.bin", self.account_history, ADDRESS_LEN),
-        ):
-            with open(directory / name, "wb") as f:
-                f.write(_U64.pack(index.key_count()))
-                for key, blocks in index.items():
-                    assert len(key) == klen
-                    f.write(key)
-                    f.write(_U32.pack(len(blocks)))
-                    for b in blocks:
-                        f.write(_U64.pack(b))
-
         manifest = {
             "format": STORE_FORMAT_VERSION,
             "head_block": self.head_block,
             "prune_horizon": self.prune_horizon,
             "cost_model": self.cost_model.as_dict(),
             "counts": {
-                "plain_storage": len(self.plain_storage),
-                "plain_accounts": len(self.plain_accounts),
+                "plain_storage": len(self.storage.plain),
+                "plain_accounts": len(self.accounts.plain),
                 "bytecodes": len(self.bytecodes),
-                "storage_history_keys": self.storage_history.key_count(),
-                "account_history_keys": self.account_history.key_count(),
+                "storage_history_keys": self.storage.history.key_count(),
+                "account_history_keys": self.accounts.history.key_count(),
             },
         }
         with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as f:
@@ -530,6 +497,7 @@ class ArchivalStore:
         if manifest.get("format") != STORE_FORMAT_VERSION:
             raise StoreError(f"unsupported store format: {manifest.get('format')}")
         store = cls(CostModel.from_dict(manifest["cost_model"]))
+        storage, accounts = store.storage, store.accounts
 
         # Fixed-width tables are checked against their record count up front;
         # the other tables must end exactly where their last record does.
@@ -539,7 +507,7 @@ class ArchivalStore:
             buf, count = _read_table(path, width)
             for off in range(8, 8 + count * width, width):
                 key = unchecked_storage_key(buf[off : off + KEY_LEN])
-                store.plain_storage[key] = buf[off + KEY_LEN : off + width]
+                storage.plain[key] = buf[off + KEY_LEN : off + width]
 
             path = directory / "plain_accounts.bin"
             buf, count = _read_table(path)
@@ -548,7 +516,7 @@ class ArchivalStore:
                 addr = bytes(buf[off : off + ADDRESS_LEN])
                 off += ADDRESS_LEN
                 acc, off = _unpack_account(buf, off)
-                store.plain_accounts[addr] = acc
+                accounts.plain[addr] = acc
             _check_end(path, buf, off)
 
             path = directory / "bytecodes.bin"
@@ -569,7 +537,7 @@ class ArchivalStore:
             for off in range(8, 8 + count * width, width):
                 (block,) = _U64.unpack_from(buf, off)
                 key = unchecked_storage_key(buf[off + 8 : off + 8 + KEY_LEN])
-                store.storage_changesets.setdefault(block, {})[key] = buf[off + 8 + KEY_LEN : off + width]
+                storage.changesets.setdefault(block, {})[key] = buf[off + 8 + KEY_LEN : off + width]
 
             path = directory / "account_changesets.bin"
             buf, count = _read_table(path)
@@ -584,12 +552,12 @@ class ArchivalStore:
                 prior: Optional[Account] = None
                 if flag:
                     prior, off = _unpack_account(buf, off)
-                store.account_changesets.setdefault(block, {})[addr] = prior
+                accounts.changesets.setdefault(block, {})[addr] = prior
             _check_end(path, buf, off)
 
             for name, index, make_key, klen in (
-                ("storage_history.bin", store.storage_history, StorageKey, KEY_LEN),
-                ("account_history.bin", store.account_history, bytes, ADDRESS_LEN),
+                ("storage_history.bin", storage.history, StorageKey, KEY_LEN),
+                ("account_history.bin", accounts.history, bytes, ADDRESS_LEN),
             ):
                 path = directory / name
                 buf, count = _read_table(path)
@@ -612,8 +580,8 @@ class ArchivalStore:
         # apply_block records a (possibly empty) change set per applied block
         first = store.prune_horizon if store.prune_horizon is not None else 1
         for b in range(first, store.head_block + 1):
-            store.storage_changesets.setdefault(b, {})
-            store.account_changesets.setdefault(b, {})
+            storage.changesets.setdefault(b, {})
+            accounts.changesets.setdefault(b, {})
         return store
 
 

@@ -125,10 +125,10 @@ def test_criterion_04_source_routing_equivalence(primary_run, default_store):
             if src == Source.ZERO:
                 routed = ZERO_WORD
             elif src == Source.PLAIN:
-                routed = store.plain_storage.get(key)
+                routed = store.storage.plain.get(key)
             else:
-                n = store.storage_history.first_at_or_after(key, block)
-                routed = store.storage_changesets[n][key]
+                n = store.storage.history.first_at_or_after(key, block)
+                routed = store.storage.changesets[n][key]
             if routed != expect:
                 discrepancies += 1
             checked += 1

@@ -163,7 +163,7 @@ def test_prefetch_error_names_the_blocks_at_fault():
     assert err.value.blocks == [1, 3]
 
     a, b = mk_addr(1), mk_addr(2)
-    store.plain_accounts.update({a: Account(code_hash=b"\x07" * 32), b: Account()})
+    store.accounts.plain.update({a: Account(code_hash=b"\x07" * 32), b: Account()})
     hints = [hint_from_sets(1, [], [], [b]), hint_from_sets(2, [], [], [a, b])]
     with pytest.raises(PrefetchError) as err:
         prefetch(plan_prefetch(hints), store)
@@ -240,19 +240,12 @@ def test_cache_miss_halts_and_names_key():
     assert "5" in str(err.value)
 
 
-def test_cache_without_crash_counts_misses():
-    cache = BlockCache(1, crash_on_miss=False)
-    assert cache.get_storage(mk_key(1)) == ZERO_WORD
-    assert cache.get_account(mk_addr(1)) is None
-    assert cache.miss_count == 2
-
-
 def test_replay_empty_block_zero_cost():
     block = Block(number=1, beneficiary=mk_addr(1), txs=[])
     cache = BlockCache(1)
     result = replay_block(block, cache, CostModel())
     assert result.t_exec == 0
-    assert result.effects.is_empty()
+    assert result.effects == Effects()
 
 
 def test_replay_matches_primary_digest_small():
@@ -264,7 +257,6 @@ def test_replay_matches_primary_digest_small():
         pf = prefetch(plan_prefetch([pr.hint]), store)
         rb = replay_block(block, pf.caches[block.number], store.cost_model)
         assert rb.digest == pr.digest
-        assert pf.caches[block.number].miss_count == 0
 
 
 def test_replay_with_dropped_key_halts_naming_it():
@@ -538,7 +530,7 @@ def test_baseline_second_access_within_block_free():
         mk_addr(250),
         [Transaction(mk_addr(1), mk_addr(2), [storage_read(k), storage_read(k)])],
     )
-    store.plain_accounts.update({mk_addr(1): Account(), mk_addr(2): Account(), mk_addr(250): Account()})
+    store.accounts.plain.update({mk_addr(1): Account(), mk_addr(2): Account(), mk_addr(250): Account()})
     metrics = run_baseline([block], store)
     model = store.cost_model
     # one storage fetch (2 seeks) + three account misses; second read is free of I/O
@@ -550,7 +542,7 @@ def test_baseline_cross_block_lru_hit():
     store, keys = make_plain_store(4)
     k = keys[0]
     accounts = {mk_addr(1): Account(), mk_addr(2): Account(), mk_addr(250): Account()}
-    store.plain_accounts.update(accounts)
+    store.accounts.plain.update(accounts)
     blocks = [
         Block(1, mk_addr(250), [Transaction(mk_addr(1), mk_addr(2), [storage_read(k)])]),
         Block(2, mk_addr(250), [Transaction(mk_addr(1), mk_addr(2), [storage_read(k)])]),

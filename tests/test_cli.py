@@ -512,6 +512,20 @@ def test_proto_scenario(tmp_path, capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [{"batches": 0}, {"encoding": "foo"}, {"strategy": "foo"}, {"latency": "abc"}, [{"batches": 2}]],
+    ids=["no-batches", "encoding", "strategy", "latency", "list-root"],
+)
+def test_proto_rejects_malformed_scenario(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(["proto", "--scenario", str(path), "--report", str(tmp_path / "proto.csv")])
+    assert rc == EXIT_CONFIG
+    assert "proto scenario" in capsys.readouterr().err
+    assert not (tmp_path / "proto.csv").exists()
+
+
 def test_analyze_reports_flat_stats(demo_pipeline, capsys, tmp_path):
     d, _ = demo_pipeline
     rc = main(
@@ -580,7 +594,7 @@ def test_config_defaults_come_from_the_dataclasses():
 
     from ira.backup import BaselineCacheConfig, PipelineConfig
 
-    assert content_hash(DEFAULT_CONFIG) == "1d2aae0da71fee666695b75a6b52b9ebb53e34a599a44d921aa13afc10f0316c"
+    assert content_hash(DEFAULT_CONFIG) == "7e0c91df6e94a4f42e12932f13254d8418d891dc88833059bffb3fbbe456c9ad"
     assert asdict(PipelineConfig()) == DEFAULT_CONFIG["pipeline"]
     assert asdict(BaselineCacheConfig()) == DEFAULT_CONFIG["baseline_cache"]
 
@@ -730,18 +744,30 @@ def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):
         assert small == large, (command, small, large)
 
 
-def test_bench_launcher_finds_the_names_it_wraps(demo_config, tmp_path):
-    # bench/launch.py wraps ira functions by name before it runs a command;
-    # a renamed function or class fails here rather than in a traced benchmark
+def test_bench_launcher_finds_the_names_it_wraps(demo_pipeline, tmp_path):
+    # bench/launch.py wraps ira functions and methods, and reads PrefetchPlan
+    # fields, by name; a renamed one fails here rather than in a traced
+    # benchmark run
     import os
     import subprocess
     import sys
 
+    d, c = demo_pipeline
     root = Path(__file__).resolve().parents[1]
-    spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = [sys.executable, str(root / "bench" / "launch.py"), str(spans),
-            "--config", str(demo_config), "gen-trace", "--out", str(tmp_path / "t.bin")]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "store.history_lookup" in json.loads(spans.read_text())["counts"]
+
+    def launch(*ira_args):
+        spans = tmp_path / "spans.json"
+        argv = [sys.executable, str(root / "bench" / "launch.py"), str(spans), "--config", c, *ira_args]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans.read_text())
+
+    assert "store.history_lookup" in launch("gen-trace", "--out", str(tmp_path / "t.bin"))["counts"]
+    inputs = ["--trace", str(d / "t.trace"), "--store", str(d / "store")]
+    counts = launch("run-backup", *inputs, "--hints", str(d / "hints.db"), "--report", str(tmp_path / "b.csv"))["counts"]
+    entries = [counts[f"backup.entries_{route}"] for route in ("plain", "zero", "changeset", "account", "code")]
+    assert sum(entries) > 0
+    assert counts["store.history_lookup"] > 0
+    leaves = launch("run-baseline", *inputs, "--report", str(tmp_path / "base.csv"))["leaves"]
+    assert leaves["store.read_as_of"][0] > 0

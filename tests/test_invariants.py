@@ -71,10 +71,10 @@ def test_changeset_routed_batches_equal_read_as_of():
             b = hint.block_number
             for key, _ in hint.storage_entries:
                 assert result.caches[b].storage[key] == store.read_as_of(key, b), (case, b)
-                if store.storage_history.first_at_or_after(key, b) is not None:
+                if store.storage.history.first_at_or_after(key, b) is not None:
                     resolved["changeset"] += 1
                 else:
-                    resolved["plain" if key in store.plain_storage else "zero"] += 1
+                    resolved["plain" if key in store.storage.plain else "zero"] += 1
         point = CostMeter(store.cost_model)
         for key, b in plan.changeset_pairs:
             store.read_as_of(key, b, point)

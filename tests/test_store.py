@@ -49,6 +49,49 @@ def test_read_as_of_matches_brute_force_replay_oracle():
             assert store.read_as_of(key, block) == oracle_read_as_of(applied, key, block)
 
 
+def test_as_of_reads_match_per_block_snapshots():
+    """An oracle that shares no code with the store: the full state after
+    every block. At every block from the prune horizon on, each read returns
+    the state before the block and charges one seek for a key that was never
+    seeded or written, two for any other key."""
+    keys = [mk_key(i) for i in range(10)]
+    addrs = [mk_addr(i) for i in range(6)]
+    seek = CostModel().c_random_seek
+    for seed in range(60):
+        rng = random.Random(seed)
+        storage = {k: mk_word(rng.randrange(1, 100)) for k in keys if rng.random() < 0.3}
+        accounts = {a: Account(balance=rng.randrange(100)) for a in addrs if rng.random() < 0.3}
+        store = ArchivalStore()
+        store.seed_genesis(dict(storage), dict(accounts))
+        snapshots = [(storage, accounts)]  # snapshots[b - 1]: the state at the start of block b
+        present = set(storage) | set(accounts)
+        horizon = 1
+        for number in range(1, rng.randrange(2, 40)):
+            effects = Effects()
+            for key in rng.sample(keys, rng.randrange(0, 4)):
+                effects.storage[key] = ZERO_WORD if rng.random() < 0.2 else mk_word(rng.randrange(1, 100))
+            for addr in rng.sample(addrs, rng.randrange(0, 3)):
+                effects.accounts[addr] = Account(balance=rng.randrange(100), nonce=number)
+            store.apply_block(number, effects)
+            storage = {**storage, **effects.storage}
+            accounts = {**accounts, **effects.accounts}
+            snapshots.append((storage, accounts))
+            present |= set(effects.storage) | set(effects.accounts)
+            if rng.random() < 0.2:
+                horizon = rng.randrange(horizon, number + 2)
+                store.prune(horizon)
+        for b in range(horizon, store.head_block + 2):
+            state_storage, state_accounts = snapshots[b - 1]
+            for key in keys:
+                meter = CostMeter()
+                assert store.read_as_of(key, b, meter) == state_storage.get(key, ZERO_WORD), (seed, b)
+                assert meter.total == (2 if key in present else 1) * seek, (seed, b)
+            for addr in addrs:
+                meter = CostMeter()
+                assert store.account_as_of(addr, b, meter) == state_accounts.get(addr), (seed, b)
+                assert meter.total == (2 if addr in present else 1) * seek, (seed, b)
+
+
 # -- apply_block -------------------------------------------------------------------
 
 
@@ -56,9 +99,9 @@ def test_first_write_records_zero_pre_image():
     store = ArchivalStore()
     k = mk_key(1)
     store.apply_block(1, Effects(storage={k: mk_word(7)}))
-    assert store.plain_storage[k] == mk_word(7)
-    assert store.storage_changesets[1][k] == ZERO_WORD
-    assert store.storage_history.entries(k) == [1]
+    assert store.storage.plain[k] == mk_word(7)
+    assert store.storage.changesets[1][k] == ZERO_WORD
+    assert store.storage.history.entries(k) == [1]
 
 
 def test_second_write_records_prior_value():
@@ -66,10 +109,10 @@ def test_second_write_records_prior_value():
     k = mk_key(1)
     store.apply_block(1, Effects(storage={k: mk_word(7)}))
     store.apply_block(2, Effects(storage={k: mk_word(9)}))
-    assert store.storage_changesets[1][k] == ZERO_WORD
-    assert store.storage_changesets[2][k] == mk_word(7)
-    assert store.plain_storage[k] == mk_word(9)
-    assert store.storage_history.entries(k) == [1, 2]
+    assert store.storage.changesets[1][k] == ZERO_WORD
+    assert store.storage.changesets[2][k] == mk_word(7)
+    assert store.storage.plain[k] == mk_word(9)
+    assert store.storage.history.entries(k) == [1, 2]
 
 
 def test_non_consecutive_block_rejected():
@@ -78,10 +121,16 @@ def test_non_consecutive_block_rejected():
         store.apply_block(2, Effects())
 
 
-def test_duplicate_storage_key_in_effects_rejected():
-    k = mk_key(3)
+def test_malformed_block_changes_nothing():
+    store = ArchivalStore()
+    store.apply_block(1, Effects(storage={mk_key(1): mk_word(1)}))
+    bad = Effects(storage={mk_key(2): mk_word(2)}, accounts={b"\x01" * 19: Account()})
     with pytest.raises(MalformedEffectsError):
-        Effects.from_storage_pairs([(k, mk_word(1)), (k, mk_word(2))])
+        store.apply_block(2, bad)
+    assert store.head_block == 1
+    assert store.read_as_of(mk_key(2), 2) == ZERO_WORD
+    assert store.storage.history.entries(mk_key(2)) == []
+    store.apply_block(2, Effects())
 
 
 def test_history_shards_bounded_at_2000():
@@ -161,8 +210,8 @@ def test_pruned_history_classifies_as_plain():
     store.apply_block(1, Effects(storage={k: mk_word(5)}))
     store.apply_block(2, Effects())
     store.prune(2)
-    assert store.storage_history.entries(k) == []
-    assert 1 not in store.storage_changesets
+    assert store.storage.history.entries(k) == []
+    assert 1 not in store.storage.changesets
     # with history gone, any as-of read resolves from the plain table
     assert store.read_as_of(k, 1) == mk_word(5)
     assert store.prune_horizon == 2
@@ -322,11 +371,11 @@ def test_store_save_load_round_trip(tmp_path):
     loaded = ArchivalStore.load(tmp_path / "store")
 
     assert loaded.head_block == store.head_block
-    assert loaded.plain_storage == store.plain_storage
-    assert loaded.plain_accounts == store.plain_accounts
+    assert loaded.storage.plain == store.storage.plain
+    assert loaded.accounts.plain == store.accounts.plain
     assert loaded.bytecodes == store.bytecodes
-    assert loaded.storage_changesets == store.storage_changesets
-    assert loaded.account_changesets == store.account_changesets
+    assert loaded.storage.changesets == store.storage.changesets
+    assert loaded.accounts.changesets == store.accounts.changesets
     for key in (mk_key(1), mk_key(7)):
         for b in (1, 2, 3):
             assert loaded.read_as_of(key, b) == store.read_as_of(key, b)

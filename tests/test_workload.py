@@ -308,8 +308,8 @@ def test_build_store_applies_all_blocks():
     trace = generate_trace(params)
     store = build_store(trace, derive_genesis(params))
     assert store.head_block == params.blocks
-    assert collect_storage_keys(trace) <= set(store.plain_storage) | {
-        k for cs in store.storage_changesets.values() for k in cs
+    assert collect_storage_keys(trace) <= set(store.storage.plain) | {
+        k for cs in store.storage.changesets.values() for k in cs
     } | {k for b in trace for tx in b.txs for op in tx.ops if op.kind == OpKind.STORAGE_READ for k in [op.key]}
 
 
@@ -323,4 +323,4 @@ def test_build_store_effects_depend_on_account_state():
     g2.accounts[some_addr] = Account(balance=999, nonce=42)
     s1 = build_store(trace, g1)
     s2 = build_store(trace, g2)
-    assert s1.plain_accounts != s2.plain_accounts
+    assert s1.accounts.plain != s2.accounts.plain
