@@ -19,7 +19,6 @@ from .store import (
     StorageKey,
     StoreView,
     ZERO_WORD,
-    charge_parallel,
 )
 from .workload import (
     Block,

@@ -35,7 +35,8 @@ the producer takes a batch, the executor runs queued blocks until the channel
 has room for it. Each clock value depends only on values computed before it,
 so this order gives the same numbers as any event order that respects those
 dependencies. Warm-up batches bypass the channel, bounded by a buffer entry
-budget.
+budget; like steady batches, each is prefetched on every lane, one after
+another, and its blocks are ready when its own prefetch ends.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .store import (
     StoreView,
     VersionedTable,
     ZERO_WORD,
-    charge_parallel,
     walk_wall,
 )
 from .primary import (
@@ -336,7 +336,7 @@ class PipelineConfig:
     channel_capacity: int = 100
     warmup_blocks: int = 32
     warmup_buffer_entries: int = 134_217_728  # 8 GiB at ~64 bytes per entry
-    workers: int = 1
+    workers: int = 16
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -526,26 +526,26 @@ def pipeline_run(
                     _Queued(block, ready, steady, cache, pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b])
                 )
 
-    # Warm-up: prefetch leading batches in parallel, bounded by block count
-    # and the buffer entry budget; these bypass the bounded channel. The
-    # batch that ends warm-up is the first steady batch.
-    warm: List[Tuple[_Batch, PrefetchResult]] = []
+    # Warm-up: prefetch leading batches one after another on every lane,
+    # bounded by block count and, past the first batch, the buffer entry
+    # budget; these bypass the bounded channel, and each batch is ready when
+    # its own prefetch ends. The batch that ends warm-up is the first steady
+    # batch.
     first_steady: List[_Batch] = []
-    warm_blocks = warm_entries = 0
+    prod_free = warm_blocks = warm_entries = 0
     for batch in batches:
         entries = sum(batch.plan.entry_count(b) for b in batch.plan.blocks)
         if warm_blocks + len(batch.blocks) > config.warmup_blocks or (
-            warm and warm_entries + entries > config.warmup_buffer_entries
+            warm_blocks and warm_entries + entries > config.warmup_buffer_entries
         ):
             first_steady.append(batch)
             break
-        warm.append((batch, _prefetch_batch(batch, store, workers=1)))
-        warm_blocks += len(batch.blocks)
-        warm_entries += entries
-    prod_free = charge_parallel([pf.wall_cost for _, pf in warm], config.workers, model)
-    for batch, pf in warm:
+        pf = _prefetch_batch(batch, store, config.workers)
+        prod_free += pf.wall_cost
         enqueue(batch, pf, prod_free, steady=False)
         corrupt += batch.corrupt
+        warm_blocks += len(batch.blocks)
+        warm_entries += entries
 
     rows: List[BlockMetrics] = []
     steady_starts: List[int] = []  # execution start of each steady block

@@ -228,6 +228,7 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
     print(
         f"run-backup: {len(metrics.rows)} blocks, wall {metrics.wall_cost}, "
         f"prefetch {metrics.prefetch_total}, exec {metrics.exec_total}, "
+        f"wait {metrics.wait_total}, workers {pipeline_cfg.workers}, "
         f"fallbacks {metrics.fallback_blocks}"
     )
     if args.digests:
@@ -340,9 +341,13 @@ _LINK_FIELDS = ("latency", "bandwidth", "loss_probability", "seed")
 
 def _proto_scenario(raw: object) -> Dict[str, object]:
     """The settings of a ``proto`` scenario, each converted to its type and
-    checked against its domain; a setting outside it raises ConfigError."""
+    checked against its domain; an unknown setting, or one outside its
+    domain, raises ConfigError."""
     if not isinstance(raw, dict):
         raise config_mod.ConfigError("proto scenario must be a JSON object")
+    unknown = set(raw) - set(_SCENARIO_FIELDS)
+    if unknown:
+        raise config_mod.ConfigError(f"proto scenario: unknown settings {sorted(unknown)}")
     out: Dict[str, object] = {}
     for name, (kind, default, check, domain) in _SCENARIO_FIELDS.items():
         if name not in raw:

@@ -21,11 +21,10 @@ according to a :class:`CostModel`. The charging rules are fixed:
 * ``read_as_of`` / ``account_as_of``: one random seek for the history index,
   plus one random seek when a value is actually fetched from a table
   (absent keys touch no table beyond the index)
-* ``charge_parallel``: contiguous, count-balanced split of per-item costs over
-  ``min(lanes, io_lanes)`` lanes, wall cost = the heaviest lane
 * ``walk_wall``: a cursor walk over sorted keys costs one random seek for the
-  first key and one sequential step per subsequent key; split over lanes by
-  the same rule, its wall cost is the walk over the longest range
+  first key and one sequential step per subsequent key; the keys are split
+  into contiguous, count-balanced ranges over ``min(lanes, io_lanes)`` lanes,
+  each range one walk, and the wall cost is the walk over the longest range
 
 Identical access sequences always produce identical totals (all costs are
 integers).
@@ -44,7 +43,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 ADDRESS_LEN = 20
 SLOT_LEN = 32
@@ -159,8 +158,9 @@ def _unpack_account(buf: bytes, off: int) -> Tuple[Account, int]:
 class CostModel:
     """Integer cost units for the simulated storage stack.
 
-    ``io_lanes`` caps how many simulated I/Os can be in flight at once; it is
-    the saturation point of :func:`charge_parallel`.
+    ``io_lanes`` caps how many simulated I/Os can be in flight at once: a
+    :func:`walk_wall` split over more lanes than this costs the same as one
+    over ``io_lanes``.
     """
 
     c_random_seek: int = 100
@@ -623,41 +623,13 @@ class StoreView:
         return self.store.code_as_of(address, self.block_number, self.meter)
 
 
-def charge_parallel(costs: Iterable[int], lanes: int, cost_model: CostModel = DEFAULT_COST_MODEL) -> int:
-    """Simulated wall cost of running independent I/O items on ``lanes`` lanes.
-
-    Items are split into contiguous, count-balanced chunks over
-    ``min(lanes, io_lanes)`` lanes (items are atomic: a lane runs whole items).
-    The wall cost is the heaviest lane. One lane degenerates to the plain sum;
-    lane counts beyond ``io_lanes`` change nothing.
-    """
-    if lanes < 1:
-        raise ValueError("lanes must be >= 1")
-    items = list(costs)
-    if not items:
-        return 0
-    j = min(lanes, cost_model.io_lanes, len(items))
-    if j <= 1:
-        return sum(items)
-    n = len(items)
-    base, extra = divmod(n, j)
-    wall = 0
-    idx = 0
-    for i in range(j):
-        cnt = base + (1 if i < extra else 0)
-        lane = sum(items[idx : idx + cnt])
-        idx += cnt
-        if lane > wall:
-            wall = lane
-    return wall
-
-
 def walk_wall(n_keys: int, lanes: int, cost_model: CostModel) -> int:
     """Simulated wall cost of a cursor walk over ``n_keys`` sorted keys.
 
-    The keys are split as in :func:`charge_parallel`, into contiguous,
-    count-balanced ranges over ``min(lanes, io_lanes)`` lanes. Each range is
-    one walk: a random seek for its first key and a sequential step for each
+    The keys are split into contiguous, count-balanced ranges over
+    ``min(lanes, io_lanes, n_keys)`` lanes: range sizes differ by at most
+    one key, and the first ranges take the extra keys. Each range is one
+    walk: a random seek for its first key and a sequential step for each
     further key. The first range is the longest, so it sets the wall cost.
     """
     if lanes < 1:

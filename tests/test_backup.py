@@ -398,6 +398,79 @@ def test_pipeline_fast_prefetch_no_steady_wait():
     assert all(r.t_wait == 0 for r in metrics.rows[2:])
 
 
+def test_pipeline_warmup_batches_ready_at_running_sum_of_walls(tmp_path):
+    # Three one-block warm-up batches. Each block has one transaction from
+    # sender S to recipient R on beneficiary B, reading n genesis keys that
+    # are never written: 10, 40 and 20 of them. Per batch, at workers=1:
+    #   plain walk over n keys                  100 + 2 * (n - 1)
+    #   account consult over {S, R, B}          100 + 2 * 2 = 104
+    #   account fetches (S, b), (B, b): n = b   100 + 2 = 102
+    #   account plain {R}                       100
+    # so the walls are 424, 484 and 444, and exec is n + (n + 3) = 23, 83, 43.
+    # The producer runs the batches one after another; each block is ready at
+    # the running sum of the walls, 424, 908 and 1352, and stalls until then:
+    #   block 1: start 424, end 447; block 2: wait 461, start 908, end 991;
+    #   block 3: wait 361, start 1352, end 1395 = wall.
+    from ira.workload import GenesisState
+
+    sender, recipient, beneficiary = mk_addr(1), mk_addr(2), mk_addr(250)
+    sizes = (10, 40, 20)
+    keys = sorted(mk_key(i) for i in range(sum(sizes)))
+    blocks, first = [], 0
+    for b, n in enumerate(sizes, start=1):
+        ops = [storage_read(k) for k in keys[first : first + n]]
+        blocks.append(Block(b, beneficiary, [Transaction(sender, recipient, ops)]))
+        first += n
+    genesis = GenesisState(
+        storage={k: mk_word(1) for k in keys},
+        accounts={sender: Account(balance=10**9), recipient: Account(), beneficiary: Account()},
+    )
+    store = build_store(blocks, genesis)
+    with HintDb(tmp_path / "h.db") as db:
+        for block in blocks:
+            db.write_hint(block.number, run_primary_block(block, store).compressed_bytes)
+        cfg = PipelineConfig(batch_size=1, channel_capacity=1, warmup_blocks=3, workers=1)
+        metrics = pipeline_run(blocks, store, db, cfg)
+    assert [r.prefetch_cost for r in metrics.rows] == [424, 484, 444]
+    assert [r.t_exec for r in metrics.rows] == [23, 83, 43]
+    assert [r.t_wait for r in metrics.rows] == [424, 461, 361]
+    starts, free = [], 0  # a block starts once the executor is free and has waited t_wait
+    for r in metrics.rows:
+        starts.append(free + r.t_wait)
+        free = starts[-1] + r.t_exec
+    assert starts == [424, 908, 1352]
+    assert (metrics.wall_cost, metrics.prefetch_total) == (1395, 1352)
+
+
+@pytest.mark.parametrize(
+    "batch_size, warmup_blocks",
+    [(6, 6), (2, 2), (2, 6)],
+    ids=["one-warmup-batch", "one-warmup-batch-then-steady", "three-warmup-batches"],
+)
+def test_pipeline_walls_fall_with_workers_then_plateau(tmp_path, batch_size, warmup_blocks):
+    # every walk, warm-up ones included, splits over min(workers, io_lanes)
+    # lanes, so more workers never cost more, and beyond io_lanes = 16
+    # change nothing
+    params = demo_params(6)
+    trace = generate_trace(params)
+    store = build_store(trace, derive_genesis(params))
+    walls, waits = {}, {}
+    with HintDb(tmp_path / "h.db") as db:
+        for block in trace:
+            db.write_hint(block.number, run_primary_block(block, store).compressed_bytes)
+        for k in (1, 2, 4, 8, 16, 32, 64):
+            cfg = PipelineConfig(
+                batch_size=batch_size, channel_capacity=batch_size, warmup_blocks=warmup_blocks, workers=k
+            )
+            metrics = pipeline_run(trace, store, db, cfg)
+            walls[k], waits[k] = metrics.wall_cost, metrics.wait_total
+    for costs in (walls, waits):
+        ks = sorted(costs)
+        assert all(costs[a] >= costs[b] for a, b in zip(ks, ks[1:])), costs
+        assert costs[16] == costs[32] == costs[64], costs
+        assert all(costs[k] < costs[1] for k in ks[1:]), costs
+
+
 def test_pipeline_fallback_without_hints_keeps_digests(pipeline_world):
     _, trace, store, db, digests = pipeline_world
     cfg = PipelineConfig(batch_size=8, channel_capacity=16, warmup_blocks=0, workers=1)

@@ -265,6 +265,17 @@ def _run_backup(d: Path, c: str, hints: Path, report: Path, capsys):
     return rc, out, err
 
 
+def test_backup_summary_line_shows_wait_and_workers(demo_pipeline, tmp_path, capsys):
+    # the stall and the lane count are on stdout, equal to the sidecar's
+    d, c = demo_pipeline
+    rc, out, _ = _run_backup(d, c, d / "hints.db", tmp_path / "backup.csv", capsys)
+    assert rc == EXIT_OK
+    meta = json.loads((tmp_path / "backup.csv.meta.json").read_text())
+    summary = out.splitlines()[0]
+    assert f", wait {meta['wait_total']}, workers {meta['workers']}, " in summary
+    assert meta["workers"] == 16 and meta["wall_cost"] == meta["wait_total"] + meta["exec_total"]
+
+
 def test_backup_unservable_hint_falls_back_for_its_block(demo_pipeline, tmp_path, capsys):
     from ira.primary import HintDb
 
@@ -526,6 +537,15 @@ def test_proto_rejects_malformed_scenario(tmp_path, capsys, scenario):
     assert not (tmp_path / "proto.csv").exists()
 
 
+def test_proto_rejects_unknown_scenario_settings(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"encodng": "bloom", "batches": 2, "batchs": 2}))
+    rc = main(["proto", "--scenario", str(path), "--report", str(tmp_path / "proto.csv")])
+    assert rc == EXIT_CONFIG
+    assert "proto scenario: unknown settings ['batchs', 'encodng']" in capsys.readouterr().err
+    assert not (tmp_path / "proto.csv").exists()
+
+
 def test_analyze_reports_flat_stats(demo_pipeline, capsys, tmp_path):
     d, _ = demo_pipeline
     rc = main(
@@ -594,7 +614,8 @@ def test_config_defaults_come_from_the_dataclasses():
 
     from ira.backup import BaselineCacheConfig, PipelineConfig
 
-    assert content_hash(DEFAULT_CONFIG) == "7e0c91df6e94a4f42e12932f13254d8418d891dc88833059bffb3fbbe456c9ad"
+    # pinned on the default config; it moved when pipeline.workers became 16
+    assert content_hash(DEFAULT_CONFIG) == "46abcf998fda88740dccbcc8dd18a213a67cbc4f27305781cdfd374e40c4ba65"
     assert asdict(PipelineConfig()) == DEFAULT_CONFIG["pipeline"]
     assert asdict(BaselineCacheConfig()) == DEFAULT_CONFIG["baseline_cache"]
 

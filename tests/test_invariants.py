@@ -2,7 +2,8 @@
 ``read_as_of`` after pruning, also for keys a hint routes as change-set that
 the store resolves to plain or zero, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
-under any config and any mix of good, missing and misfiled hints."""
+under any config and any mix of good, missing and misfiled hints, and more
+prefetch workers never raise the wall."""
 
 from __future__ import annotations
 
@@ -139,6 +140,8 @@ def test_pipeline_totals_add_up_under_random_configs(tmp_path):
                 elif b not in missing:
                     db.write_hint(b, hints[b])
             metrics = pipeline_run(trace, store, db, cfg)
+            walls = [pipeline_run(trace, store, db, replace(cfg, workers=k)).wall_cost for k in (1, 2, 4, 16, 64)]
+        assert all(a >= b for a, b in zip(walls, walls[1:])), (case, cfg, walls)
         rows = metrics.rows
         assert metrics.wall_cost == metrics.wait_total + metrics.exec_total, case
         assert sum(r.prefetch_cost for r in rows) == metrics.prefetch_total, case

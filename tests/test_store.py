@@ -14,7 +14,6 @@ from ira.store import (
     OrderingError,
     ShardedIndex,
     ZERO_WORD,
-    charge_parallel,
     walk_wall,
 )
 
@@ -221,7 +220,8 @@ def test_pruned_history_classifies_as_plain():
 
 
 def _reference_chunks(items, lanes):
-    """The lane split prefetch used before walk_wall, kept as a test oracle."""
+    """Contiguous, count-balanced split of ``items`` over ``lanes`` lanes, the
+    first lanes taking the extra items; the test oracle for walk_wall."""
     if not items:
         return []
     j = min(lanes, len(items))
@@ -284,39 +284,6 @@ def test_point_reads_cost_ratio_vs_scan():
         store.read_as_of(k, 2, point_meter)
     assert point_meter.io == 1000 * 2 * model.c_random_seek
     assert point_meter.io > walk_wall(len(keys), 1, model)
-
-
-# -- charge_parallel ----------------------------------------------------------------
-
-
-def test_charge_parallel_serial_sum():
-    assert charge_parallel([10] * 16, 1) == 160
-
-
-def test_charge_parallel_perfect_overlap():
-    assert charge_parallel([10] * 16, 16) == 10
-
-
-def test_charge_parallel_saturates_at_io_lanes():
-    model = CostModel(io_lanes=16)
-    assert charge_parallel([10] * 16, 64, model) == charge_parallel([10] * 16, 16, model)
-
-
-def test_charge_parallel_item_granularity():
-    # 17 atomic items on 16 lanes: one lane must run two items
-    assert charge_parallel([10] * 17, 16) == 20
-
-
-def test_charge_parallel_monotone_in_lanes():
-    rng = random.Random(11)
-    costs = [rng.randrange(1, 50) for _ in range(200)]
-    walls = [charge_parallel(costs, k) for k in (1, 2, 4, 8, 16, 32, 64)]
-    assert all(a >= b for a, b in zip(walls, walls[1:]))
-
-
-def test_charge_parallel_rejects_zero_lanes():
-    with pytest.raises(ValueError):
-        charge_parallel([1], 0)
 
 
 # -- cost model / determinism -------------------------------------------------------
