@@ -5,8 +5,8 @@ cachesim, proto, compare. Every run emits a CSV report plus a ``.meta.json``
 sidecar carrying the config hash and cost-model snapshot; ``compare`` refuses
 to join reports whose hashes disagree.
 
-Exit codes: 0 ok, 2 config/input error, 3 completeness violation (replay
-touched a key outside its hint), 4 digest mismatch.
+Exit codes: 0 ok, 2 config, input or output error, 3 completeness
+violation (replay touched a key outside its hint), 4 digest mismatch.
 """
 
 from __future__ import annotations
@@ -130,26 +130,35 @@ def cmd_run_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _first_hinted_block(hints_path: Path, trace_path: Path) -> Optional[int]:
-    """The first block of the trace that the hint database at ``hints_path``
-    already holds, if the file exists; ``None`` if there is none."""
-    if not hints_path.exists():
-        return None
-    with HintDb(hints_path, create=False) as db:
-        return next((b for b in workload_mod.trace_block_numbers(trace_path) if b in db), None)
+def _rerun_clash(trace_path: Path, hints_path: Path, digests_path: Optional[Path]) -> Optional[str]:
+    """Why ``run-primary`` must not write: the hint database, else the digest
+    log, already holds an entry for a block of the trace, and the first such
+    block in trace order is named. ``None`` if neither does; creates no file."""
+    if hints_path.exists():
+        with HintDb(hints_path, create=False) as db:
+            clash = next((b for b in workload_mod.trace_block_numbers(trace_path) if b in db), None)
+        if clash is not None:
+            return f"{hints_path} already holds a hint for block {clash}"
+    if digests_path is not None and digests_path.exists():
+        logged = DigestLog(digests_path).read_all()
+        clash = next((b for b in workload_mod.trace_block_numbers(trace_path) if b in logged), None)
+        if clash is not None:
+            return f"{digests_path} already holds a digest for block {clash}"
+    return None
 
 
 def cmd_run_primary(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config)
     hints_path = _out(args, args.hints_out)
-    # one hint per block: refuse before any output is touched
-    clash = _first_hinted_block(hints_path, Path(args.trace))
+    digests_path = _out(args, args.digests_out) if args.digests_out else None
+    # one hint and one digest per block: refuse before any output is touched
+    clash = _rerun_clash(Path(args.trace), hints_path, digests_path)
     if clash is not None:
-        print(f"run-primary: {hints_path} already holds a hint for block {clash}", file=sys.stderr)
+        print(f"run-primary: {clash}", file=sys.stderr)
         return EXIT_CONFIG
     store = _load_store(args, cfg)
     hint_db = HintDb(hints_path)
-    digest_log = DigestLog(_out(args, args.digests_out)) if args.digests_out else None
+    digest_log = DigestLog(digests_path) if digests_path is not None else None
     report = _out(args, args.report)
     rows = exec_total = construct_total = 0
     with open(report, "w", newline="") as f:
@@ -632,6 +641,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # e.g. an output path that is a directory
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StoreError as exc:
         print(f"store error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ accounts, plus the bytecode table. Each :class:`VersionedTable` keeps:
 
 * a plain table: the current value of every key as of ``head_block``
 * change sets: per-block records of the value each modified key had
-  *before* the block ran
-* a history index: per-key ascending block numbers of modifications
+  *before* the block ran (a block that changed no key has none)
+* a history index: per-key ascending block numbers of modifications, which
+  is the change sets' keys by block, so it is never stored on its own
 
 A historical read ("value at the start of block b") finds the first
 modification at or after ``b`` and returns its recorded pre-image; if no such
@@ -31,8 +32,11 @@ integers).
 
 On-disk layout (``save`` / ``load``): one little-endian binary file per table
 with records in native key order, plus ``manifest.json`` carrying the head
-block, prune horizon and cost-model snapshot. See the README for the byte
-layout of each file.
+block, prune horizon and cost-model snapshot. Each versioned table is two
+files, its plain table and its change sets; ``load`` rebuilds the history
+index from the change sets and rejects a file whose records repeat a
+(block, key) pair or list a key's blocks out of order. See the README for
+the byte layout of each file.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 ADDRESS_LEN = 20
 SLOT_LEN = 32
@@ -51,11 +55,11 @@ KEY_LEN = ADDRESS_LEN + SLOT_LEN
 WORD_LEN = 32
 ZERO_WORD = b"\x00" * WORD_LEN
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
-# plain table, change sets and history index of each versioned table
-_STORAGE_FILES = ("plain_storage.bin", "storage_changesets.bin", "storage_history.bin")
-_ACCOUNT_FILES = ("plain_accounts.bin", "account_changesets.bin", "account_history.bin")
+# plain table and change sets of each versioned table
+_STORAGE_FILES = ("plain_storage.bin", "storage_changesets.bin")
+_ACCOUNT_FILES = ("plain_accounts.bin", "account_changesets.bin")
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -258,10 +262,6 @@ class ShardedIndex:
             else:
                 del self._map[key]
 
-    def items(self) -> Iterator[Tuple[bytes, List[int]]]:
-        for key in sorted(self._map):
-            yield key, self._map[key]
-
     def key_count(self) -> int:
         return len(self._map)
 
@@ -292,14 +292,16 @@ class VersionedTable:
         self.absent = absent
 
     def apply(self, block: int, updates: Dict[bytes, Any]) -> None:
-        """Record each key's pre-image, new value and history entry."""
+        """Record each key's pre-image, new value and history entry; a block
+        that changed no key records no change set."""
         plain, history, absent = self.plain, self.history, self.absent
         prior: Dict[bytes, Any] = {}
         for key, value in updates.items():
             prior[key] = plain.get(key, absent)
             plain[key] = value
             history.add(key, block)
-        self.changesets[block] = prior
+        if prior:
+            self.changesets[block] = prior
 
     def prune(self, horizon: int) -> None:
         for block in list(self.changesets):
@@ -437,7 +439,7 @@ class ArchivalStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
 
-        for table, (plain_name, cs_name, history_name), pack, pack_prior in (
+        for table, (plain_name, cs_name), pack, pack_prior in (
             (self.storage, _STORAGE_FILES, bytes, bytes),
             (self.accounts, _ACCOUNT_FILES, pack_account, _pack_prior_account),
         ):
@@ -455,14 +457,6 @@ class ArchivalStore:
                         f.write(_U64.pack(block))
                         f.write(key)
                         f.write(pack_prior(cs[key]))
-
-            with open(directory / history_name, "wb") as f:
-                f.write(_U64.pack(table.history.key_count()))
-                for key, blocks in table.history.items():
-                    f.write(key)
-                    f.write(_U32.pack(len(blocks)))
-                    for b in blocks:
-                        f.write(_U64.pack(b))
 
         with open(directory / "bytecodes.bin", "wb") as f:
             f.write(_U64.pack(len(self.bytecodes)))
@@ -500,7 +494,10 @@ class ArchivalStore:
         storage, accounts = store.storage, store.accounts
 
         # Fixed-width tables are checked against their record count up front;
-        # the other tables must end exactly where their last record does.
+        # the other tables must end exactly where their last record does. The
+        # history index is rebuilt from the change-set records: they are sorted
+        # by block, so each key's blocks arrive ascending, and the index's add
+        # refuses a repeated or out-of-order record.
         path = directory / "plain_storage.bin"
         try:
             width = KEY_LEN + WORD_LEN
@@ -538,6 +535,7 @@ class ArchivalStore:
                 (block,) = _U64.unpack_from(buf, off)
                 key = unchecked_storage_key(buf[off + 8 : off + 8 + KEY_LEN])
                 storage.changesets.setdefault(block, {})[key] = buf[off + 8 + KEY_LEN : off + width]
+                storage.history.add(key, block)
 
             path = directory / "account_changesets.bin"
             buf, count = _read_table(path)
@@ -553,35 +551,15 @@ class ArchivalStore:
                 if flag:
                     prior, off = _unpack_account(buf, off)
                 accounts.changesets.setdefault(block, {})[addr] = prior
+                accounts.history.add(addr, block)
             _check_end(path, buf, off)
-
-            for name, index, make_key, klen in (
-                ("storage_history.bin", storage.history, StorageKey, KEY_LEN),
-                ("account_history.bin", accounts.history, bytes, ADDRESS_LEN),
-            ):
-                path = directory / name
-                buf, count = _read_table(path)
-                off = 8
-                for _ in range(count):
-                    key = make_key(buf[off : off + klen])
-                    off += klen
-                    (n,) = _U32.unpack_from(buf, off)
-                    off += 4
-                    for _ in range(n):
-                        (b,) = _U64.unpack_from(buf, off)
-                        off += 8
-                        index.add(key, b)
-                _check_end(path, buf, off)
         except (struct.error, IndexError, ValueError) as exc:
             raise StoreError(f"{path.name}: record cut short ({exc})") from None
+        except OrderingError as exc:
+            raise StoreError(f"{path.name}: {exc}") from None
 
         store.head_block = manifest["head_block"]
         store.prune_horizon = manifest.get("prune_horizon")
-        # apply_block records a (possibly empty) change set per applied block
-        first = store.prune_horizon if store.prune_horizon is not None else 1
-        for b in range(first, store.head_block + 1):
-            storage.changesets.setdefault(b, {})
-            accounts.changesets.setdefault(b, {})
         return store
 
 

@@ -627,7 +627,7 @@ def _copy_store(d: Path, tmp_path: Path) -> Path:
 
 
 @pytest.mark.parametrize("cut, extra", [(40, b""), (0, b"\x00\x01\x02")])
-@pytest.mark.parametrize("table", ["plain_storage.bin", "plain_accounts.bin", "storage_history.bin"])
+@pytest.mark.parametrize("table", ["plain_storage.bin", "plain_accounts.bin", "account_changesets.bin"])
 def test_store_table_of_wrong_length_is_store_error(demo_pipeline, tmp_path, capsys, table, cut, extra):
     d, c = demo_pipeline
     store = _copy_store(d, tmp_path)
@@ -644,6 +644,106 @@ def test_store_table_of_wrong_length_is_store_error(demo_pipeline, tmp_path, cap
     )
     assert rc == EXIT_CONFIG
     assert f"store error: {table}" in capsys.readouterr().err
+
+
+def _run_baseline_on(d: Path, c: str, store: Path, report: Path, capsys):
+    capsys.readouterr()
+    rc = main(["--config", c, "run-baseline", "--trace", str(d / "t.trace"), "--store", str(store), "--report", str(report)])
+    return rc, capsys.readouterr().err
+
+
+def test_repeated_changeset_record_is_store_error_naming_the_file(demo_pipeline, tmp_path, capsys):
+    # the history index is rebuilt from the change sets, so a record given
+    # twice would index a block whose change set lost the key's pre-image
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    table = store / "storage_changesets.bin"
+    blob = bytearray(table.read_bytes())
+    width = 8 + 52 + 32
+    assert len(blob) >= 8 + 3 * width, "fixture table must hold records"
+    blob[8 + 2 * width : 8 + 3 * width] = blob[8 + width : 8 + 2 * width]
+    table.write_bytes(bytes(blob))
+    rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.startswith("store error: storage_changesets.bin: ")
+    assert not (tmp_path / "baseline.csv").exists()
+
+
+def test_store_of_format_1_is_store_error(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    manifest = json.loads((store / "manifest.json").read_text())
+    assert manifest["format"] == 2
+    manifest["format"] = 1
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.strip() == "store error: unsupported store format: 1"
+
+
+def test_primary_refuses_a_digest_log_that_holds_its_blocks(demo_pipeline, tmp_path, capsys):
+    # a second trace of the same blocks (another seed) must not append its
+    # digests to the first trace's log: the first replay would then fail
+    d, c = demo_pipeline
+    log = tmp_path / "digests.bin"
+    log.write_bytes((d / "digests.bin").read_bytes())
+    other = tmp_path / "other"
+    other.mkdir()
+    assert main(["--config", c, "--seed", "2", "gen-trace", "--out", str(other / "t.trace")]) == EXIT_OK
+    assert main(["--config", c, "build-store", "--trace", str(other / "t.trace"), "--out", str(other / "store")]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-primary",
+            "--trace", str(other / "t.trace"),
+            "--store", str(other / "store"),
+            "--hints-out", str(other / "hints.db"),
+            "--digests-out", str(log),
+            "--report", str(other / "primary.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"run-primary: {log} already holds a digest for block 1"
+    assert log.read_bytes() == (d / "digests.bin").read_bytes()
+    assert sorted(p.name for p in other.iterdir()) == ["store", "t.trace"]
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(d / "hints.db"),
+            "--digests", str(log),
+            "--report", str(tmp_path / "backup.csv"),
+        ]
+    )
+    assert rc == EXIT_OK
+
+
+def test_build_store_onto_an_existing_file_is_io_error(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    out = tmp_path / "trace.bin"
+    out.write_bytes((d / "t.trace").read_bytes())
+    capsys.readouterr()
+    rc = main(["--config", c, "build-store", "--trace", str(d / "t.trace"), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert out.read_bytes() == (d / "t.trace").read_bytes()
+
+
+def test_backup_report_onto_a_directory_is_io_error(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(d / "hints.db"),
+            "--report", str(d / "store"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 @pytest.mark.parametrize("command", ["run-primary", "run-baseline", "run-backup"])
@@ -735,6 +835,35 @@ def _cli_cycle(d: Path, blocks: int) -> list:
         ("proto", ["proto", "--scenario", str(d / "scenario.json"), "--report", str(d / "proto.csv")]),
         ("analyze", ["analyze", "--trace", t]),
     ]
+
+
+@pytest.fixture(scope="module")
+def demo_cycle(tmp_path_factory):
+    """Every subcommand run once, in order, into one directory."""
+    d = tmp_path_factory.mktemp("cycle") / "run"
+    commands = dict(_cli_cycle(d, 4))
+    for command, argv in commands.items():
+        assert main(argv) == EXIT_OK, command
+    return d, commands
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["gen-trace", "build-store", "run-primary", "run-baseline", "run-backup", "compare",
+     "cachesim-file", "cachesim-block", "proto", "analyze"],
+)
+def test_rerun_into_its_own_outputs_writes_the_same_bytes_or_exits_2(demo_cycle, command, capsys):
+    # a command run again over its own outputs either rewrites them with the
+    # same bytes or refuses with exit 2 and leaves them as they were; it never
+    # ends in a traceback
+    d, commands = demo_cycle
+    argv = commands[command]
+    before = {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_CONFIG), command
+    assert {p: p.read_bytes() for p in d.rglob("*") if p.is_file()} == before, command
+    assert (rc == EXIT_CONFIG) == (command == "run-primary"), capsys.readouterr().err
 
 
 def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):

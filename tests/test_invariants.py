@@ -2,8 +2,9 @@
 ``read_as_of`` after pruning, also for keys a hint routes as change-set that
 the store resolves to plain or zero, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
-under any config and any mix of good, missing and misfiled hints, and more
-prefetch workers never raise the wall."""
+under any config and any mix of good, missing and misfiled hints, more
+prefetch workers never raise the wall, and a saved store loads back with the
+same history index and as-of reads."""
 
 from __future__ import annotations
 
@@ -51,6 +52,34 @@ def test_routed_values_equal_read_as_of_after_prune():
                 assert cache.storage[key] == store.read_as_of(key, b), (case, b, src)
             for addr in addrs:
                 assert cache.accounts[addr] == store.account_as_of(addr, b), (case, b)
+
+
+def test_saved_store_loads_with_the_same_index_and_reads(tmp_path):
+    # the index is not saved: load rebuilds it from the change sets, also
+    # after prunes at any point and blocks that change nothing
+    rng = random.Random(59)
+    keys = [mk_key(i, contract=i % 3) for i in range(8)]
+    addrs = [mk_addr(i) for i in range(1, 5)]
+    for case in range(300):
+        store = ArchivalStore()
+        for b in range(1, rng.randrange(2, 12)):
+            storage = {k: mk_word(rng.randrange(99)) for k in keys if rng.random() < 0.25}
+            accounts = {a: Account(balance=rng.randrange(100), nonce=b) for a in addrs if rng.random() < 0.25}
+            store.apply_block(b, Effects(storage=storage, accounts=accounts))
+            if rng.random() < 0.2:
+                store.prune(rng.randrange(1, b + 2))
+        store.save(tmp_path / str(case))
+        loaded = ArchivalStore.load(tmp_path / str(case))
+        assert (loaded.head_block, loaded.prune_horizon) == (store.head_block, store.prune_horizon), case
+        for key in keys:
+            assert loaded.storage.history.entries(key) == store.storage.history.entries(key), case
+        for addr in addrs:
+            assert loaded.accounts.history.entries(addr) == store.accounts.history.entries(addr), case
+        for b in range(1, store.head_block + 2):
+            for key in keys:
+                assert loaded.read_as_of(key, b) == store.read_as_of(key, b), (case, b)
+            for addr in addrs:
+                assert loaded.account_as_of(addr, b) == store.account_as_of(addr, b), (case, b)
 
 
 def test_changeset_routed_batches_equal_read_as_of():

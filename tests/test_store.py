@@ -343,9 +343,60 @@ def test_store_save_load_round_trip(tmp_path):
     assert loaded.bytecodes == store.bytecodes
     assert loaded.storage.changesets == store.storage.changesets
     assert loaded.accounts.changesets == store.accounts.changesets
+    _assert_same_history(loaded, store)
     for key in (mk_key(1), mk_key(7)):
         for b in (1, 2, 3):
             assert loaded.read_as_of(key, b) == store.read_as_of(key, b)
+
+
+def _assert_same_history(loaded: ArchivalStore, store: ArchivalStore) -> None:
+    """Both history indexes hold the same blocks for every key of both tables."""
+    for ours, theirs in ((loaded.storage, store.storage), (loaded.accounts, store.accounts)):
+        keys = set(theirs.plain).union(*theirs.changesets.values())
+        assert ours.history.key_count() == theirs.history.key_count()
+        for key in keys:
+            assert ours.history.entries(key) == theirs.history.entries(key), key
+
+
+def test_pruned_store_round_trips_with_the_same_index(tmp_path):
+    store = ArchivalStore()
+    k1, k2, a = mk_key(1), mk_key(2), mk_addr(1)
+    store.apply_block(1, Effects(storage={k1: mk_word(1), k2: mk_word(1)}, accounts={a: Account(balance=1)}))
+    store.apply_block(2, Effects(storage={k1: mk_word(2)}))
+    store.apply_block(3, Effects())
+    store.apply_block(4, Effects(storage={k1: mk_word(4)}, accounts={a: Account(balance=4)}))
+    store.prune(2)
+
+    store.save(tmp_path / "store")
+    loaded = ArchivalStore.load(tmp_path / "store")
+
+    assert (loaded.head_block, loaded.prune_horizon) == (4, 2)
+    assert loaded.storage.changesets == store.storage.changesets
+    assert loaded.accounts.changesets == store.accounts.changesets
+    assert sorted(loaded.storage.changesets) == [2, 4]
+    _assert_same_history(loaded, store)
+    assert loaded.storage.history.entries(k1) == [2, 4]
+    assert loaded.storage.history.entries(k2) == []
+    for b in range(1, 6):
+        for key in (k1, k2):
+            assert loaded.read_as_of(key, b) == store.read_as_of(key, b), (key, b)
+        assert loaded.account_as_of(a, b) == store.account_as_of(a, b), b
+
+
+def test_saved_store_holds_each_table_once(tmp_path):
+    # the history index is rebuilt from the change sets on load, so no file
+    # holds a second copy of their keys
+    store = ArchivalStore()
+    store.apply_block(1, Effects(storage={mk_key(1): mk_word(1)}, accounts={mk_addr(1): Account(balance=1)}))
+    store.save(tmp_path / "store")
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+        "account_changesets.bin",
+        "bytecodes.bin",
+        "manifest.json",
+        "plain_accounts.bin",
+        "plain_storage.bin",
+        "storage_changesets.bin",
+    ]
 
 
 def test_seed_genesis_requires_empty_store():
