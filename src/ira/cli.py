@@ -199,6 +199,8 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
 
 def cmd_run_backup(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config)
+    # read before any output is written: a missing log is a missing input
+    expected = DigestLog(Path(args.digests)).read_all() if args.digests else None
     store = _load_store(args, cfg)
     pipeline_cfg = config_mod.pipeline_config(
         cfg, workers=args.workers, batch_size=args.batch, channel_capacity=args.channel
@@ -240,14 +242,20 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
         f"wait {metrics.wait_total}, workers {pipeline_cfg.workers}, "
         f"fallbacks {metrics.fallback_blocks}"
     )
-    if args.digests:
-        expected = DigestLog(Path(args.digests)).read_all()
+    if expected is not None:
+        checked = 0
         for row in metrics.rows:
             want = expected.get(row.block)
-            if want is not None and want != row.digest:
+            if want is None:
+                continue
+            if want != row.digest:
                 print(f"run-backup: digest mismatch at block {row.block}", file=sys.stderr)
                 return EXIT_DIGEST
-        print(f"run-backup: digests verified against {args.digests}")
+            checked += 1
+        if not checked:
+            print(f"run-backup: no replayed block has a digest in {args.digests}", file=sys.stderr)
+            return EXIT_CONFIG
+        print(f"run-backup: digests of {checked} of {len(metrics.rows)} blocks verified against {args.digests}")
     return EXIT_OK
 
 
@@ -323,6 +331,20 @@ def _fraction(v: float) -> bool:
     return 0.0 <= v <= 1.0
 
 
+def _bloom_fpr(v: float) -> bool:
+    """In (0, 1), and reachable within a bloom hint's probe limit for any
+    batch: a one-key filter needs the most probes, so if it builds, every
+    larger filter does too."""
+    try:
+        protocol_mod.BloomFilter(1, v)
+    except ValueError:
+        return False
+    return True
+
+
+_FPR_DOMAIN = f"a number in (0, 1) that needs at most {protocol_mod.MAX_BLOOM_PROBES} bloom probes"
+
+
 # Scenario settings: name -> (type, default, check, domain). A default of
 # None leaves an omitted setting to the protocol object that owns it:
 # LinkModel for the link, encode_hint for target_fpr and
@@ -334,7 +356,7 @@ _SCENARIO_FIELDS = {
     "write_fraction": (float, 0.3, _fraction, "a number in [0, 1]"),
     "encoding": (str, "exact", lambda v: v in _ENCODINGS, f"one of {_ENCODINGS}"),
     "strategy": (str, "inline", lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
-    "target_fpr": (float, None, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+    "target_fpr": (float, None, _bloom_fpr, _FPR_DOMAIN),
     "latency": (float, None, lambda v: v >= 0.0, "a number >= 0"),
     "bandwidth": (float, None, lambda v: v > 0.0, "a number > 0"),
     "loss_probability": (float, None, _fraction, "a number in [0, 1]"),

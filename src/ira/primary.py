@@ -417,14 +417,15 @@ class HintDb:
 
 
 class DigestLog:
-    """Append-only block_number -> 32-byte digest file (primary fingerprints)."""
+    """Append-only block_number -> 32-byte digest file (primary fingerprints).
+
+    The first ``write`` creates the file; ``read_all`` of a missing file
+    raises FileNotFoundError, so a reader never creates one."""
 
     _REC = struct.Struct("<Q32s")
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        if not self.path.exists():
-            self.path.write_bytes(b"")
 
     def write(self, block_number: int, digest: bytes) -> None:
         with open(self.path, "ab") as f:

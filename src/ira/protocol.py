@@ -33,11 +33,13 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_BE_U64_PAIR = struct.Struct(">QQ")
 
 
 class DecodeError(Exception):
@@ -162,7 +164,8 @@ def generic_replay(
     else:
         pool = set(candidates) if candidates is not None else set(batch_keys)
         pool.update(batch_keys)  # no false negatives: every true access tests positive
-        to_fetch = sorted(k for k in pool if view.member(k))
+        # the membership test itself, bound once for the whole pool
+        to_fetch = sorted(filter(view._member, pool))
 
     cache: Dict[bytes, Optional[bytes]] = {}
     for key in to_fetch:
@@ -284,13 +287,31 @@ def _decode_prefix(payload: bytes) -> Set[bytes]:
         raise DecodeError("prefix hint truncated") from None
 
 
+# Distinct keys whose probe base stays memoized. Candidate pools repeat from
+# batch to batch, so a replay that tests the same keys against every batch's
+# filter hashes each of them once.
+_HASH_MEMO_KEYS = 1 << 14
+
+# The wire format stores the probe count in one byte.
+MAX_BLOOM_PROBES = 255
+
+
+@lru_cache(maxsize=_HASH_MEMO_KEYS)
+def _hash_pair(key: bytes) -> Tuple[int, int]:
+    """Double-hashing base of ``key``: probe ``i`` of an ``m``-bit filter is
+    bit ``(h1 + i*h2) % m``. It depends on the key alone, not on the filter."""
+    h1, h2 = _BE_U64_PAIR.unpack_from(hashlib.sha256(key).digest())
+    return h1, h2 | 1
+
+
 class BloomFilter:
     """Fixed-size bit-array membership filter with double hashing.
 
     Sized from the standard formulas: ``m = -n ln(p) / (ln 2)^2`` bits and
     ``k = round(m/n ln 2)`` probes. Adding a key can never be forgotten, so
     false negatives are impossible; false positives occur at roughly the
-    target rate."""
+    target rate. Probe ``i`` of a key is bit ``(h1 + i*h2) % m``, stored
+    LSB-first in byte ``bit >> 3`` (see ``_hash_pair``)."""
 
     def __init__(self, n_keys: int, target_fpr: float):
         if not (0.0 < target_fpr < 1.0):
@@ -298,24 +319,28 @@ class BloomFilter:
         n = max(1, n_keys)
         self.m_bits = max(8, int(math.ceil(-n * math.log(target_fpr) / (math.log(2) ** 2))))
         self.k_hashes = max(1, round(self.m_bits / n * math.log(2)))
+        if self.k_hashes > MAX_BLOOM_PROBES:
+            raise ValueError(
+                f"target_fpr {target_fpr!r} needs {self.k_hashes} probes; a bloom hint holds at most {MAX_BLOOM_PROBES}"
+            )
         self.bits = bytearray((self.m_bits + 7) // 8)
 
-    def _probes(self, key: bytes) -> Iterable[int]:
-        digest = hashlib.sha256(key).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1
-        m = self.m_bits
-        for i in range(self.k_hashes):
-            yield (h1 + i * h2) % m
-
     def add(self, key: bytes) -> None:
-        for idx in self._probes(key):
-            self.bits[idx >> 3] |= 1 << (idx & 7)
+        h, h2 = _hash_pair(key)
+        m, bits = self.m_bits, self.bits
+        for _ in range(self.k_hashes):
+            idx = h % m
+            bits[idx >> 3] |= 1 << (idx & 7)
+            h += h2
 
     def __contains__(self, key: bytes) -> bool:
-        for idx in self._probes(key):
-            if not self.bits[idx >> 3] & (1 << (idx & 7)):
+        h, h2 = _hash_pair(key)
+        m, bits = self.m_bits, self.bits
+        for _ in range(self.k_hashes):
+            idx = h % m
+            if not bits[idx >> 3] & (1 << (idx & 7)):
                 return False
+            h += h2
         return True
 
     def to_bytes(self) -> bytes:
@@ -328,7 +353,7 @@ class BloomFilter:
         (m_bits,) = _U64.unpack_from(payload, 0)
         k = payload[8]
         bits = payload[9:]
-        if len(bits) != (m_bits + 7) // 8 or k < 1:
+        if m_bits < 8 or len(bits) != (m_bits + 7) // 8 or k < 1:
             raise DecodeError("bloom hint malformed")
         bf = cls.__new__(cls)
         bf.m_bits = m_bits

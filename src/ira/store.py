@@ -487,10 +487,23 @@ class ArchivalStore:
     def load(cls, directory: Path) -> "ArchivalStore":
         directory = Path(directory)
         with open(directory / MANIFEST_NAME, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+            try:
+                manifest = json.load(f)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise StoreError(f"{MANIFEST_NAME}: not valid JSON ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise StoreError(f"{MANIFEST_NAME}: not a JSON object")
         if manifest.get("format") != STORE_FORMAT_VERSION:
             raise StoreError(f"unsupported store format: {manifest.get('format')}")
-        store = cls(CostModel.from_dict(manifest["cost_model"]))
+        if "cost_model" not in manifest:
+            raise StoreError(f"{MANIFEST_NAME}: no cost_model")
+        try:
+            cost_model = CostModel.from_dict(manifest["cost_model"])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise StoreError(f"{MANIFEST_NAME}: bad cost_model ({exc})") from None
+        if not isinstance(manifest.get("head_block"), int):
+            raise StoreError(f"{MANIFEST_NAME}: no integer head_block")
+        store = cls(cost_model)
         storage, accounts = store.storage, store.accounts
 
         # Fixed-width tables are checked against their record count up front;

@@ -224,6 +224,57 @@ def test_backup_digest_mismatch_exit_code(demo_pipeline, tmp_path):
     assert rc == EXIT_DIGEST
 
 
+def test_backup_summary_counts_the_blocks_it_verified(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    rc, out, _ = _run_backup(d, c, d / "hints.db", tmp_path / "backup.csv", capsys)
+    assert rc == EXIT_OK
+    assert out.splitlines()[-1] == f"run-backup: digests of 6 of 6 blocks verified against {d / 'digests.bin'}"
+
+
+def test_backup_digests_at_a_missing_path_is_missing_input(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    missing = tmp_path / "nosuch.bin"
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(d / "hints.db"),
+            "--digests", str(missing),
+            "--report", str(tmp_path / "backup.csv"),
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert err.startswith("missing input: ") and "verified" not in out
+    assert not missing.exists()
+    assert not (tmp_path / "backup.csv").exists()
+
+
+def test_backup_digests_of_other_blocks_verify_nothing(demo_pipeline, tmp_path, capsys):
+    from ira.primary import DigestLog
+
+    d, c = demo_pipeline
+    other = DigestLog(tmp_path / "other.bin")
+    other.write(999, bytes(32))
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(d / "hints.db"),
+            "--digests", str(other.path),
+            "--report", str(tmp_path / "backup.csv"),
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert err.strip() == f"run-backup: no replayed block has a digest in {other.path}"
+    assert "verified" not in out
+
+
 def test_backup_incomplete_hint_exit_code(demo_pipeline, tmp_path):
     # a structurally valid hint that omits a touched key must halt replay
     from ira.primary import Hint, HintDb, compress_hint, serialize_hint
@@ -537,6 +588,16 @@ def test_proto_rejects_malformed_scenario(tmp_path, capsys, scenario):
     assert not (tmp_path / "proto.csv").exists()
 
 
+def test_proto_rejects_target_fpr_beyond_the_probe_limit(tmp_path, capsys):
+    # 1e-80 needs 266 probes, and a bloom hint stores the count in one byte
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"encoding": "bloom", "target_fpr": 1e-80, "batches": 2}))
+    rc = main(["proto", "--scenario", str(path), "--report", str(tmp_path / "proto.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: proto scenario: target_fpr must be ")
+    assert not (tmp_path / "proto.csv").exists()
+
+
 def test_proto_rejects_unknown_scenario_settings(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"encodng": "bloom", "batches": 2, "batchs": 2}))
@@ -679,6 +740,29 @@ def test_store_of_format_1_is_store_error(demo_pipeline, tmp_path, capsys):
     rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
     assert rc == EXIT_CONFIG
     assert err.strip() == "store error: unsupported store format: 1"
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("{", "manifest.json: not valid JSON"),
+        ("[]", "manifest.json: not a JSON object"),
+        ('{"format": 2}', "manifest.json: no cost_model"),
+        ('{"format": 2, "cost_model": {"c_random_seek": 1}}', "manifest.json: bad cost_model"),
+        ('{"format": 2, "cost_model": {"c_seek": 100}}', "manifest.json: bad cost_model"),
+        ('{"format": 2, "cost_model": 7}', "manifest.json: bad cost_model"),
+        ('{"format": 2, "cost_model": {}}', "manifest.json: no integer head_block"),
+    ],
+    ids=["not-json", "not-object", "no-cost-model", "refused-model", "unknown-field", "model-not-object", "no-head-block"],
+)
+def test_bad_manifest_is_store_error(demo_pipeline, tmp_path, capsys, manifest, message):
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    (store / "manifest.json").write_text(manifest)
+    rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"store error: {message}")
+    assert not (tmp_path / "baseline.csv").exists()
 
 
 def test_primary_refuses_a_digest_log_that_holds_its_blocks(demo_pipeline, tmp_path, capsys):

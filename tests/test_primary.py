@@ -438,3 +438,10 @@ def test_digest_log_round_trip(tmp_path):
     log.write(1, b"\x01" * 32)
     log.write(2, b"\x02" * 32)
     assert log.read_all() == {1: b"\x01" * 32, 2: b"\x02" * 32}
+
+
+def test_digest_log_reader_creates_no_file(tmp_path):
+    path = tmp_path / "nosuch.bin"
+    with pytest.raises(FileNotFoundError):
+        DigestLog(path).read_all()
+    assert not path.exists()

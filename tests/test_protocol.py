@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -104,6 +106,67 @@ def test_bloom_sizing_formulas():
     expect_bits = math.ceil(-1000 * math.log(0.01) / math.log(2) ** 2)
     assert bf.m_bits == expect_bits
     assert bf.k_hashes == round(bf.m_bits / 1000 * math.log(2))
+
+
+def _reference_bloom(keys, target_fpr):
+    """The bloom hint payload, rebuilt from the formulas alone: SHA-256 of
+    the key, h1 and h2 | 1 from its bytes 0-8 and 8-16 (big-endian), probe i
+    at bit (h1 + i*h2) % m, stored LSB-first in byte bit >> 3."""
+    n = max(1, len(keys))
+    m = max(8, math.ceil(-n * math.log(target_fpr) / math.log(2) ** 2))
+    k = max(1, round(m / n * math.log(2)))
+
+    def probes(key):
+        digest = hashlib.sha256(key).digest()
+        h1 = int.from_bytes(digest[0:8], "big")
+        h2 = int.from_bytes(digest[8:16], "big") | 1
+        return [(h1 + i * h2) % m for i in range(k)]
+
+    bits = bytearray((m + 7) // 8)
+    for key in keys:
+        for idx in probes(key):
+            bits[idx >> 3] |= 1 << (idx & 7)
+
+    def member(key):
+        return all(bits[idx >> 3] >> (idx & 7) & 1 for idx in probes(key))
+
+    return struct.pack("<Q", m) + bytes((k,)) + bytes(bits), member
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bloom_payload_and_membership_match_reference(seed):
+    rng = random.Random(seed)
+    pool = [rng.randbytes(rng.randrange(1, 40)) for _ in range(600)]
+    outsiders = [rng.randbytes(rng.randrange(1, 40)) for _ in range(600)]
+    # the same keys go into filters of different widths, and are tested
+    # against each of them: a key's probe base is shared, its bits are not
+    for target_fpr in (0.5, 0.1, 0.01, 1e-4, 1e-9):
+        for n_keys in (1, 7, 60, 300):
+            keys = rng.sample(pool, n_keys)
+            payload, member = _reference_bloom(sorted(set(keys)), target_fpr)
+            hint = encode_hint(keys, "bloom", target_fpr=target_fpr)
+            assert hint.payload == payload
+            view = decode_hint("bloom", hint.payload)
+            for key in pool[:200] + outsiders[:200]:
+                assert view.member(key) == member(key)
+
+
+def test_bloom_refuses_zero_width_payload():
+    payload = struct.pack("<Q", 0) + b"\x03"
+    with pytest.raises(DecodeError):
+        decode_hint("bloom", payload)
+    hint = encode_hint([b"k"], "bloom")
+    hint.payload = payload
+    with pytest.raises(DecodeError):
+        generic_replay([read_op(b"k")], hint, GenericStore({b"k": b"v"}))
+
+
+def test_bloom_refuses_more_probes_than_a_hint_holds():
+    assert BloomFilter(1, 2e-77).k_hashes == 255  # the one byte the payload stores it in
+    with pytest.raises(ValueError, match="256 probes"):
+        BloomFilter(1, 1e-77)
+    with pytest.raises(ValueError):
+        encode_hint([b"a", b"b"], "bloom", target_fpr=1e-80)
 
 
 def test_range_membership_boundaries():
