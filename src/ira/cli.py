@@ -157,6 +157,10 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         print(f"run-primary: {clash}", file=sys.stderr)
         return EXIT_CONFIG
     store = _load_store(args, cfg)
+    if digests_path is not None:
+        # before any hint is stored: a digest log that cannot be made must
+        # not leave hints that a corrected rerun would refuse as a clash
+        digests_path.touch()
     hint_db = HintDb(hints_path)
     digest_log = DigestLog(digests_path) if digests_path is not None else None
     report = _out(args, args.report)

@@ -419,8 +419,8 @@ class HintDb:
 class DigestLog:
     """Append-only block_number -> 32-byte digest file (primary fingerprints).
 
-    The first ``write`` creates the file; ``read_all`` of a missing file
-    raises FileNotFoundError, so a reader never creates one."""
+    ``write`` appends, creating the file if need be; ``read_all`` of a
+    missing file raises FileNotFoundError, so a reader never creates one."""
 
     _REC = struct.Struct("<Q32s")
 

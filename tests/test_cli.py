@@ -803,6 +803,31 @@ def test_primary_refuses_a_digest_log_that_holds_its_blocks(demo_pipeline, tmp_p
     assert rc == EXIT_OK
 
 
+def test_primary_digest_log_in_a_missing_directory_stores_no_hint(demo_pipeline, tmp_path, capsys):
+    # the log is made before any hint is stored, so a rerun with a corrected
+    # path finds no clash in the hint database
+    d, c = demo_pipeline
+
+    def run_primary(digests_out):
+        return main(
+            [
+                "--config", c, "run-primary",
+                "--trace", str(d / "t.trace"),
+                "--store", str(d / "store"),
+                "--hints-out", str(tmp_path / "hints.db"),
+                "--digests-out", str(digests_out),
+                "--report", str(tmp_path / "primary.csv"),
+            ]
+        )
+
+    capsys.readouterr()
+    assert run_primary(tmp_path / "nosuch" / "digests.bin") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("missing input: ")
+    assert not (tmp_path / "hints.db").exists()
+    assert run_primary(tmp_path / "digests.bin") == EXIT_OK
+    assert (tmp_path / "digests.bin").read_bytes() == (d / "digests.bin").read_bytes()
+
+
 def test_build_store_onto_an_existing_file_is_io_error(demo_pipeline, tmp_path, capsys):
     d, c = demo_pipeline
     out = tmp_path / "trace.bin"

@@ -99,11 +99,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--parent", required=True, help="short sha of the parent commit")
     ap.add_argument("--change", required=True, help="one line on what the change does")
     ap.add_argument("--pair", nargs=2, action="append", required=True, metavar=("PARENT_RECORD", "CHANGE_RECORD"))
-    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = ap.parse_args(argv)
     try:
         pairs = [(json.loads(Path(p).read_text()), json.loads(Path(c).read_text())) for p, c in args.pair]
-        folded = fold(pairs, directions(args.benchmark))
+        folded = fold(pairs, directions(ROOT / "BENCHMARK.json"))
         kept = json.loads(args.out.read_text()) if args.out.exists() else {}
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_fold: {exc}", file=sys.stderr)
