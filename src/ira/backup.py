@@ -34,15 +34,15 @@ blocks not yet started. ``pipeline_run`` takes the batches in order. Before
 the producer takes a batch, the executor runs queued blocks until the channel
 has room for it. Each clock value depends only on values computed before it,
 so this order gives the same numbers as any event order that respects those
-dependencies. Warm-up batches bypass the channel, bounded by a buffer entry
-budget; like steady batches, each is prefetched on every lane, one after
-another, and its blocks are ready when its own prefetch ends.
+dependencies. Leading warm-up batches bypass the channel, bounded by a block
+count and a buffer entry budget; the first batch that does not fit ends
+warm-up for good. Like steady batches, each is prefetched on every lane, one
+after another, and its blocks are ready when its own prefetch ends.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,10 +141,6 @@ class PrefetchPlan:
     changeset_pairs: List[Tuple[StorageKey, int]]
     account_pairs: List[Tuple[bytes, int]]
     code_addrs: List[bytes]
-
-    def entry_count(self, block_number: int) -> int:
-        hint = self.per_block[block_number]
-        return hint.entry_count()
 
 
 def plan_prefetch(hints: Sequence[Hint]) -> PrefetchPlan:
@@ -278,7 +274,7 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
 
     caches: Dict[int, BlockCache] = {}
     per_block_cost: Dict[int, int] = {}
-    total_entries = sum(plan.entry_count(b) for b in plan.blocks) or 1
+    total_entries = sum(hint.entry_count() for hint in plan.per_block.values()) or 1
     remainder = wall
     for i, b in enumerate(plan.blocks):
         hint = plan.per_block[b]
@@ -298,7 +294,7 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
         if i == len(plan.blocks) - 1:
             share = remainder
         else:
-            share = wall * plan.entry_count(b) // total_entries
+            share = wall * hint.entry_count() // total_entries
         per_block_cost[b] = share
         remainder -= share
     return PrefetchResult(caches=caches, wall_cost=wall, per_block_cost=per_block_cost, route_walls=walls)
@@ -355,7 +351,6 @@ class BlockMetrics:
     t_wait: int
     t_exec: int
     prefetch_cost: int
-    miss_count: int
     hint_raw_bytes: int
     hint_compressed_bytes: int
     fallback: bool
@@ -386,7 +381,6 @@ class ReplayMetrics:
                     "t_wait",
                     "t_exec",
                     "prefetch_cost",
-                    "miss_count",
                     "hint_raw_bytes",
                     "hint_compressed_bytes",
                     "fallback",
@@ -400,7 +394,6 @@ class ReplayMetrics:
                         r.t_wait,
                         r.t_exec,
                         r.prefetch_cost,
-                        r.miss_count,
                         r.hint_raw_bytes,
                         r.hint_compressed_bytes,
                         int(r.fallback),
@@ -512,41 +505,6 @@ def pipeline_run(
     queue: Deque[_Queued] = deque()
     by_route = dict.fromkeys(ROUTES, 0)
     corrupt = 0
-
-    def enqueue(batch: _Batch, pf: PrefetchResult, ready: int, steady: bool) -> None:
-        for route, cost in pf.route_walls.items():
-            by_route[route] += cost
-        for block in batch.blocks:
-            b = block.number
-            if b in batch.fallback:
-                queue.append(_Queued(block, ready, steady))
-            else:
-                cache = pf.caches.pop(b)  # the queue holds the only reference
-                queue.append(
-                    _Queued(block, ready, steady, cache, pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b])
-                )
-
-    # Warm-up: prefetch leading batches one after another on every lane,
-    # bounded by block count and, past the first batch, the buffer entry
-    # budget; these bypass the bounded channel, and each batch is ready when
-    # its own prefetch ends. The batch that ends warm-up is the first steady
-    # batch.
-    first_steady: List[_Batch] = []
-    prod_free = warm_blocks = warm_entries = 0
-    for batch in batches:
-        entries = sum(batch.plan.entry_count(b) for b in batch.plan.blocks)
-        if warm_blocks + len(batch.blocks) > config.warmup_blocks or (
-            warm_blocks and warm_entries + entries > config.warmup_buffer_entries
-        ):
-            first_steady.append(batch)
-            break
-        pf = _prefetch_batch(batch, store, config.workers)
-        prod_free += pf.wall_cost
-        enqueue(batch, pf, prod_free, steady=False)
-        corrupt += batch.corrupt
-        warm_blocks += len(batch.blocks)
-        warm_entries += entries
-
     rows: List[BlockMetrics] = []
     steady_starts: List[int] = []  # execution start of each steady block
     exec_free = 0
@@ -571,7 +529,6 @@ def pipeline_run(
                 t_wait=start - exec_free,
                 t_exec=t_exec,
                 prefetch_cost=entry.prefetch_cost,
-                miss_count=0,  # a miss halts replay, so a finished block has none
                 hint_raw_bytes=entry.raw_bytes,
                 hint_compressed_bytes=entry.compressed_bytes,
                 fallback=entry.cache is None,
@@ -580,21 +537,44 @@ def pipeline_run(
         )
         exec_free = start + t_exec
 
-    # Steady state: a batch may enter the channel once at most
-    # channel_capacity steady blocks would be in it, not yet started; the
-    # executor runs queued blocks until then, and the producer starts when
-    # both it and the channel are free.
-    produced = 0
-    for batch in itertools.chain(first_steady, batches):
-        need = produced + len(batch.blocks) - config.channel_capacity
-        while len(steady_starts) < need:
-            execute_next()
-        room = steady_starts[need - 1] if need > 0 else 0
+    # Warm-up batches bypass the bounded channel. Warm-up is bounded by block
+    # count and, past the first batch, the buffer entry budget; the first
+    # batch over either bound ends it for good. A steady batch may enter the
+    # channel once at most channel_capacity steady blocks would be in it, not
+    # yet started: the executor runs queued blocks until then, and the
+    # producer starts when both it and the channel are free.
+    warm = True
+    prod_free = warm_blocks = warm_entries = produced = 0
+    for batch in batches:
+        room = 0
+        if warm:
+            entries = sum(hint.entry_count() for hint in batch.plan.per_block.values())
+            warm = warm_blocks + len(batch.blocks) <= config.warmup_blocks and not (
+                warm_blocks and warm_entries + entries > config.warmup_buffer_entries
+            )
+            warm_blocks += len(batch.blocks)
+            warm_entries += entries
+        if not warm:
+            need = produced + len(batch.blocks) - config.channel_capacity
+            while len(steady_starts) < need:
+                execute_next()
+            if need > 0:
+                room = steady_starts[need - 1]
+            produced += len(batch.blocks)
         pf = _prefetch_batch(batch, store, config.workers)
         prod_free = max(prod_free, room) + pf.wall_cost
-        enqueue(batch, pf, prod_free, steady=True)
+        for route, cost in pf.route_walls.items():
+            by_route[route] += cost
+        for block in batch.blocks:
+            b = block.number
+            if b in batch.fallback:
+                queue.append(_Queued(block, prod_free, not warm))
+            else:
+                cache = pf.caches.pop(b)  # the queue holds the only reference
+                queue.append(
+                    _Queued(block, prod_free, not warm, cache, pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b])
+                )
         corrupt += batch.corrupt
-        produced += len(batch.blocks)
     while queue:
         execute_next()
 

@@ -400,9 +400,6 @@ class HintDb:
     def blocks(self) -> List[int]:
         return sorted(self._index)
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def __contains__(self, block_number: int) -> bool:
         return block_number in self._index
 
@@ -419,22 +416,30 @@ class HintDb:
 class DigestLog:
     """Append-only block_number -> 32-byte digest file (primary fingerprints).
 
-    ``write`` appends, creating the file if need be; ``read_all`` of a
-    missing file raises FileNotFoundError, so a reader never creates one."""
+    A record cut short at the end of the file (a crash mid-append) is a torn
+    tail. ``read_all`` skips it and sets ``torn_bytes``; it never writes, and
+    a missing file raises FileNotFoundError, so a reader never creates one.
+    ``write`` cuts a torn tail off before it appends, creating the file if
+    need be, so the records after it stay aligned."""
 
     _REC = struct.Struct("<Q32s")
 
     def __init__(self, path: Path):
         self.path = Path(path)
+        self.torn_bytes = 0
 
     def write(self, block_number: int, digest: bytes) -> None:
         with open(self.path, "ab") as f:
+            torn = f.tell() % self._REC.size
+            if torn:
+                f.truncate(f.tell() - torn)
             f.write(self._REC.pack(block_number, digest))
 
     def read_all(self) -> Dict[int, bytes]:
         out: Dict[int, bytes] = {}
         buf = self.path.read_bytes()
-        for off in range(0, len(buf) - self._REC.size + 1, self._REC.size):
+        self.torn_bytes = len(buf) % self._REC.size
+        for off in range(0, len(buf) - self.torn_bytes, self._REC.size):
             block, digest = self._REC.unpack_from(buf, off)
             out[block] = digest
         return out

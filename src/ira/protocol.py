@@ -77,17 +77,12 @@ def write_op(key: bytes, value: bytes) -> GenericOp:
 
 
 class GenericStore:
-    """Flat byte-string key-value state with fetch counting.
-
-    ``fetches`` counts individual key reads served to a prefetcher, which is
-    what approximate encodings inflate."""
+    """Flat byte-string key-value state."""
 
     def __init__(self, data: Optional[Dict[bytes, bytes]] = None):
         self.data: Dict[bytes, bytes] = dict(data or {})
-        self.fetches = 0
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self.fetches += 1
         return self.data.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -113,7 +108,6 @@ class GenericHint:
 
     encoding: HintEncoding
     payload: bytes
-    key_count: int
 
     def size(self) -> int:
         return 1 + len(self.payload)  # tag byte + body
@@ -141,7 +135,6 @@ def generic_generate(batch: Sequence[GenericOp], store: GenericStore) -> Tuple[S
 class ReplayStats:
     prefetched: int
     extra_prefetches: int
-    misses: int
 
 
 def generic_replay(
@@ -174,27 +167,18 @@ def generic_replay(
     extra = len([k for k in to_fetch if k not in batch_keys])
 
     dirty: Dict[bytes, bytes] = {}
-    misses = 0
     for op in batch:
         key = op.key
-        if op.kind == GenericOpKind.READ:
-            if key not in cache:
-                misses += 1
-                if view.keys is not None:
-                    raise CompletenessError(f"exact hint missed key {key.hex()}")
-                raise AssertionError("membership encoding produced a false negative")
-            _ = cache[key]
-        else:
-            if key not in cache:
-                misses += 1
-                if view.keys is not None:
-                    raise CompletenessError(f"exact hint missed key {key.hex()}")
-                raise AssertionError("membership encoding produced a false negative")
+        if key not in cache:
+            if view.keys is not None:
+                raise CompletenessError(f"exact hint missed key {key.hex()}")
+            raise AssertionError("membership encoding produced a false negative")
+        if op.kind == GenericOpKind.WRITE:
             cache[key] = op.value
             dirty[key] = op.value  # type: ignore[assignment]
     for key, value in dirty.items():
         store.put(key, value)
-    return ReplayStats(prefetched=prefetched, extra_prefetches=extra, misses=misses)
+    return ReplayStats(prefetched=prefetched, extra_prefetches=extra)
 
 
 def execute_direct(batch: Sequence[GenericOp], store: GenericStore) -> None:
@@ -430,7 +414,7 @@ def encode_hint(
         if intervals is None:
             raise ValueError("range encoding requires explicit intervals")
         payload = _encode_range(intervals)
-    return GenericHint(encoding=encoding, payload=payload, key_count=len(sorted_keys))
+    return GenericHint(encoding=encoding, payload=payload)
 
 
 def decode_hint(encoding: str, payload: bytes) -> DecodedHint:

@@ -32,7 +32,7 @@ integers).
 
 On-disk layout (``save`` / ``load``): one little-endian binary file per table
 with records in native key order, plus ``manifest.json`` carrying the head
-block, prune horizon and cost-model snapshot. Each versioned table is two
+block and cost-model snapshot. Each versioned table is two
 files, its plain table and its change sets; ``load`` rebuilds the history
 index from the change sets and rejects a file whose records repeat a
 (block, key) pair or list a key's blocks out of order. See the README for
@@ -253,15 +253,6 @@ class ShardedIndex:
     def entries(self, key: bytes) -> List[int]:
         return list(self._map.get(key, ()))
 
-    def prune_before(self, horizon: int) -> None:
-        """Drop all entries with block < horizon; empty keys disappear."""
-        for key, entries in list(self._map.items()):
-            kept = entries[bisect.bisect_left(entries, horizon) :]
-            if kept:
-                self._map[key] = kept
-            else:
-                del self._map[key]
-
     def key_count(self) -> int:
         return len(self._map)
 
@@ -303,12 +294,6 @@ class VersionedTable:
         if prior:
             self.changesets[block] = prior
 
-    def prune(self, horizon: int) -> None:
-        for block in list(self.changesets):
-            if block < horizon:
-                del self.changesets[block]
-        self.history.prune_before(horizon)
-
     def locate(self, key: bytes, block: int) -> Tuple[Optional[int], Any]:
         """Where the value of ``key`` at the start of ``block`` lives.
 
@@ -337,7 +322,6 @@ class ArchivalStore:
         self.accounts = VersionedTable(None)
         self.bytecodes: Dict[bytes, bytes] = {}
         self.head_block = 0
-        self.prune_horizon: Optional[int] = None
 
     # -- building ------------------------------------------------------------
 
@@ -389,16 +373,6 @@ class ArchivalStore:
             existing = self.bytecodes.get(code_hash)
             if existing is not None and existing != code:
                 raise MalformedEffectsError("conflicting bytecode for one code hash")
-
-    def prune(self, horizon: int) -> None:
-        """Drop change sets and history entries for blocks before ``horizon``.
-
-        Keys whose whole history falls before the horizon then read (and
-        classify) as plain state.
-        """
-        self.storage.prune(horizon)
-        self.accounts.prune(horizon)
-        self.prune_horizon = horizon
 
     # -- reads ---------------------------------------------------------------
 
@@ -469,7 +443,6 @@ class ArchivalStore:
         manifest = {
             "format": STORE_FORMAT_VERSION,
             "head_block": self.head_block,
-            "prune_horizon": self.prune_horizon,
             "cost_model": self.cost_model.as_dict(),
             "counts": {
                 "plain_storage": len(self.storage.plain),
@@ -572,7 +545,6 @@ class ArchivalStore:
             raise StoreError(f"{path.name}: {exc}") from None
 
         store.head_block = manifest["head_block"]
-        store.prune_horizon = manifest.get("prune_horizon")
         return store
 
 

@@ -97,18 +97,6 @@ def storage_write(key: StorageKey, value: bytes) -> Op:
     return Op(OpKind.STORAGE_WRITE, key, check_word(value))
 
 
-def account_read(address: bytes) -> Op:
-    if len(address) != ADDRESS_LEN:
-        raise ValueError("account_read needs a 20-byte address")
-    return Op(OpKind.ACCOUNT_READ, address)
-
-
-def code_load(address: bytes) -> Op:
-    if len(address) != ADDRESS_LEN:
-        raise ValueError("code_load needs a 20-byte address")
-    return Op(OpKind.CODE_LOAD, address)
-
-
 @dataclass(slots=True)
 class Transaction:
     sender: bytes

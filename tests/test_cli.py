@@ -370,6 +370,29 @@ def test_backup_torn_hint_record_payload_falls_back_for_its_block(demo_pipeline,
         assert [int(r["block"]) for r in csv.DictReader(f) if r["fallback"] == "1"] == [6]
 
 
+def test_backup_torn_digest_log_tail_is_reported_and_left_alone(demo_pipeline, tmp_path, capsys):
+    d, c = demo_pipeline
+    blob = (d / "digests.bin").read_bytes()
+    torn = tmp_path / "digests.bin"
+    torn.write_bytes(blob[:-20])  # the last block's record, cut 20 bytes short
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(d / "hints.db"),
+            "--digests", str(torn),
+            "--report", str(tmp_path / "backup.csv"),
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert rc == EXIT_OK
+    assert f"ignoring a torn tail of 20 bytes in {torn}" in err
+    assert "digests of 5 of 6 blocks verified" in out
+    assert torn.read_bytes() == blob[:-20]
+
+
 def test_backup_bad_hint_database_header_is_exit_2(demo_pipeline, tmp_path, capsys):
     d, c = demo_pipeline
     bad = tmp_path / "bad.db"
@@ -975,6 +998,14 @@ def test_rerun_into_its_own_outputs_writes_the_same_bytes_or_exits_2(demo_cycle,
     assert (rc == EXIT_CONFIG) == (command == "run-primary"), capsys.readouterr().err
 
 
+def test_compare_wait_share_is_the_wait_over_the_wall(demo_cycle):
+    d, _ = demo_cycle
+    backup = json.loads((d / "backup.csv.meta.json").read_text())
+    summary = json.loads((d / "compare.csv.meta.json").read_text())["summary"]
+    assert backup["wait_total"] > 0
+    assert summary["wait_share_of_wall"] == backup["wait_total"] / backup["wall_cost"]
+
+
 def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):
     # main runs every command with the cyclic collector off, which is only
     # free if what a command leaves behind is acyclic: the few cycles that
@@ -1003,28 +1034,36 @@ def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):
         assert small == large, (command, small, large)
 
 
-def test_bench_launcher_finds_the_names_it_wraps(demo_pipeline, tmp_path):
+def test_bench_launcher_finds_the_names_it_wraps(demo_config, tmp_path):
     # bench/launch.py wraps ira functions and methods, and reads PrefetchPlan
-    # fields, by name; a renamed one fails here rather than in a traced
-    # benchmark run
+    # fields, by name; a renamed or deleted one fails here, in a traced demo
+    # cycle, rather than in a traced benchmark run
     import os
     import subprocess
     import sys
 
-    d, c = demo_pipeline
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
 
     def launch(*ira_args):
-        spans = tmp_path / "spans.json"
-        argv = [sys.executable, str(root / "bench" / "launch.py"), str(spans), "--config", c, *ira_args]
+        spans = tmp_path / f"{ira_args[0]}.json"
+        argv = [sys.executable, str(root / "bench" / "launch.py"), str(spans), "--config", str(demo_config), *ira_args]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return json.loads(spans.read_text())
 
-    assert "store.history_lookup" in launch("gen-trace", "--out", str(tmp_path / "t.bin"))["counts"]
-    inputs = ["--trace", str(d / "t.trace"), "--store", str(d / "store")]
-    counts = launch("run-backup", *inputs, "--hints", str(d / "hints.db"), "--report", str(tmp_path / "b.csv"))["counts"]
+    def span_names(traced):
+        return {span[0] for span in traced["spans"]}
+
+    t, s, h, g = (str(tmp_path / name) for name in ("t.trace", "store", "hints.db", "digests.bin"))
+    assert "store.history_lookup" in launch("gen-trace", "--out", t)["counts"]
+    assert "store.apply_block" in span_names(launch("build-store", "--trace", t, "--out", s))
+    inputs = ["--trace", t, "--store", s]
+    primary = launch("run-primary", *inputs, "--hints-out", h, "--digests-out", g, "--report", str(tmp_path / "p.csv"))
+    assert "primary.annotate_sources" in span_names(primary)
+    backup = launch("run-backup", *inputs, "--hints", h, "--digests", g, "--report", str(tmp_path / "b.csv"))
+    assert "backup.replay_block" in span_names(backup)
+    counts = backup["counts"]
     entries = [counts[f"backup.entries_{route}"] for route in ("plain", "zero", "changeset", "account", "code")]
     assert sum(entries) > 0
     assert counts["store.history_lookup"] > 0

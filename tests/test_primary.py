@@ -360,7 +360,7 @@ def test_hintdb_survives_reopen(tmp_path):
     db.close()
     db2 = HintDb(path, create=False)
     assert db2.read_hint(2) == b"two"
-    assert len(db2) == 2
+    assert db2.blocks() == [1, 2]
     db2.close()
 
 
@@ -445,3 +445,15 @@ def test_digest_log_reader_creates_no_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         DigestLog(path).read_all()
     assert not path.exists()
+
+
+def test_digest_log_writer_cuts_torn_tail_before_appending(tmp_path):
+    path = tmp_path / "digests.bin"
+    log = DigestLog(path)
+    for b in (1, 2, 3):
+        log.write(b, bytes([b]) * 32)
+    path.write_bytes(path.read_bytes()[:-20])  # block 3's record, cut 20 bytes short
+    log.write(4, b"\x04" * 32)
+    log.write(5, b"\x05" * 32)
+    assert log.read_all() == {b: bytes([b]) * 32 for b in (1, 2, 4, 5)}
+    assert log.torn_bytes == 0

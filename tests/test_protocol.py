@@ -208,7 +208,6 @@ def test_replay_matches_direct_execution_all_encodings(encoding):
         stats = generic_replay(batch, hint, backup, candidates=universe)
         execute_direct(batch, direct)
         assert backup.state() == direct.state() == primary.state()
-        assert stats.misses == 0
         assert stats.extra_prefetches >= 0
 
 

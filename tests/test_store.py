@@ -50,9 +50,9 @@ def test_read_as_of_matches_brute_force_replay_oracle():
 
 def test_as_of_reads_match_per_block_snapshots():
     """An oracle that shares no code with the store: the full state after
-    every block. At every block from the prune horizon on, each read returns
-    the state before the block and charges one seek for a key that was never
-    seeded or written, two for any other key."""
+    every block. At every block, each read returns the state before the
+    block and charges one seek for a key that was never seeded or written,
+    two for any other key."""
     keys = [mk_key(i) for i in range(10)]
     addrs = [mk_addr(i) for i in range(6)]
     seek = CostModel().c_random_seek
@@ -64,7 +64,6 @@ def test_as_of_reads_match_per_block_snapshots():
         store.seed_genesis(dict(storage), dict(accounts))
         snapshots = [(storage, accounts)]  # snapshots[b - 1]: the state at the start of block b
         present = set(storage) | set(accounts)
-        horizon = 1
         for number in range(1, rng.randrange(2, 40)):
             effects = Effects()
             for key in rng.sample(keys, rng.randrange(0, 4)):
@@ -76,10 +75,7 @@ def test_as_of_reads_match_per_block_snapshots():
             accounts = {**accounts, **effects.accounts}
             snapshots.append((storage, accounts))
             present |= set(effects.storage) | set(effects.accounts)
-            if rng.random() < 0.2:
-                horizon = rng.randrange(horizon, number + 2)
-                store.prune(horizon)
-        for b in range(horizon, store.head_block + 2):
+        for b in range(1, store.head_block + 2):
             state_storage, state_accounts = snapshots[b - 1]
             for key in keys:
                 meter = CostMeter()
@@ -198,22 +194,6 @@ def test_account_as_of_round_trip():
     assert store.account_as_of(a, 1) is None  # created at block 1
     assert store.account_as_of(a, 2) == Account(balance=10, nonce=1)
     assert store.account_as_of(a, 3) == Account(balance=20, nonce=2)
-
-
-# -- prune -------------------------------------------------------------------------
-
-
-def test_pruned_history_classifies_as_plain():
-    store = ArchivalStore()
-    k = mk_key(1)
-    store.apply_block(1, Effects(storage={k: mk_word(5)}))
-    store.apply_block(2, Effects())
-    store.prune(2)
-    assert store.storage.history.entries(k) == []
-    assert 1 not in store.storage.changesets
-    # with history gone, any as-of read resolves from the plain table
-    assert store.read_as_of(k, 1) == mk_word(5)
-    assert store.prune_horizon == 2
 
 
 # -- walk_wall ---------------------------------------------------------------------
@@ -356,31 +336,6 @@ def _assert_same_history(loaded: ArchivalStore, store: ArchivalStore) -> None:
         assert ours.history.key_count() == theirs.history.key_count()
         for key in keys:
             assert ours.history.entries(key) == theirs.history.entries(key), key
-
-
-def test_pruned_store_round_trips_with_the_same_index(tmp_path):
-    store = ArchivalStore()
-    k1, k2, a = mk_key(1), mk_key(2), mk_addr(1)
-    store.apply_block(1, Effects(storage={k1: mk_word(1), k2: mk_word(1)}, accounts={a: Account(balance=1)}))
-    store.apply_block(2, Effects(storage={k1: mk_word(2)}))
-    store.apply_block(3, Effects())
-    store.apply_block(4, Effects(storage={k1: mk_word(4)}, accounts={a: Account(balance=4)}))
-    store.prune(2)
-
-    store.save(tmp_path / "store")
-    loaded = ArchivalStore.load(tmp_path / "store")
-
-    assert (loaded.head_block, loaded.prune_horizon) == (4, 2)
-    assert loaded.storage.changesets == store.storage.changesets
-    assert loaded.accounts.changesets == store.accounts.changesets
-    assert sorted(loaded.storage.changesets) == [2, 4]
-    _assert_same_history(loaded, store)
-    assert loaded.storage.history.entries(k1) == [2, 4]
-    assert loaded.storage.history.entries(k2) == []
-    for b in range(1, 6):
-        for key in (k1, k2):
-            assert loaded.read_as_of(key, b) == store.read_as_of(key, b), (key, b)
-        assert loaded.account_as_of(a, b) == store.account_as_of(a, b), b
 
 
 def test_saved_store_holds_each_table_once(tmp_path):
