@@ -602,6 +602,10 @@ class BaselineCacheConfig:
     storage: int = 1_000_000
     codes: int = 10_000
 
+    def __post_init__(self) -> None:
+        if min(self.accounts, self.storage, self.codes) < 0:
+            raise ValueError("capacities must be non-negative")
+
 
 class _LruMap:
     __slots__ = ("capacity", "_data")

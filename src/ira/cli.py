@@ -212,9 +212,7 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
             # a crash mid-append; the torn block's digest is not checked
             print(f"run-backup: ignoring a torn tail of {digest_log.torn_bytes} bytes in {args.digests}", file=sys.stderr)
     store = _load_store(args, cfg)
-    pipeline_cfg = config_mod.pipeline_config(
-        cfg, workers=args.workers, batch_size=args.batch, channel_capacity=args.channel
-    )
+    pipeline_cfg = config_mod.pipeline_config(cfg)
     hint_db = HintDb(Path(args.hints), create=False) if args.hints else None
     if hint_db is not None and hint_db.torn_bytes:
         # a crash mid-append; the torn block falls back like a missing hint
@@ -621,9 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--hints", default=None, help="hint database (omit to force fallback)")
     p.add_argument("--digests", default=None, help="verify against a primary digest log")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--channel", type=int, default=None)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_run_backup)
 

@@ -64,6 +64,9 @@ def load_config(path: Optional[Path]) -> Dict[str, Any]:
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in user.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name} must be a JSON object, got {json.dumps(section)}")
     return _deep_merge(DEFAULT_CONFIG, user)
 
 
@@ -93,21 +96,9 @@ def baseline_cache(config: Dict[str, Any]) -> BaselineCacheConfig:
         raise ConfigError(f"bad baseline_cache section: {exc}") from None
 
 
-def pipeline_config(
-    config: Dict[str, Any],
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    channel_capacity: Optional[int] = None,
-) -> PipelineConfig:
-    section = dict(config["pipeline"])
-    if workers is not None:
-        section["workers"] = workers
-    if batch_size is not None:
-        section["batch_size"] = batch_size
-    if channel_capacity is not None:
-        section["channel_capacity"] = channel_capacity
+def pipeline_config(config: Dict[str, Any]) -> PipelineConfig:
     try:
-        cfg = PipelineConfig(**{k: int(v) for k, v in section.items()})
+        cfg = PipelineConfig(**{k: int(v) for k, v in config["pipeline"].items()})
         cfg.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad pipeline section: {exc}") from None

@@ -174,7 +174,6 @@ def generic_replay(
                 raise CompletenessError(f"exact hint missed key {key.hex()}")
             raise AssertionError("membership encoding produced a false negative")
         if op.kind == GenericOpKind.WRITE:
-            cache[key] = op.value
             dirty[key] = op.value  # type: ignore[assignment]
     for key, value in dirty.items():
         store.put(key, value)

@@ -32,11 +32,14 @@ integers).
 
 On-disk layout (``save`` / ``load``): one little-endian binary file per table
 with records in native key order, plus ``manifest.json`` carrying the head
-block and cost-model snapshot. Each versioned table is two
-files, its plain table and its change sets; ``load`` rebuilds the history
-index from the change sets and rejects a file whose records repeat a
-(block, key) pair or list a key's blocks out of order. See the README for
-the byte layout of each file.
+block and cost-model snapshot. Each versioned table is two files, its plain
+table and its change sets; ``_TABLES`` is the one list of the files, their
+record shapes, key widths and value codecs, and both ``save`` and ``load``
+walk it. ``load`` accepts a file only if the records it reads match the
+file's count and end exactly at its last byte; it rebuilds the history index
+from the change sets and rejects a file whose records repeat a (block, key)
+pair or list a key's blocks out of order. See the README for the byte layout
+of each file.
 """
 
 from __future__ import annotations
@@ -47,19 +50,18 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 ADDRESS_LEN = 20
 SLOT_LEN = 32
 KEY_LEN = ADDRESS_LEN + SLOT_LEN
 WORD_LEN = 32
+HASH_LEN = 32
 ZERO_WORD = b"\x00" * WORD_LEN
 
 STORE_FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
-# plain table and change sets of each versioned table
-_STORAGE_FILES = ("plain_storage.bin", "storage_changesets.bin")
-_ACCOUNT_FILES = ("plain_accounts.bin", "account_changesets.bin")
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -153,9 +155,51 @@ def _unpack_account(buf: bytes, off: int) -> Tuple[Account, int]:
     off += 41
     code_hash = None
     if flag:
-        code_hash = bytes(buf[off : off + 32])
-        off += 32
+        code_hash = buf[off : off + HASH_LEN]
+        off += HASH_LEN
     return Account(balance, nonce, code_hash), off
+
+
+def _unpack_prior_account(buf: bytes, off: int) -> Tuple[Optional[Account], int]:
+    if buf[off]:
+        return _unpack_account(buf, off + 1)
+    return None, off + 1
+
+
+def _unpack_word(buf: bytes, off: int) -> Tuple[bytes, int]:
+    return buf[off : off + WORD_LEN], off + WORD_LEN
+
+
+def _pack_code(code: bytes) -> bytes:
+    return _U32.pack(len(code)) + code
+
+
+def _unpack_code(buf: bytes, off: int) -> Tuple[bytes, int]:
+    (n,) = _U32.unpack_from(buf, off)
+    off += 4
+    return buf[off : off + n], off + n
+
+
+class _Table(NamedTuple):
+    """One table file: a u64 record count, then records in key order (a
+    change-set file orders them by block, then key)."""
+
+    name: str
+    changes: bool  # records are ``u64 block | key | value``, else ``key | value``
+    part: Callable[[ArchivalStore], Any]  # the plain dict, or the versioned table
+    key_len: int
+    make_key: Callable[[bytes], bytes]
+    pack: Callable[[Any], bytes]
+    unpack: Callable[[bytes, int], Tuple[Any, int]]  # (value, offset after it)
+
+
+_TABLES = (
+    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, unchecked_storage_key, bytes, _unpack_word),
+    _Table("plain_accounts.bin", False, attrgetter("accounts.plain"), ADDRESS_LEN, bytes, pack_account, _unpack_account),
+    _Table("bytecodes.bin", False, attrgetter("bytecodes"), HASH_LEN, bytes, _pack_code, _unpack_code),
+    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, unchecked_storage_key, bytes, _unpack_word),
+    _Table("account_changesets.bin", True, attrgetter("accounts"), ADDRESS_LEN, bytes, _pack_prior_account, _unpack_prior_account),
+)
 
 
 @dataclass(frozen=True)
@@ -412,45 +456,28 @@ class ArchivalStore:
     def save(self, directory: Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-
-        for table, (plain_name, cs_name), pack, pack_prior in (
-            (self.storage, _STORAGE_FILES, bytes, bytes),
-            (self.accounts, _ACCOUNT_FILES, pack_account, _pack_prior_account),
-        ):
-            with open(directory / plain_name, "wb") as f:
-                f.write(_U64.pack(len(table.plain)))
-                for key in sorted(table.plain):
-                    f.write(key)
-                    f.write(pack(table.plain[key]))
-
-            with open(directory / cs_name, "wb") as f:
-                f.write(_U64.pack(sum(len(cs) for cs in table.changesets.values())))
-                for block in sorted(table.changesets):
-                    cs = table.changesets[block]
-                    for key in sorted(cs):
-                        f.write(_U64.pack(block))
+        for table in _TABLES:
+            part, pack = table.part(self), table.pack
+            with open(directory / table.name, "wb") as f:
+                if table.changes:
+                    changesets = part.changesets
+                    f.write(_U64.pack(sum(map(len, changesets.values()))))
+                    for block in sorted(changesets):
+                        cs, prefix = changesets[block], _U64.pack(block)
+                        for key in sorted(cs):
+                            f.write(prefix)
+                            f.write(key)
+                            f.write(pack(cs[key]))
+                else:
+                    f.write(_U64.pack(len(part)))
+                    for key in sorted(part):
                         f.write(key)
-                        f.write(pack_prior(cs[key]))
-
-        with open(directory / "bytecodes.bin", "wb") as f:
-            f.write(_U64.pack(len(self.bytecodes)))
-            for code_hash in sorted(self.bytecodes):
-                code = self.bytecodes[code_hash]
-                f.write(code_hash)
-                f.write(_U32.pack(len(code)))
-                f.write(code)
+                        f.write(pack(part[key]))
 
         manifest = {
             "format": STORE_FORMAT_VERSION,
             "head_block": self.head_block,
             "cost_model": self.cost_model.as_dict(),
-            "counts": {
-                "plain_storage": len(self.storage.plain),
-                "plain_accounts": len(self.accounts.plain),
-                "bytecodes": len(self.bytecodes),
-                "storage_history_keys": self.storage.history.key_count(),
-                "account_history_keys": self.accounts.history.key_count(),
-            },
         }
         with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
@@ -477,90 +504,39 @@ class ArchivalStore:
         if not isinstance(manifest.get("head_block"), int):
             raise StoreError(f"{MANIFEST_NAME}: no integer head_block")
         store = cls(cost_model)
-        storage, accounts = store.storage, store.accounts
 
-        # Fixed-width tables are checked against their record count up front;
-        # the other tables must end exactly where their last record does. The
-        # history index is rebuilt from the change-set records: they are sorted
-        # by block, so each key's blocks arrive ascending, and the index's add
-        # refuses a repeated or out-of-order record.
-        path = directory / "plain_storage.bin"
-        try:
-            width = KEY_LEN + WORD_LEN
-            buf, count = _read_table(path, width)
-            for off in range(8, 8 + count * width, width):
-                key = unchecked_storage_key(buf[off : off + KEY_LEN])
-                storage.plain[key] = buf[off + KEY_LEN : off + width]
-
-            path = directory / "plain_accounts.bin"
-            buf, count = _read_table(path)
-            off = 8
-            for _ in range(count):
-                addr = bytes(buf[off : off + ADDRESS_LEN])
-                off += ADDRESS_LEN
-                acc, off = _unpack_account(buf, off)
-                accounts.plain[addr] = acc
-            _check_end(path, buf, off)
-
-            path = directory / "bytecodes.bin"
-            buf, count = _read_table(path)
-            off = 8
-            for _ in range(count):
-                code_hash = bytes(buf[off : off + 32])
-                off += 32
-                (clen,) = _U32.unpack_from(buf, off)
-                off += 4
-                store.bytecodes[code_hash] = bytes(buf[off : off + clen])
-                off += clen
-            _check_end(path, buf, off)
-
-            path = directory / "storage_changesets.bin"
-            width = 8 + KEY_LEN + WORD_LEN
-            buf, count = _read_table(path, width)
-            for off in range(8, 8 + count * width, width):
-                (block,) = _U64.unpack_from(buf, off)
-                key = unchecked_storage_key(buf[off + 8 : off + 8 + KEY_LEN])
-                storage.changesets.setdefault(block, {})[key] = buf[off + 8 + KEY_LEN : off + width]
-                storage.history.add(key, block)
-
-            path = directory / "account_changesets.bin"
-            buf, count = _read_table(path)
-            off = 8
-            for _ in range(count):
-                (block,) = _U64.unpack_from(buf, off)
-                off += 8
-                addr = bytes(buf[off : off + ADDRESS_LEN])
-                off += ADDRESS_LEN
-                flag = buf[off]
-                off += 1
-                prior: Optional[Account] = None
-                if flag:
-                    prior, off = _unpack_account(buf, off)
-                accounts.changesets.setdefault(block, {})[addr] = prior
-                accounts.history.add(addr, block)
-            _check_end(path, buf, off)
-        except (struct.error, IndexError, ValueError) as exc:
-            raise StoreError(f"{path.name}: record cut short ({exc})") from None
-        except OrderingError as exc:
-            raise StoreError(f"{path.name}: {exc}") from None
+        # Each walk stops at the end of the file, whatever its count says.
+        # The history index is rebuilt from the change-set records: they are
+        # sorted by block, so each key's blocks arrive ascending, and the
+        # index's add refuses a repeated or out-of-order record.
+        for table in _TABLES:
+            buf = (directory / table.name).read_bytes()
+            part, make_key, key_len, unpack = table.part(store), table.make_key, table.key_len, table.unpack
+            n, off, end = 0, 8, len(buf)
+            try:
+                (count,) = _U64.unpack_from(buf)
+                if table.changes:
+                    changesets, add, block_at = part.changesets, part.history.add, _U64.unpack_from
+                    while off < end:
+                        (block,) = block_at(buf, off)
+                        key = make_key(buf[off + 8 : off + 8 + key_len])
+                        changesets.setdefault(block, {})[key], off = unpack(buf, off + 8 + key_len)
+                        add(key, block)
+                        n += 1
+                else:
+                    while off < end:
+                        key = make_key(buf[off : off + key_len])
+                        part[key], off = unpack(buf, off + key_len)
+                        n += 1
+            except (struct.error, IndexError, ValueError) as exc:
+                raise StoreError(f"{table.name}: record cut short ({exc})") from None
+            except OrderingError as exc:
+                raise StoreError(f"{table.name}: {exc}") from None
+            if n != count or off != end:
+                raise StoreError(f"{table.name}: {n} records end at byte {off} of {end}, count says {count}")
 
         store.head_block = manifest["head_block"]
         return store
-
-
-def _read_table(path: Path, width: int = 0) -> Tuple[bytes, int]:
-    """A table file's bytes and its record count; for fixed-width records
-    (``width`` > 0) the file length must match the count exactly."""
-    buf = path.read_bytes()
-    (count,) = _U64.unpack_from(buf, 0)
-    if width and len(buf) != 8 + count * width:
-        raise StoreError(f"{path.name}: {len(buf)} bytes, expected {8 + count * width} for {count} records")
-    return buf, count
-
-
-def _check_end(path: Path, buf: bytes, off: int) -> None:
-    if off != len(buf):
-        raise StoreError(f"{path.name}: records end at byte {off}, file has {len(buf)}")
 
 
 class StoreView:

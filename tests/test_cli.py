@@ -710,30 +710,66 @@ def _copy_store(d: Path, tmp_path: Path) -> Path:
     return Path(shutil.copytree(d / "store", tmp_path / "store"))
 
 
-@pytest.mark.parametrize("cut, extra", [(40, b""), (0, b"\x00\x01\x02")])
-@pytest.mark.parametrize("table", ["plain_storage.bin", "plain_accounts.bin", "account_changesets.bin"])
-def test_store_table_of_wrong_length_is_store_error(demo_pipeline, tmp_path, capsys, table, cut, extra):
-    d, c = demo_pipeline
-    store = _copy_store(d, tmp_path)
-    blob = (store / table).read_bytes()
-    assert len(blob) > 8 + cut, "fixture table must hold records"
-    (store / table).write_bytes(blob[: len(blob) - cut] + extra)
-    rc = main(
-        [
-            "--config", c, "run-baseline",
-            "--trace", str(d / "t.trace"),
-            "--store", str(store),
-            "--report", str(tmp_path / "baseline.csv"),
-        ]
-    )
-    assert rc == EXIT_CONFIG
-    assert f"store error: {table}" in capsys.readouterr().err
+STORE_TABLES = [
+    "plain_storage.bin",
+    "plain_accounts.bin",
+    "bytecodes.bin",
+    "storage_changesets.bin",
+    "account_changesets.bin",
+]
 
 
 def _run_baseline_on(d: Path, c: str, store: Path, report: Path, capsys):
     capsys.readouterr()
     rc = main(["--config", c, "run-baseline", "--trace", str(d / "t.trace"), "--store", str(store), "--report", str(report)])
     return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut, extra", [(40, b""), (0, b"\x00\x01\x02")])
+@pytest.mark.parametrize("table", STORE_TABLES)
+def test_store_table_of_wrong_length_is_store_error(demo_pipeline, tmp_path, capsys, table, cut, extra):
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    blob = (store / table).read_bytes()
+    assert len(blob) > 8 + cut, "fixture table must hold records"
+    (store / table).write_bytes(blob[: len(blob) - cut] + extra)
+    rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"store error: {table}: ")
+
+
+@pytest.mark.parametrize("delta", [1, -1, 2**62], ids=["count+1", "count-1", "count=2**62"])
+@pytest.mark.parametrize("table", STORE_TABLES)
+def test_store_table_of_wrong_count_is_store_error(demo_pipeline, tmp_path, capsys, table, delta):
+    # the count field is outside input too: a huge one must not make load
+    # walk (or allocate) past the end of the file
+    import time
+
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    blob = (store / table).read_bytes()
+    count = int.from_bytes(blob[:8], "little")
+    assert count > 1, "fixture table must hold records"
+    new_count = delta if delta == 2**62 else count + delta
+    (store / table).write_bytes(new_count.to_bytes(8, "little") + blob[8:])
+    start = time.monotonic()
+    rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
+    assert time.monotonic() - start < 30
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"store error: {table}: ")
+    assert not (tmp_path / "baseline.csv").exists()
+
+
+def test_loaded_store_saves_every_file_byte_for_byte(demo_pipeline, tmp_path):
+    from ira.store import ArchivalStore
+
+    d, _ = demo_pipeline
+    ArchivalStore.load(d / "store").save(tmp_path / "again")
+    names = sorted(p.name for p in (d / "store").iterdir())
+    assert names == sorted(STORE_TABLES + ["manifest.json"])
+    assert sorted(p.name for p in (tmp_path / "again").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "again" / name).read_bytes() == (d / "store" / name).read_bytes(), name
 
 
 def test_repeated_changeset_record_is_store_error_naming_the_file(demo_pipeline, tmp_path, capsys):
@@ -894,6 +930,40 @@ def test_config_cost_model_must_match_store(demo_pipeline, demo_config, tmp_path
     err = capsys.readouterr().err
     assert "'c_random_seek': 200" in err and "'c_random_seek': 100" in err
     assert not (tmp_path / "report.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"pipeline": 5}, "config section pipeline must be a JSON object"),
+        ({"generator": [1]}, "config section generator must be a JSON object"),
+        ({"cost_model": "x"}, "config section cost_model must be a JSON object"),
+        ({"baseline_cache": None}, "config section baseline_cache must be a JSON object"),
+        ({"baseline_cache": {"storage": -5}}, "bad baseline_cache section: capacities must be non-negative"),
+    ],
+    ids=["pipeline", "generator", "cost_model", "baseline_cache", "negative-capacity"],
+)
+def test_bad_config_section_is_config_error(demo_pipeline, tmp_path, capsys, section, message):
+    d, _ = demo_pipeline
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(section))
+    rc, err = _run_baseline_on(d, str(path), d / "store", tmp_path / "baseline.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.startswith(f"config error: {message}")
+    assert not (tmp_path / "baseline.csv").exists()
+
+
+def test_backup_has_no_pipeline_override_flags(demo_pipeline, tmp_path, capsys):
+    # the config's pipeline section is the one place these settings live,
+    # so the sidecar's config hash covers them
+    d, c = demo_pipeline
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", c, "run-backup", "--trace", str(d / "t.trace"), "--store", str(d / "store"),
+              "--workers", "4", "--report", str(tmp_path / "backup.csv")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+    assert not (tmp_path / "backup.csv").exists()
 
 
 def test_pipeline_crash_on_miss_is_not_a_config_field():
