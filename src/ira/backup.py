@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from . import IraError
+from .config import BaselineCacheConfig, PipelineConfig
 from .store import (
     Account,
     ArchivalStore,
@@ -72,8 +74,11 @@ from .primary import (
 from .workload import Block, execute_block
 
 
-class CacheMissError(Exception):
+class CacheMissError(IraError):
     """Replay touched a key its hint did not cover; execution halts."""
+
+    prefix = "completeness violation"
+    exit_code = 3
 
     def __init__(self, domain: str, key: bytes, block_number: int):
         self.domain = domain
@@ -327,25 +332,6 @@ def replay_block(block: Block, cache: BlockCache, cost_model: CostModel) -> Repl
 
 
 @dataclass
-class PipelineConfig:
-    batch_size: int = 32
-    channel_capacity: int = 100
-    warmup_blocks: int = 32
-    warmup_buffer_entries: int = 134_217_728  # 8 GiB at ~64 bytes per entry
-    workers: int = 16
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.channel_capacity < self.batch_size:
-            raise ValueError("channel_capacity must be >= batch_size (deadlock guard)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.warmup_blocks < 0 or self.warmup_buffer_entries < 0:
-            raise ValueError("warm-up sizes must be non-negative")
-
-
-@dataclass
 class BlockMetrics:
     block: int
     t_wait: int
@@ -592,19 +578,6 @@ def pipeline_run(
 
 
 # -- baseline ---------------------------------------------------------------------
-
-
-@dataclass
-class BaselineCacheConfig:
-    """Cross-block LRU capacities (entries) for the unhinted baseline."""
-
-    accounts: int = 100_000
-    storage: int = 1_000_000
-    codes: int = 10_000
-
-    def __post_init__(self) -> None:
-        if min(self.accounts, self.storage, self.codes) < 0:
-            raise ValueError("capacities must be non-negative")
 
 
 class _LruMap:

@@ -1,9 +1,18 @@
 """Command-line front end tying the pipeline together.
 
-Subcommands: gen-trace, build-store, run-baseline, run-primary, run-backup,
-cachesim, proto, compare. Every run emits a CSV report plus a ``.meta.json``
-sidecar carrying the config hash and cost-model snapshot; ``compare`` refuses
-to join reports whose hashes disagree.
+Subcommands: gen-trace, build-store, run-primary, run-baseline, run-backup,
+compare, cachesim, proto, analyze. gen-trace writes a trace and build-store a
+store directory. run-primary, run-baseline, run-backup, compare and proto each
+write a CSV report plus a ``.meta.json`` sidecar; the sidecars of the three
+``run-*`` reports carry the config hash and cost-model snapshot, and
+``compare`` refuses to join reports whose hashes disagree. cachesim and
+analyze print their results.
+
+Each command imports the ``ira`` modules it runs when it runs. At load time
+this module takes only the error classes of the package itself, so a
+command does not pay to load the rest: compare loads no other module,
+``cachesim --trace-file`` only the cache simulator, and proto only the
+protocol.
 
 Exit codes: 0 ok, 2 config, input or output error, 3 completeness
 violation (replay touched a key outside its hint), 4 digest mismatch.
@@ -17,17 +26,12 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import backup as backup_mod
-from . import cachesim as cachesim_mod
-from . import config as config_mod
-from . import protocol as protocol_mod
-from . import workload as workload_mod
-from .backup import CacheMissError
-from .primary import DigestLog, HintDb, HintIntegrityError, run_primary_block
-from .store import ArchivalStore, StoreError
-from .workload import iter_trace, iter_trace_file, read_trace_params
+from . import ConfigError, IraError
+
+if TYPE_CHECKING:
+    from .store import ArchivalStore
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,16 +56,9 @@ def _write_sidecar(report_path: Path, payload: Dict) -> None:
         f.write("\n")
 
 
-def _sidecar_for(report_path: Path) -> Dict:
-    side = report_path.with_suffix(report_path.suffix + ".meta.json")
-    try:
-        with open(side, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise config_mod.ConfigError(f"missing report sidecar: {side}") from None
-
-
 def _config_fingerprints(cfg: Dict) -> Dict[str, str]:
+    from . import config as config_mod
+
     return {
         "config_hash": config_mod.content_hash(cfg),
         "cost_model_hash": config_mod.content_hash(cfg["cost_model"]),
@@ -69,24 +66,30 @@ def _config_fingerprints(cfg: Dict) -> Dict[str, str]:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
+    from . import config as config_mod
+    from . import workload as workload_mod
+
     cfg = config_mod.load_config(args.config)
     params = config_mod.generator_params(cfg, seed=args.seed)
     out = _out(args, args.out)
-    count = workload_mod.save_trace(out, params, iter_trace(params))
+    count = workload_mod.save_trace(out, params, workload_mod.iter_trace(params))
     print(f"gen-trace: wrote {count} blocks to {out} (params hash {params.content_hash()[:12]})")
     return EXIT_OK
 
 
 def cmd_build_store(args: argparse.Namespace) -> int:
+    from . import config as config_mod
+    from . import workload as workload_mod
+
     cfg = config_mod.load_config(args.config)
     model = config_mod.cost_model(cfg)
     trace_path = Path(args.trace)
-    params, count = read_trace_params(trace_path)
+    params, count = workload_mod.read_trace_params(trace_path)
     storage_keys = None
     if params.seed_trace_keys:
-        storage_keys = workload_mod.collect_storage_keys(iter_trace_file(trace_path))
+        storage_keys = workload_mod.collect_storage_keys(workload_mod.iter_trace_file(trace_path))
     genesis = workload_mod.derive_genesis(params, storage_keys)
-    store = workload_mod.build_store(iter_trace_file(trace_path), genesis, model)
+    store = workload_mod.build_store(workload_mod.iter_trace_file(trace_path), genesis, model)
     store.save(_out(args, args.out))
     print(f"build-store: applied {count} blocks, head={store.head_block}, saved to {args.out}")
     return EXIT_OK
@@ -96,16 +99,23 @@ def _load_store(args: argparse.Namespace, cfg: Dict) -> ArchivalStore:
     """Load ``--store``. Its costs come from the model in its manifest, so a
     config naming another model would label reports with costs they were not
     computed under."""
+    from . import config as config_mod
+    from .store import ArchivalStore
+
     store = ArchivalStore.load(Path(args.store))
     model = config_mod.cost_model(cfg)
     if model != store.cost_model:
-        raise config_mod.ConfigError(
+        raise ConfigError(
             f"config cost model {model.as_dict()} differs from the store's {store.cost_model.as_dict()}"
         )
     return store
 
 
 def cmd_run_baseline(args: argparse.Namespace) -> int:
+    from . import backup as backup_mod
+    from . import config as config_mod
+    from .workload import iter_trace_file
+
     cfg = config_mod.load_config(args.config)
     store = _load_store(args, cfg)
     cache_cfg = config_mod.baseline_cache(cfg)
@@ -134,6 +144,9 @@ def _rerun_clash(trace_path: Path, hints_path: Path, digests_path: Optional[Path
     """Why ``run-primary`` must not write: the hint database, else the digest
     log, already holds an entry for a block of the trace, and the first such
     block in trace order is named. ``None`` if neither does; creates no file."""
+    from . import workload as workload_mod
+    from .primary import DigestLog, HintDb
+
     if hints_path.exists():
         with HintDb(hints_path, create=False) as db:
             clash = next((b for b in workload_mod.trace_block_numbers(trace_path) if b in db), None)
@@ -148,6 +161,10 @@ def _rerun_clash(trace_path: Path, hints_path: Path, digests_path: Optional[Path
 
 
 def cmd_run_primary(args: argparse.Namespace) -> int:
+    from . import config as config_mod
+    from .primary import DigestLog, HintDb, run_primary_block
+    from .workload import iter_trace_file
+
     cfg = config_mod.load_config(args.config)
     hints_path = _out(args, args.hints_out)
     digests_path = _out(args, args.digests_out) if args.digests_out else None
@@ -202,6 +219,11 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
 
 
 def cmd_run_backup(args: argparse.Namespace) -> int:
+    from . import backup as backup_mod
+    from . import config as config_mod
+    from .primary import DigestLog, HintDb
+    from .workload import iter_trace_file
+
     cfg = config_mod.load_config(args.config)
     # read before any output is written: a missing log is a missing input
     expected = None
@@ -219,7 +241,7 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
         print(f"run-backup: ignoring a torn tail of {hint_db.torn_bytes} bytes in {args.hints}", file=sys.stderr)
     try:
         metrics = backup_mod.pipeline_run(iter_trace_file(Path(args.trace)), store, hint_db, pipeline_cfg)
-    except CacheMissError as exc:
+    except backup_mod.CacheMissError as exc:
         print(f"run-backup: completeness violation: {exc}", file=sys.stderr)
         return EXIT_COMPLETENESS
     finally:
@@ -268,18 +290,26 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
 
 
 def cmd_cachesim(args: argparse.Namespace) -> int:
+    from . import cachesim as cachesim_mod
+
     if args.trace_file:
         keys: List[str] = []
-        with open(args.trace_file, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    keys.append(line)
+        try:
+            with open(args.trace_file, "r", encoding="utf-8") as f:
+                for line in f:
+                    line = line.strip()
+                    if line:
+                        keys.append(line)
+        except UnicodeDecodeError as exc:
+            print(f"cachesim: {args.trace_file}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         trace: Sequence = keys
     elif args.trace and args.block is not None:
+        from . import workload as workload_mod
+
         sim_block = None
         try:
-            for blk in iter_trace_file(Path(args.trace)):
+            for blk in workload_mod.iter_trace_file(Path(args.trace)):
                 if blk.number == args.block:
                     sim_block = blk
                     break
@@ -331,50 +361,51 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_ENCODINGS = tuple(e.value for e in protocol_mod.HintEncoding)
-_STRATEGIES = tuple(s.value for s in protocol_mod.TransmissionStrategy)
-
-
 def _fraction(v: float) -> bool:
     return 0.0 <= v <= 1.0
 
 
-def _bloom_fpr(v: float) -> bool:
-    """In (0, 1), and reachable within a bloom hint's probe limit for any
-    batch: a one-key filter needs the most probes, so if it builds, every
-    larger filter does too."""
-    try:
-        protocol_mod.BloomFilter(1, v)
-    except ValueError:
-        return False
-    return True
+def _scenario_fields() -> Dict[str, Tuple]:
+    """Scenario settings: name -> (type, default, check, domain). A default
+    of None leaves an omitted setting to the protocol object that owns it:
+    LinkModel for the link, encode_hint for target_fpr and
+    simulate_transmission for miss_rate_threshold."""
+    from . import protocol as protocol_mod
+
+    encodings = tuple(e.value for e in protocol_mod.HintEncoding)
+    strategies = tuple(s.value for s in protocol_mod.TransmissionStrategy)
+
+    def bloom_fpr(v: float) -> bool:
+        """In (0, 1), and reachable within a bloom hint's probe limit for
+        any batch: a one-key filter needs the most probes, so if it builds,
+        every larger filter does too."""
+        try:
+            protocol_mod.BloomFilter(1, v)
+        except ValueError:
+            return False
+        return True
+
+    fpr_domain = f"a number in (0, 1) that needs at most {protocol_mod.MAX_BLOOM_PROBES} bloom probes"
+    return {
+        "batches": (int, 20, lambda v: v >= 1, "an integer >= 1"),
+        "ops_per_batch": (int, 50, lambda v: v >= 1, "an integer >= 1"),
+        "key_space": (int, 200, lambda v: v >= 1, "an integer >= 1"),
+        "write_fraction": (float, 0.3, _fraction, "a number in [0, 1]"),
+        "encoding": (str, "exact", lambda v: v in encodings, f"one of {encodings}"),
+        "strategy": (str, "inline", lambda v: v in strategies, f"one of {strategies}"),
+        "target_fpr": (float, None, bloom_fpr, fpr_domain),
+        "latency": (float, None, lambda v: v >= 0.0, "a number >= 0"),
+        "bandwidth": (float, None, lambda v: v > 0.0, "a number > 0"),
+        "loss_probability": (float, None, _fraction, "a number in [0, 1]"),
+        "seed": (int, None, lambda v: True, "an integer"),
+        "backups": (int, 1, lambda v: v >= 1, "an integer >= 1"),
+        "latency_reduction": (float, 0.01, lambda v: v >= 0.0, "a number >= 0"),
+        "batch_bytes": (int, 2_000_000, lambda v: v >= 0, "an integer >= 0"),
+        "miss_rate": (float, 0.1, _fraction, "a number in [0, 1]"),
+        "miss_rate_threshold": (float, None, _fraction, "a number in [0, 1]"),
+    }
 
 
-_FPR_DOMAIN = f"a number in (0, 1) that needs at most {protocol_mod.MAX_BLOOM_PROBES} bloom probes"
-
-
-# Scenario settings: name -> (type, default, check, domain). A default of
-# None leaves an omitted setting to the protocol object that owns it:
-# LinkModel for the link, encode_hint for target_fpr and
-# simulate_transmission for miss_rate_threshold.
-_SCENARIO_FIELDS = {
-    "batches": (int, 20, lambda v: v >= 1, "an integer >= 1"),
-    "ops_per_batch": (int, 50, lambda v: v >= 1, "an integer >= 1"),
-    "key_space": (int, 200, lambda v: v >= 1, "an integer >= 1"),
-    "write_fraction": (float, 0.3, _fraction, "a number in [0, 1]"),
-    "encoding": (str, "exact", lambda v: v in _ENCODINGS, f"one of {_ENCODINGS}"),
-    "strategy": (str, "inline", lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
-    "target_fpr": (float, None, _bloom_fpr, _FPR_DOMAIN),
-    "latency": (float, None, lambda v: v >= 0.0, "a number >= 0"),
-    "bandwidth": (float, None, lambda v: v > 0.0, "a number > 0"),
-    "loss_probability": (float, None, _fraction, "a number in [0, 1]"),
-    "seed": (int, None, lambda v: True, "an integer"),
-    "backups": (int, 1, lambda v: v >= 1, "an integer >= 1"),
-    "latency_reduction": (float, 0.01, lambda v: v >= 0.0, "a number >= 0"),
-    "batch_bytes": (int, 2_000_000, lambda v: v >= 0, "an integer >= 0"),
-    "miss_rate": (float, 0.1, _fraction, "a number in [0, 1]"),
-    "miss_rate_threshold": (float, None, _fraction, "a number in [0, 1]"),
-}
 _LINK_FIELDS = ("latency", "bandwidth", "loss_probability", "seed")
 
 
@@ -383,12 +414,13 @@ def _proto_scenario(raw: object) -> Dict[str, object]:
     checked against its domain; an unknown setting, or one outside its
     domain, raises ConfigError."""
     if not isinstance(raw, dict):
-        raise config_mod.ConfigError("proto scenario must be a JSON object")
-    unknown = set(raw) - set(_SCENARIO_FIELDS)
+        raise ConfigError("proto scenario must be a JSON object")
+    fields = _scenario_fields()
+    unknown = set(raw) - set(fields)
     if unknown:
-        raise config_mod.ConfigError(f"proto scenario: unknown settings {sorted(unknown)}")
+        raise ConfigError(f"proto scenario: unknown settings {sorted(unknown)}")
     out: Dict[str, object] = {}
-    for name, (kind, default, check, domain) in _SCENARIO_FIELDS.items():
+    for name, (kind, default, check, domain) in fields.items():
         if name not in raw:
             if default is not None:
                 out[name] = default
@@ -399,21 +431,23 @@ def _proto_scenario(raw: object) -> Dict[str, object]:
         except (TypeError, ValueError):
             valid = False
         if not valid:
-            raise config_mod.ConfigError(f"proto scenario: {name} must be {domain}, got {raw[name]!r}")
+            raise ConfigError(f"proto scenario: {name} must be {domain}, got {raw[name]!r}")
         out[name] = value
     return out
 
 
 def cmd_proto(args: argparse.Namespace) -> int:
+    import random as _random
+
+    from . import protocol as protocol_mod
+
     try:
         with open(args.scenario, "r", encoding="utf-8") as f:
             scenario = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"proto: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sc = _proto_scenario(scenario)
-
-    import random as _random
 
     link = protocol_mod.LinkModel(**{name: sc[name] for name in _LINK_FIELDS if name in sc})
     rng = _random.Random(link.seed)
@@ -489,45 +523,76 @@ def cmd_proto(args: argparse.Namespace) -> int:
     return EXIT_OK if match else EXIT_DIGEST
 
 
+def _sidecar_for(report_path: Path) -> Dict:
+    """The sidecar of a report; a sidecar that is not a JSON object raises
+    ValueError naming the file."""
+    side = report_path.with_suffix(report_path.suffix + ".meta.json")
+    try:
+        with open(side, "r", encoding="utf-8") as f:
+            meta = json.load(f)
+    except FileNotFoundError:
+        raise ConfigError(f"missing report sidecar: {side}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{side}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{side}: sidecar must be a JSON object, got {type(meta).__name__}")
+    return meta
+
+
+def _report_rows(path: Path, columns: Sequence[str]) -> List[Dict]:
+    """The rows of a report CSV with ``block`` and ``columns`` as integers and
+    ``digest`` as text (empty if absent); a report that is not one raises
+    ValueError naming the file."""
+    rows = []
+    try:
+        with open(path, newline="") as f:
+            for row in csv.DictReader(f):
+                rows.append({"digest": row.get("digest") or "", **{c: int(row[c]) for c in ("block", *columns)}})
+    except KeyError as exc:
+        raise ValueError(f"{path}: no column {exc}") from None
+    except (TypeError, ValueError, csv.Error) as exc:  # a short row, a cell not an integer, not text
+        raise ValueError(f"{path}: {exc}") from None
+    return rows
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     base_path = Path(args.baseline)
     back_path = Path(args.backup)
-    base_meta = _sidecar_for(base_path)
-    back_meta = _sidecar_for(back_path)
-    for key in ("config_hash", "cost_model_hash"):
-        if base_meta.get(key) != back_meta.get(key):
-            print(f"compare: refusing to join reports with different {key}", file=sys.stderr)
-            return EXIT_CONFIG
+    try:
+        base_meta = _sidecar_for(base_path)
+        back_meta = _sidecar_for(back_path)
+        for key in ("config_hash", "cost_model_hash"):
+            if base_meta.get(key) != back_meta.get(key):
+                print(f"compare: refusing to join reports with different {key}", file=sys.stderr)
+                return EXIT_CONFIG
+        baseline = {row["block"]: row for row in _report_rows(base_path, ("t_baseline",))}
+        backup = _report_rows(back_path, ("t_wait", "t_exec"))
+    except ValueError as exc:
+        print(f"compare: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    baseline: Dict[int, Dict[str, str]] = {}
-    with open(base_path, newline="") as f:
-        for row in csv.DictReader(f):
-            baseline[int(row["block"])] = row
     rows = []
     digests_match = True
-    with open(back_path, newline="") as f:
-        for row in csv.DictReader(f):
-            block = int(row["block"])
-            base = baseline.get(block)
-            if base is None:
-                print(f"compare: block {block} missing from baseline report", file=sys.stderr)
-                return EXIT_CONFIG
-            t_baseline = int(base["t_baseline"])
-            t_wait = int(row["t_wait"])
-            t_exec = int(row["t_exec"])
-            denom = t_wait + t_exec
-            speedup = t_baseline / denom if denom else float("inf")
-            if base.get("digest") and row.get("digest") and base["digest"] != row["digest"]:
-                digests_match = False
-            rows.append(
-                {
-                    "block": block,
-                    "t_baseline": t_baseline,
-                    "t_wait": t_wait,
-                    "t_exec": t_exec,
-                    "speedup": repr(speedup),
-                }
-            )
+    for row in backup:
+        block = row["block"]
+        base = baseline.get(block)
+        if base is None:
+            print(f"compare: block {block} missing from baseline report", file=sys.stderr)
+            return EXIT_CONFIG
+        t_baseline, t_wait, t_exec = base["t_baseline"], row["t_wait"], row["t_exec"]
+        denom = t_wait + t_exec
+        speedup = t_baseline / denom if denom else float("inf")
+        if base["digest"] and row["digest"] and base["digest"] != row["digest"]:
+            digests_match = False
+        rows.append(
+            {
+                "block": block,
+                "t_baseline": t_baseline,
+                "t_wait": t_wait,
+                "t_exec": t_exec,
+                "speedup": repr(speedup),
+            }
+        )
 
     out = _out(args, args.out)
     with open(out, "w", newline="") as f:
@@ -569,10 +634,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if digests_match else EXIT_DIGEST
 
 
-
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import workload as workload_mod
+
     per_block: Optional[List[Dict[str, int]]] = [] if args.per_block else None
-    report = workload_mod.analyze_trace(iter_trace_file(Path(args.trace)), per_block)
+    report = workload_mod.analyze_trace(workload_mod.iter_trace_file(Path(args.trace)), per_block)
     for key, value in report.to_flat().items():
         print(f"{key}={value}")
     if args.per_block:
@@ -662,26 +728,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except config_mod.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except IraError as exc:  # config, store, trace, hint database, completeness
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # e.g. an output path that is a directory
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StoreError as exc:
-        print(f"store error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CacheMissError as exc:
-        print(f"completeness violation: {exc}", file=sys.stderr)
-        return EXIT_COMPLETENESS
-    except HintIntegrityError as exc:
-        print(f"hint database error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except workload_mod.TraceFormatError as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
         if gc_was_enabled:
@@ -690,3 +744,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

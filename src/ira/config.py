@@ -1,25 +1,58 @@
 """Run configuration: one human-editable JSON file with a content hash.
 
 The file has one section per concern; anything omitted falls back to the
-defaults below. Reports record the config hash (and the cost-model hash) so
-joins across runs can refuse to compare unlike configurations.
+defaults below. They come from each section's dataclass: the generator's and
+the cost model's live in their own modules, the pipeline's and the baseline
+cache's live here, so that loading a config never loads the backup. Reports
+record the config hash (and the cost-model hash) so joins across runs can
+refuse to compare unlike configurations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from .backup import BaselineCacheConfig, PipelineConfig
+from . import ConfigError
 from .store import CostModel
 from .workload import GeneratorParams
 
 
-class ConfigError(Exception):
-    """Config file missing, malformed, or inconsistent with its use."""
+@dataclass
+class PipelineConfig:
+    """The backup pipeline's batching, channel, warm-up and prefetch lanes."""
+
+    batch_size: int = 32
+    channel_capacity: int = 100
+    warmup_blocks: int = 32
+    warmup_buffer_entries: int = 134_217_728  # 8 GiB at ~64 bytes per entry
+    workers: int = 16
+
+    def validate(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.channel_capacity < self.batch_size:
+            raise ValueError("channel_capacity must be >= batch_size (deadlock guard)")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.warmup_blocks < 0 or self.warmup_buffer_entries < 0:
+            raise ValueError("warm-up sizes must be non-negative")
+
+
+@dataclass
+class BaselineCacheConfig:
+    """Cross-block LRU capacities (entries) for the unhinted baseline."""
+
+    accounts: int = 100_000
+    storage: int = 1_000_000
+    codes: int = 10_000
+
+    def __post_init__(self) -> None:
+        if min(self.accounts, self.storage, self.codes) < 0:
+            raise ValueError("capacities must be non-negative")
 
 
 DEFAULT_CONFIG: Dict[str, Any] = {

@@ -42,6 +42,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from . import IraError
 from .store import (
     ADDRESS_LEN,
     ArchivalStore,
@@ -73,8 +74,10 @@ class HintConflictError(Exception):
     """A hint was already written for this block number."""
 
 
-class HintIntegrityError(Exception):
+class HintIntegrityError(IraError):
     """Stored hint bytes fail structural or checksum validation."""
+
+    prefix = "hint database error"
 
 
 class Source(IntEnum):

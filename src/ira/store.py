@@ -53,6 +53,8 @@ from pathlib import Path
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from . import IraError
+
 ADDRESS_LEN = 20
 SLOT_LEN = 32
 KEY_LEN = ADDRESS_LEN + SLOT_LEN
@@ -67,8 +69,10 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 
-class StoreError(Exception):
+class StoreError(IraError):
     """Base class for store failures."""
+
+    prefix = "store error"
 
 
 class OrderingError(StoreError):

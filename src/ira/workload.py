@@ -40,6 +40,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from . import IraError
 from .store import (
     ADDRESS_LEN,
     Account,
@@ -68,8 +69,10 @@ class ParameterError(ValueError):
     """Generator parameters are out of range or jointly infeasible."""
 
 
-class TraceFormatError(Exception):
+class TraceFormatError(IraError):
     """Trace file is malformed or has an unsupported version."""
+
+    prefix = "trace error"
 
 
 class OpKind(IntEnum):

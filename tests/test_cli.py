@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -186,6 +191,47 @@ def test_compare_refuses_mismatched_cost_model(demo_pipeline, tmp_path):
         ]
     )
     assert rc == EXIT_CONFIG
+
+
+def _edit_report(text: str, column: str, first_cell: Optional[str] = None) -> str:
+    """The report CSV ``text`` without ``column``, or with ``column`` of its
+    first row set to ``first_cell``."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    if first_cell is None:
+        fields = [f for f in rows[0] if f != column]
+    else:
+        fields = list(rows[0])
+        rows[0][column] = first_cell
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fields, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "target, mangle, message",
+    [
+        ("baseline.csv.meta.json", lambda text: "{not json", "Expecting property name"),
+        ("backup.csv.meta.json", lambda text: "[1, 2]", "sidecar must be a JSON object, got list"),
+        ("backup.csv", lambda text: _edit_report(text, "t_wait"), "no column 't_wait'"),
+        ("baseline.csv", lambda text: _edit_report(text, "block", "one"), "invalid literal for int()"),
+    ],
+    ids=["sidecar-not-json", "sidecar-not-an-object", "report-missing-a-column", "cell-not-an-integer"],
+)
+def test_compare_malformed_input_is_exit_2_naming_the_file(demo_pipeline, tmp_path, capsys, target, mangle, message):
+    d, _ = demo_pipeline
+    for name in ("baseline.csv", "baseline.csv.meta.json", "backup.csv", "backup.csv.meta.json"):
+        (tmp_path / name).write_bytes((d / name).read_bytes())
+    bad = tmp_path / target
+    bad.write_text(mangle(bad.read_text()))
+    capsys.readouterr()
+    rc = main(["compare", "--baseline", str(tmp_path / "baseline.csv"), "--backup", str(tmp_path / "backup.csv"),
+               "--out", str(tmp_path / "compare.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"compare: {bad}: ") and message in err, err
+    assert not (tmp_path / "compare.csv").exists()
 
 
 def test_backup_without_hints_falls_back(demo_pipeline, tmp_path):
@@ -627,6 +673,27 @@ def test_proto_rejects_unknown_scenario_settings(tmp_path, capsys):
     rc = main(["proto", "--scenario", str(path), "--report", str(tmp_path / "proto.csv")])
     assert rc == EXIT_CONFIG
     assert "proto scenario: unknown settings ['batchs', 'encodng']" in capsys.readouterr().err
+    assert not (tmp_path / "proto.csv").exists()
+
+
+@pytest.mark.parametrize("content", ["trace-head", "utf16-bom"])
+@pytest.mark.parametrize("command", ["cachesim", "proto"])
+def test_input_file_that_is_not_utf8_is_exit_2(demo_pipeline, tmp_path, capsys, command, content):
+    d, _ = demo_pipeline
+    data = (d / "t.trace").read_bytes()[:300] if content == "trace-head" else b"\xff\xfe"
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv, prefix = {
+        "cachesim": (["cachesim", "--trace-file", str(path), "--capacity", "4"], f"cachesim: {path}: "),
+        "proto": (["proto", "--scenario", str(path), "--report", str(tmp_path / "proto.csv")], "proto: cannot read scenario: "),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and "can't decode byte" in captured.err, captured.err
+    assert captured.out == ""
     assert not (tmp_path / "proto.csv").exists()
 
 
@@ -1104,21 +1171,23 @@ def test_no_command_leaves_cyclic_garbage_that_grows_with_the_trace(tmp_path):
         assert small == large, (command, small, large)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env_with_src() -> dict:
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
 def test_bench_launcher_finds_the_names_it_wraps(demo_config, tmp_path):
     # bench/launch.py wraps ira functions and methods, and reads PrefetchPlan
     # fields, by name; a renamed or deleted one fails here, in a traced demo
-    # cycle, rather than in a traced benchmark run
-    import os
-    import subprocess
-    import sys
-
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-
+    # cycle, rather than in a traced benchmark run. The commands import their
+    # modules when they run, after the wrappers are installed, so the
+    # wrappers of the functions they call must show up as spans.
     def launch(*ira_args):
         spans = tmp_path / f"{ira_args[0]}.json"
-        argv = [sys.executable, str(root / "bench" / "launch.py"), str(spans), "--config", str(demo_config), *ira_args]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        argv = [sys.executable, str(ROOT / "bench" / "launch.py"), str(spans), "--config", str(demo_config), *ira_args]
+        proc = subprocess.run(argv, env=_env_with_src(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return json.loads(spans.read_text())
 
@@ -1126,11 +1195,14 @@ def test_bench_launcher_finds_the_names_it_wraps(demo_config, tmp_path):
         return {span[0] for span in traced["spans"]}
 
     t, s, h, g = (str(tmp_path / name) for name in ("t.trace", "store", "hints.db", "digests.bin"))
-    assert "store.history_lookup" in launch("gen-trace", "--out", t)["counts"]
-    assert "store.apply_block" in span_names(launch("build-store", "--trace", t, "--out", s))
+    generated = launch("gen-trace", "--out", t)
+    assert "store.history_lookup" in generated["counts"]
+    assert "workload.iter_trace" in span_names(generated)
+    built = span_names(launch("build-store", "--trace", t, "--out", s))
+    assert {"store.apply_block", "workload.iter_trace_file"} <= built
     inputs = ["--trace", t, "--store", s]
     primary = launch("run-primary", *inputs, "--hints-out", h, "--digests-out", g, "--report", str(tmp_path / "p.csv"))
-    assert "primary.annotate_sources" in span_names(primary)
+    assert {"primary.annotate_sources", "primary.run_primary_block", "workload.iter_trace_file"} <= span_names(primary)
     backup = launch("run-backup", *inputs, "--hints", h, "--digests", g, "--report", str(tmp_path / "b.csv"))
     assert "backup.replay_block" in span_names(backup)
     counts = backup["counts"]
@@ -1139,3 +1211,60 @@ def test_bench_launcher_finds_the_names_it_wraps(demo_config, tmp_path):
     assert counts["store.history_lookup"] > 0
     leaves = launch("run-baseline", *inputs, "--report", str(tmp_path / "base.csv"))["leaves"]
     assert leaves["store.read_as_of"][0] > 0
+
+
+# The ira modules each command of the demo cycle loads besides ira and
+# ira.cli. A command pays at start-up for every module it loads, so none
+# loads a module it does not run.
+COMMAND_MODULES = {
+    "gen-trace": {"config", "store", "workload"},
+    "build-store": {"config", "store", "workload"},
+    "run-primary": {"config", "store", "workload", "primary"},
+    "run-baseline": {"config", "store", "workload", "primary", "backup"},
+    "run-backup": {"config", "store", "workload", "primary", "backup"},
+    "compare": set(),
+    "cachesim-file": {"cachesim"},
+    "cachesim-block": {"cachesim", "store", "workload"},
+    "proto": {"protocol"},
+    "analyze": {"store", "workload"},
+}
+
+
+@pytest.fixture(scope="module")
+def cycle_imports(tmp_path_factory):
+    """Every command of the demo cycle, in order, each run by ``ira.cli.main``
+    in a fresh interpreter: command -> (exit code, ira modules loaded)."""
+    script = (
+        "import json, sys\n"
+        "from ira.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('ira.'))]))\n"
+    )
+    loaded = {}
+    for command, argv in _cli_cycle(tmp_path_factory.mktemp("imports") / "run", 4):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (command, proc.stderr)
+        rc, modules = json.loads(proc.stdout.splitlines()[-1])
+        loaded[command] = (rc, set(modules))
+    return loaded
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(cycle_imports, command):
+    rc, modules = cycle_imports[command]
+    assert rc == EXIT_OK
+    assert modules == {"ira.cli"} | {f"ira.{name}" for name in COMMAND_MODULES[command]}
+
+
+def test_python_m_ira_cli_runs_the_command(demo_config, tmp_path):
+    out = tmp_path / "t.trace"
+    argv = [sys.executable, "-m", "ira.cli", "--config", str(demo_config), "gen-trace", "--out", str(out)]
+    proc = subprocess.run(argv, env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith(f"gen-trace: wrote 6 blocks to {out}")
+    assert sum(1 for _ in iter_trace_file(out)) == 6
+    proc = subprocess.run(argv[:3] + ["--config", str(tmp_path / "nope.json"), "gen-trace", "--out", str(out)],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: config file not found")
