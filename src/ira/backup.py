@@ -156,13 +156,14 @@ def plan_prefetch(hints: Sequence[Hint]) -> PrefetchPlan:
     acct_pairs: Set[Tuple[bytes, int]] = set()
     codes: Set[bytes] = set()
     per_block: Dict[int, Hint] = {}
+    PLAIN, ZERO = Source.PLAIN, Source.ZERO  # a local is cheaper than an enum member lookup
     for hint in hints:
         per_block[hint.block_number] = hint
         b = hint.block_number
         for key, src in hint.storage_entries:
-            if src == Source.PLAIN:
+            if src == PLAIN:
                 plain.add(key)
-            elif src == Source.ZERO:
+            elif src == ZERO:
                 zero.add(key)
             else:
                 cs_pairs.add((key, b))
@@ -281,13 +282,14 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
     per_block_cost: Dict[int, int] = {}
     total_entries = sum(hint.entry_count() for hint in plan.per_block.values()) or 1
     remainder = wall
+    PLAIN, ZERO = Source.PLAIN, Source.ZERO  # a local is cheaper than an enum member lookup
     for i, b in enumerate(plan.blocks):
         hint = plan.per_block[b]
         cache = BlockCache(b)
         for key, src in hint.storage_entries:
-            if src == Source.PLAIN:
+            if src == PLAIN:
                 cache.storage[key] = plain_vals[key]
-            elif src == Source.ZERO:
+            elif src == ZERO:
                 cache.storage[key] = ZERO_WORD
             else:
                 cache.storage[key] = cs_vals[(key, b)]

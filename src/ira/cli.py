@@ -26,7 +26,7 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ConfigError, IraError
 
@@ -160,6 +160,27 @@ def _rerun_clash(trace_path: Path, hints_path: Path, digests_path: Optional[Path
     return None
 
 
+def _undo_appends(path: Path, torn_bytes: int) -> Callable[[], None]:
+    """A function that puts the file at ``path`` back as it is now, after
+    appends to it: cut back to its present length, with its torn tail of
+    ``torn_bytes`` (which an append cuts off first) written back. A file that
+    does not exist now is deleted."""
+    if not path.exists():
+        return lambda: path.unlink(missing_ok=True)
+    keep = path.stat().st_size - torn_bytes
+    with open(path, "rb") as f:
+        f.seek(keep)
+        tail = f.read()
+
+    def undo() -> None:
+        with open(path, "r+b") as f:
+            f.truncate(keep)
+            f.seek(keep)
+            f.write(tail)
+
+    return undo
+
+
 def cmd_run_primary(args: argparse.Namespace) -> int:
     from . import config as config_mod
     from .primary import DigestLog, HintDb, run_primary_block
@@ -174,46 +195,62 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         print(f"run-primary: {clash}", file=sys.stderr)
         return EXIT_CONFIG
     store = _load_store(args, cfg)
-    if digests_path is not None:
-        # before any hint is stored: a digest log that cannot be made must
-        # not leave hints that a corrected rerun would refuse as a clash
-        digests_path.touch()
-    hint_db = HintDb(hints_path)
-    digest_log = DigestLog(digests_path) if digests_path is not None else None
     report = _out(args, args.report)
+    # A run that fails, on a bad trace record or an unwritable output, puts
+    # both logs back as it found them, so that a rerun is not refused as a
+    # clash, and removes its partial report.
+    torn = 0
+    if hints_path.exists():
+        with HintDb(hints_path, create=False) as db:
+            torn = db.torn_bytes
+    undo = [_undo_appends(hints_path, torn)]
+    digest_log = None
+    if digests_path is not None:
+        digest_log = DigestLog(digests_path)
+        undo.append(_undo_appends(digests_path, digest_log.torn_bytes))
+    hint_db = None
     rows = exec_total = construct_total = 0
-    with open(report, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"])
-        for block in iter_trace_file(Path(args.trace)):
-            result = run_primary_block(block, store)
-            hint_db.write_hint(block.number, result.compressed_bytes)
-            if digest_log is not None:
-                digest_log.write(block.number, result.digest)
-            writer.writerow(
-                [
-                    block.number,
-                    result.exec_cost,
-                    result.hint_construct_cost,
-                    result.serialize_cost,
-                    len(result.raw_bytes),
-                    len(result.compressed_bytes),
-                ]
-            )
-            rows += 1
-            exec_total += result.exec_cost
-            construct_total += result.hint_construct_cost
-    hint_db.close()
-    _write_sidecar(
-        report,
-        {
-            "subcommand": "run-primary",
-            **_config_fingerprints(cfg),
-            "cost_model": store.cost_model.as_dict(),
-            "rows": rows,
-            "hint_cost_share": round(construct_total / exec_total, 6) if exec_total else 0.0,
-        },
-    )
+    try:
+        hint_db = HintDb(hints_path)
+        undo.append(lambda: report.unlink(missing_ok=True))
+        with open(report, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"])
+            for block in iter_trace_file(Path(args.trace)):
+                result = run_primary_block(block, store)
+                hint_db.write_hint(block.number, result.compressed_bytes)
+                if digest_log is not None:
+                    digest_log.write(block.number, result.digest)
+                writer.writerow(
+                    [
+                        block.number,
+                        result.exec_cost,
+                        result.hint_construct_cost,
+                        result.serialize_cost,
+                        len(result.raw_bytes),
+                        len(result.compressed_bytes),
+                    ]
+                )
+                rows += 1
+                exec_total += result.exec_cost
+                construct_total += result.hint_construct_cost
+        hint_db.close()
+        _write_sidecar(
+            report,
+            {
+                "subcommand": "run-primary",
+                **_config_fingerprints(cfg),
+                "cost_model": store.cost_model.as_dict(),
+                "rows": rows,
+                "hint_cost_share": round(construct_total / exec_total, 6) if exec_total else 0.0,
+            },
+        )
+    except BaseException:
+        if hint_db is not None:
+            hint_db.close()  # before the undo cuts its file
+        for restore in undo:
+            restore()
+        raise
     print(f"run-primary: {rows} blocks, hints -> {args.hints_out}")
     return EXIT_OK
 

@@ -420,16 +420,16 @@ class DigestLog:
     """Append-only block_number -> 32-byte digest file (primary fingerprints).
 
     A record cut short at the end of the file (a crash mid-append) is a torn
-    tail. ``read_all`` skips it and sets ``torn_bytes``; it never writes, and
-    a missing file raises FileNotFoundError, so a reader never creates one.
-    ``write`` cuts a torn tail off before it appends, creating the file if
-    need be, so the records after it stay aligned."""
+    tail, whose length ``torn_bytes`` holds. ``read_all`` skips it; it never
+    writes, and a missing file raises FileNotFoundError, so a reader never
+    creates one. ``write`` cuts a torn tail off before it appends, creating
+    the file if need be, so the records after it stay aligned."""
 
     _REC = struct.Struct("<Q32s")
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.torn_bytes = 0
+        self.torn_bytes = self.path.stat().st_size % self._REC.size if self.path.exists() else 0
 
     def write(self, block_number: int, digest: bytes) -> None:
         with open(self.path, "ab") as f:

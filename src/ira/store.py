@@ -126,11 +126,11 @@ def check_word(word: bytes) -> bytes:
     return word
 
 
-@dataclass(frozen=True)
-class Account:
+class Account(NamedTuple):
     """Account record: balance, nonce and an optional bytecode hash.
 
-    ``code_hash is None`` means the account carries no bytecode.
+    ``code_hash is None`` means the account carries no bytecode. A named
+    tuple, not a dataclass: a store load builds one per record.
     """
 
     balance: int = 0
@@ -161,7 +161,8 @@ def _unpack_account(buf: bytes, off: int) -> Tuple[Account, int]:
     if flag:
         code_hash = buf[off : off + HASH_LEN]
         off += HASH_LEN
-    return Account(balance, nonce, code_hash), off
+    # tuple.__new__ skips the argument handling of Account(...)
+    return tuple.__new__(Account, (balance, nonce, code_hash)), off
 
 
 def _unpack_prior_account(buf: bytes, off: int) -> Tuple[Optional[Account], int]:
@@ -297,12 +298,6 @@ class ShardedIndex:
         if not entries or entries[-1] < block:
             return None
         return entries[bisect.bisect_left(entries, block)]
-
-    def entries(self, key: bytes) -> List[int]:
-        return list(self._map.get(key, ()))
-
-    def key_count(self) -> int:
-        return len(self._map)
 
 
 @dataclass

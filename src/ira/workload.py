@@ -8,6 +8,11 @@ all computed from the account values visible at that point. Replaying a block
 therefore requires correct historical account state, which is what makes
 digest comparison between engines meaningful.
 
+An op is a plain ``(kind, key, value)`` tuple (``Op``), and every walk over
+ops unpacks it in its ``for`` statement. Decode, execution and analysis
+touch every op of a trace (about 78,000 in 16 default blocks), and a tuple
+literal is cheaper to build and to read than an object with named fields.
+
 The generator is driven entirely by explicit config values. Targets such as
 the ephemeral-key fraction and the intra-block reuse factor are constructed
 directly (fresh single-appearance keys vs. scheduled pair reappearances vs. a
@@ -53,7 +58,6 @@ from .store import (
     StorageKey,
     StoreView,
     WORD_LEN,
-    check_word,
     unchecked_storage_key,
 )
 
@@ -82,22 +86,10 @@ class OpKind(IntEnum):
     CODE_LOAD = 3
 
 
-@dataclass(slots=True)
-class Op:
-    """One state operation. ``key`` is a StorageKey for storage kinds and a
-    20-byte address for account/code kinds; ``value`` is set only on writes."""
-
-    kind: int
-    key: bytes
-    value: Optional[bytes] = None
-
-
-def storage_read(key: StorageKey) -> Op:
-    return Op(OpKind.STORAGE_READ, key)
-
-
-def storage_write(key: StorageKey, value: bytes) -> Op:
-    return Op(OpKind.STORAGE_WRITE, key, check_word(value))
+# One state operation, a plain ``(kind, key, value)`` tuple: ``key`` is a
+# StorageKey for storage kinds and a 20-byte address for account/code kinds;
+# ``value`` is the 32-byte word of a storage write and None otherwise.
+Op = Tuple[int, bytes, Optional[bytes]]
 
 
 @dataclass(slots=True)
@@ -259,23 +251,6 @@ def plain_read_params(blocks: int = 1000, seed: int = 7) -> GeneratorParams:
     )
 
 
-def demo_params(blocks: int = 3, seed: int = 42) -> GeneratorParams:
-    """Tiny fixture profile used by docs and CLI smoke tests."""
-    return GeneratorParams(
-        blocks=blocks,
-        txs_per_block_mean=2.0,
-        unique_keys_median=8,
-        unique_keys_sigma=0.0,
-        accounts_per_block=2.0,
-        codes_per_block=1.0,
-        n_accounts=16,
-        n_contracts=8,
-        n_code_contracts=4,
-        hot_keys=4,
-        seed=seed,
-    )
-
-
 def iter_trace(params: GeneratorParams) -> Iterator[Block]:
     """Yield the deterministic block sequence for ``params``."""
     params.validate()
@@ -342,13 +317,13 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
         ops: List[Op] = []
         for key in accesses:
             if write_p and rng.random() < write_p:
-                ops.append(Op(OpKind.STORAGE_WRITE, key, rng.getrandbits(256).to_bytes(32, "big")))
+                ops.append((1, key, rng.getrandbits(256).to_bytes(32, "big")))  # STORAGE_WRITE
             else:
-                ops.append(Op(OpKind.STORAGE_READ, key))
+                ops.append((0, key, None))  # STORAGE_READ
         for _ in range(_count_around(rng, params.accounts_per_block) if params.accounts_per_block > 0 else 0):
-            ops.append(Op(OpKind.ACCOUNT_READ, account_address(int(rng.random() * params.n_accounts))))
+            ops.append((2, account_address(int(rng.random() * params.n_accounts)), None))  # ACCOUNT_READ
         for _ in range(_count_around(rng, params.codes_per_block) if params.codes_per_block > 0 else 0):
-            ops.append(Op(OpKind.CODE_LOAD, contract_address(int(rng.random() * params.n_code_contracts))))
+            ops.append((3, contract_address(int(rng.random() * params.n_code_contracts)), None))  # CODE_LOAD
         rng.shuffle(ops)
 
         n_txs = min(_count_around(rng, params.txs_per_block_mean), len(ops))
@@ -411,9 +386,9 @@ def collect_storage_keys(blocks: Iterable[Block]) -> Set[StorageKey]:
     keys: Set[StorageKey] = set()
     for block in blocks:
         for tx in block.txs:
-            for op in tx.ops:
-                if op.kind <= OpKind.STORAGE_WRITE:
-                    keys.add(op.key)  # type: ignore[arg-type]
+            for kind, key, _ in tx.ops:
+                if kind <= 1:  # a storage kind
+                    keys.add(key)  # type: ignore[arg-type]
     return keys
 
 
@@ -483,11 +458,9 @@ def execute_block(
         return acc  # type: ignore[return-value]
 
     for tx in block.txs:
-        for op in tx.ops:
+        for kind, key, value in tx.ops:
             ops += 1
-            kind = op.kind
             if kind == 0:  # STORAGE_READ
-                key = op.key
                 reads += 1
                 storage_set.add(key)
                 if log is not None:
@@ -499,23 +472,21 @@ def execute_block(
                         v = view.get_storage(key)
                         storage_memo[key] = v
             elif kind == 1:  # STORAGE_WRITE
-                key = op.key
                 storage_set.add(key)
                 if log is not None:
                     log.append(("S", key))
-                storage_overlay[key] = op.value
+                storage_overlay[key] = value
             elif kind == 2:  # ACCOUNT_READ
-                read_account(op.key)
+                read_account(key)
             else:  # CODE_LOAD
-                addr = op.key
                 reads += 1
-                code_set.add(addr)
+                code_set.add(key)
                 if log is not None:
-                    log.append(("C", addr))
-                c = code_memo.get(addr, _UNSET)
+                    log.append(("C", key))
+                c = code_memo.get(key, _UNSET)
                 if c is _UNSET:
-                    c = view.get_code(addr)
-                    code_memo[addr] = c
+                    c = view.get_code(key)
+                    code_memo[key] = c
 
         fee = len(tx.ops) + 1
         sender_acc = read_account(tx.sender) or _EMPTY
@@ -630,8 +601,7 @@ def analyze_trace(blocks: Iterable[Block], per_block_out: Optional[List[Dict[str
         block_storage_ops = 0
         block_keys: Set[StorageKey] = set()
         for tx in block.txs:
-            for op in tx.ops:
-                kind = op.kind
+            for kind, key, _ in tx.ops:
                 if kind <= 1:
                     storage_ops += 1
                     block_storage_ops += 1
@@ -639,7 +609,6 @@ def analyze_trace(blocks: Iterable[Block], per_block_out: Optional[List[Dict[str
                         storage_reads += 1
                     else:
                         storage_writes += 1
-                    key = op.key
                     block_keys.add(key)  # type: ignore[arg-type]
                     addr = key[:ADDRESS_LEN]
                     contract_ops[addr] = contract_ops.get(addr, 0) + 1
@@ -716,11 +685,11 @@ def _encode_block(block: Block) -> bytes:
         out += tx.sender
         out += tx.recipient
         out += _U32.pack(len(tx.ops))
-        for op in tx.ops:
-            out.append(op.kind)
-            out += op.key
-            if op.kind == OpKind.STORAGE_WRITE:
-                out += op.value  # type: ignore[operator]
+        for kind, key, value in tx.ops:
+            out.append(kind)
+            out += key
+            if kind == 1:  # STORAGE_WRITE
+                out += value  # type: ignore[operator]
     return bytes(out)
 
 
@@ -764,7 +733,7 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
                         key = unchecked_storage_key(raw)
                         keys[key] = key
                     if kind == write:
-                        ops.append(Op(kind, key, payload[off : off + WORD_LEN]))
+                        ops.append((kind, key, payload[off : off + WORD_LEN]))
                         off += WORD_LEN
                         continue
                 elif kind <= code:
@@ -773,7 +742,7 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
                     key = intern(raw, raw)
                 else:
                     raise TraceFormatError(f"unknown op kind {kind} at byte {off - 1}")
-                ops.append(Op(kind, key))
+                ops.append((kind, key, None))
             txs.append(Transaction(sender, recipient, ops))
     except (IndexError, struct.error):
         raise TraceFormatError("truncated trace record") from None

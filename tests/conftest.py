@@ -8,9 +8,11 @@ import pytest
 
 from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_baseline
 from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary_block, serialize_hint
-from ira.store import StorageKey, word_from_int
+from ira.store import ShardedIndex, StorageKey, check_word, word_from_int
 from ira.workload import (
     GeneratorParams,
+    Op,
+    OpKind,
     build_store,
     derive_genesis,
     iter_trace,
@@ -31,6 +33,40 @@ def mk_word(i: int) -> bytes:
 
 def mk_addr(i: int) -> bytes:
     return bytes([i % 251 + 1]) * 20
+
+
+def storage_read(key: StorageKey) -> Op:
+    return (OpKind.STORAGE_READ, key, None)
+
+
+def storage_write(key: StorageKey, value: bytes) -> Op:
+    return (OpKind.STORAGE_WRITE, key, check_word(value))
+
+
+def demo_params(blocks: int = 3, seed: int = 42) -> GeneratorParams:
+    """Tiny fixture profile for CLI and unit tests."""
+    return GeneratorParams(
+        blocks=blocks,
+        txs_per_block_mean=2.0,
+        unique_keys_median=8,
+        unique_keys_sigma=0.0,
+        accounts_per_block=2.0,
+        codes_per_block=1.0,
+        n_accounts=16,
+        n_contracts=8,
+        n_code_contracts=4,
+        hot_keys=4,
+        seed=seed,
+    )
+
+
+def history_entries(index: ShardedIndex, key: bytes) -> list:
+    """The blocks that modified ``key``, ascending."""
+    return list(index._map.get(key, ()))
+
+
+def history_key_count(index: ShardedIndex) -> int:
+    return len(index._map)
 
 
 def reroute_zero_key_to_plain(src: HintDb, dst_path: Path, from_block: int) -> int:

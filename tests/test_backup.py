@@ -24,14 +24,11 @@ from ira.workload import (
     GeneratorParams,
     Transaction,
     build_store,
-    demo_params,
     derive_genesis,
     generate_trace,
-    storage_read,
-    storage_write,
 )
 
-from conftest import mk_addr, mk_key, mk_word, reroute_zero_key_to_plain
+from conftest import demo_params, mk_addr, mk_key, mk_word, reroute_zero_key_to_plain, storage_read, storage_write
 
 
 # -- plan_prefetch -------------------------------------------------------------------
@@ -270,12 +267,12 @@ def test_replay_with_dropped_key_halts_naming_it():
     written: set = set()
     dropped_key = None
     for tx in block.txs:
-        for op in tx.ops:
-            if op.kind == 0 and op.key not in written:
-                dropped_key = op.key
+        for kind, key, _ in tx.ops:
+            if kind == 0 and key not in written:
+                dropped_key = key
                 break
-            if op.kind == 1:
-                written.add(op.key)
+            if kind == 1:
+                written.add(key)
         if dropped_key is not None:
             break
     assert dropped_key is not None, "fixture block must read storage"

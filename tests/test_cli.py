@@ -14,9 +14,9 @@ import pytest
 from ira.backup import ROUTES
 from ira.cli import EXIT_COMPLETENESS, EXIT_CONFIG, EXIT_DIGEST, EXIT_OK, main
 from ira.config import DEFAULT_CONFIG, content_hash, load_config
-from ira.workload import OpKind, demo_params, iter_trace_file
+from ira.workload import OpKind, iter_trace_file
 
-from conftest import reroute_zero_key_to_plain
+from conftest import demo_params, reroute_zero_key_to_plain
 
 
 @pytest.fixture(scope="module")
@@ -512,10 +512,10 @@ def _storage_keys_of_block(trace: Path, number: int) -> list:
     """The block's storage reads and writes in op order, as hex keys."""
     block = next(b for b in iter_trace_file(trace) if b.number == number)
     return [
-        op.key.hex()
+        key.hex()
         for tx in block.txs
-        for op in tx.ops
-        if op.kind in (OpKind.STORAGE_READ, OpKind.STORAGE_WRITE)
+        for kind, key, _ in tx.ops
+        if kind in (OpKind.STORAGE_READ, OpKind.STORAGE_WRITE)
     ]
 
 
@@ -889,6 +889,76 @@ def test_bad_manifest_is_store_error(demo_pipeline, tmp_path, capsys, manifest, 
     assert rc == EXIT_CONFIG
     assert err.startswith(f"store error: {message}")
     assert not (tmp_path / "baseline.csv").exists()
+
+
+def _with_op_kind(trace: bytes, record: int, kind: int) -> bytes:
+    """``trace`` with the first op of its ``record``-th record (from 1) given
+    the kind byte ``kind``."""
+    off = 18 + int.from_bytes(trace[6:10], "little")  # magic, version, params, count
+    for _ in range(record - 1):
+        off += 4 + int.from_bytes(trace[off : off + 4], "little")
+    first_op = off + 4 + 8 + 20 + 4 + 20 + 20 + 4  # size, number, beneficiary, tx count, sender, recipient, op count
+    return trace[:first_op] + bytes((kind,)) + trace[first_op + 1 :]
+
+
+_DAMAGED_TRACES = {
+    "truncated last record": lambda trace: trace[:-100],
+    "unknown op kind in record 3": lambda trace: _with_op_kind(trace, 3, 9),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_TRACES))
+def test_primary_failing_mid_trace_leaves_its_outputs_as_they_were(demo_pipeline, tmp_path, capsys, damage):
+    # blocks before the bad record were stored; the failed run takes them
+    # out again, so that a rerun on the intact trace is not refused
+    d, c = demo_pipeline
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(_DAMAGED_TRACES[damage]((d / "t.trace").read_bytes()))
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-primary",
+            "--trace", str(bad),
+            "--store", str(d / "store"),
+            "--hints-out", str(out / "hints.db"),
+            "--digests-out", str(out / "digests.bin"),
+            "--report", str(out / "primary.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("trace error: ")
+    assert list(out.iterdir()) == []
+    rc, err = _run_primary(d, c, out, capsys)
+    assert rc == EXIT_OK, err
+    for name in ("hints.db", "digests.bin", "primary.csv", "primary.csv.meta.json"):
+        assert (out / name).read_bytes() == (d / name).read_bytes(), name
+
+
+def test_primary_failing_mid_trace_puts_back_torn_tails(demo_pipeline, tmp_path, capsys):
+    # an append cuts a log's torn tail off first; a failed run restores it
+    d, c = demo_pipeline
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(_with_op_kind((d / "t.trace").read_bytes(), 3, 9))
+    # the hint database's 8-byte header, then a first record cut short
+    before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
+    for name, blob in before.items():
+        (tmp_path / name).write_bytes(blob)
+    rc = main(
+        [
+            "--config", c, "run-primary",
+            "--trace", str(bad),
+            "--store", str(d / "store"),
+            "--hints-out", str(tmp_path / "hints.db"),
+            "--digests-out", str(tmp_path / "digests.bin"),
+            "--report", str(tmp_path / "primary.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    for name, blob in before.items():
+        assert (tmp_path / name).read_bytes() == blob, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.trace", "digests.bin", "hints.db"]
 
 
 def test_primary_refuses_a_digest_log_that_holds_its_blocks(demo_pipeline, tmp_path, capsys):

@@ -17,9 +17,9 @@ from pathlib import Path
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
 from ira.primary import Hint, HintDb, Source, annotate_sources, run_primary_block
 from ira.store import Account, ArchivalStore, CostMeter, Effects
-from ira.workload import build_store, demo_params, derive_genesis, generate_trace
+from ira.workload import build_store, derive_genesis, generate_trace
 
-from conftest import mk_addr, mk_key, mk_word
+from conftest import demo_params, history_entries, mk_addr, mk_key, mk_word
 
 
 def _random_store(rng: random.Random):
@@ -70,9 +70,9 @@ def test_saved_store_loads_with_the_same_index_and_reads(tmp_path):
         assert loaded.storage.changesets == store.storage.changesets, case
         assert loaded.accounts.changesets == store.accounts.changesets, case
         for key in keys:
-            assert loaded.storage.history.entries(key) == store.storage.history.entries(key), case
+            assert history_entries(loaded.storage.history, key) == history_entries(store.storage.history, key), case
         for addr in addrs:
-            assert loaded.accounts.history.entries(addr) == store.accounts.history.entries(addr), case
+            assert history_entries(loaded.accounts.history, addr) == history_entries(store.accounts.history, addr), case
         for b in range(1, store.head_block + 2):
             for key in keys:
                 assert loaded.read_as_of(key, b) == store.read_as_of(key, b), (case, b)

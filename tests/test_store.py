@@ -17,7 +17,7 @@ from ira.store import (
     walk_wall,
 )
 
-from conftest import mk_addr, mk_key, mk_word
+from conftest import history_entries, history_key_count, mk_addr, mk_key, mk_word
 
 
 # -- oracle: brute-force replay of effects from genesis ---------------------------
@@ -96,7 +96,7 @@ def test_first_write_records_zero_pre_image():
     store.apply_block(1, Effects(storage={k: mk_word(7)}))
     assert store.storage.plain[k] == mk_word(7)
     assert store.storage.changesets[1][k] == ZERO_WORD
-    assert store.storage.history.entries(k) == [1]
+    assert history_entries(store.storage.history, k) == [1]
 
 
 def test_second_write_records_prior_value():
@@ -107,7 +107,7 @@ def test_second_write_records_prior_value():
     assert store.storage.changesets[1][k] == ZERO_WORD
     assert store.storage.changesets[2][k] == mk_word(7)
     assert store.storage.plain[k] == mk_word(9)
-    assert store.storage.history.entries(k) == [1, 2]
+    assert history_entries(store.storage.history, k) == [1, 2]
 
 
 def test_non_consecutive_block_rejected():
@@ -124,7 +124,7 @@ def test_malformed_block_changes_nothing():
         store.apply_block(2, bad)
     assert store.head_block == 1
     assert store.read_as_of(mk_key(2), 2) == ZERO_WORD
-    assert store.storage.history.entries(mk_key(2)) == []
+    assert history_entries(store.storage.history, mk_key(2)) == []
     store.apply_block(2, Effects())
 
 
@@ -133,7 +133,7 @@ def test_history_shards_bounded_at_2000():
     k = mk_key(9)
     for b in range(1, 2002):
         index.add(k, b)
-    assert index.entries(k) == list(range(1, 2002))
+    assert history_entries(index, k) == list(range(1, 2002))
     assert index.first_at_or_after(k, 1) == 1
     assert index.first_at_or_after(k, 2000) == 2000
     assert index.first_at_or_after(k, 2001) == 2001
@@ -329,13 +329,31 @@ def test_store_save_load_round_trip(tmp_path):
             assert loaded.read_as_of(key, b) == store.read_as_of(key, b)
 
 
+def test_loaded_accounts_are_account_records_equal_to_the_saved_ones(tmp_path):
+    store = ArchivalStore()
+    with_code, plain, gone = mk_addr(1), mk_addr(2), mk_addr(3)
+    store.seed_genesis(accounts={with_code: Account(balance=-7, nonce=3, code_hash=b"\x11" * 32), plain: Account(balance=1)})
+    store.apply_block(1, Effects(accounts={plain: Account(balance=2, nonce=1), gone: Account(balance=10**30)}))
+    store.save(tmp_path / "store")
+    loaded = ArchivalStore.load(tmp_path / "store")
+    records = list(loaded.accounts.plain.values())
+    records += [acc for cs in loaded.accounts.changesets.values() for acc in cs.values() if acc is not None]
+    assert len(records) == 4
+    for acc in records:
+        assert type(acc) is Account
+    assert loaded.accounts.plain == store.accounts.plain
+    assert loaded.accounts.changesets == store.accounts.changesets == {1: {plain: Account(balance=1), gone: None}}
+    for addr, acc in loaded.accounts.plain.items():
+        assert (acc.balance, acc.nonce, acc.code_hash) == tuple(store.accounts.plain[addr])
+
+
 def _assert_same_history(loaded: ArchivalStore, store: ArchivalStore) -> None:
     """Both history indexes hold the same blocks for every key of both tables."""
     for ours, theirs in ((loaded.storage, store.storage), (loaded.accounts, store.accounts)):
         keys = set(theirs.plain).union(*theirs.changesets.values())
-        assert ours.history.key_count() == theirs.history.key_count()
+        assert history_key_count(ours.history) == history_key_count(theirs.history)
         for key in keys:
-            assert ours.history.entries(key) == theirs.history.entries(key), key
+            assert history_entries(ours.history, key) == history_entries(theirs.history, key), key
 
 
 def test_saved_store_holds_each_table_once(tmp_path):

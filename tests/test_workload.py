@@ -6,7 +6,6 @@ from ira.store import Account, CostMeter, CostModel, StorageKey, StoreView, ZERO
 from ira.workload import (
     Block,
     GeneratorParams,
-    Op,
     OpKind,
     ParameterError,
     TraceFormatError,
@@ -15,7 +14,6 @@ from ira.workload import (
     analyze_trace,
     build_store,
     collect_storage_keys,
-    demo_params,
     derive_genesis,
     execute_block,
     generate_trace,
@@ -23,12 +21,10 @@ from ira.workload import (
     iter_trace_file,
     read_trace_params,
     save_trace,
-    storage_read,
-    storage_write,
     trace_file_hash,
 )
 
-from conftest import mk_addr, mk_key, mk_word
+from conftest import demo_params, mk_addr, mk_key, mk_word, storage_read, storage_write
 
 
 class DictView:
@@ -296,11 +292,64 @@ def test_trace_decode_interns_storage_keys_across_blocks(tmp_path):
     seen = {}
     for block in iter_trace_file(path):
         for tx in block.txs:
-            for op in tx.ops:
-                if op.kind <= OpKind.STORAGE_WRITE:
-                    assert type(op.key) is StorageKey and len(op.key) == 52
-                assert seen.setdefault(op.key, op.key) is op.key
+            for kind, key, _ in tx.ops:
+                if kind <= OpKind.STORAGE_WRITE:
+                    assert type(key) is StorageKey and len(key) == 52
+                assert seen.setdefault(key, key) is key
     assert seen
+
+
+def test_decoded_ops_are_plain_tuples(tmp_path):
+    params = demo_params(blocks=4)
+    path = tmp_path / "t.trace"
+    save_trace(path, params, generate_trace(params))
+    kinds = set()
+    for block in iter_trace_file(path):
+        for tx in block.txs:
+            for op in tx.ops:
+                assert type(op) is tuple and len(op) == 3
+                kind, key, value = op
+                assert type(kind) is int
+                kinds.add(kind)
+                if kind <= OpKind.STORAGE_WRITE:
+                    assert type(key) is StorageKey and len(key) == 52
+                else:
+                    assert type(key) is bytes and len(key) == 20
+                if kind == OpKind.STORAGE_WRITE:
+                    assert type(value) is bytes and len(value) == 32
+                else:
+                    assert value is None
+    assert kinds == set(OpKind)
+
+
+# the generator shapes of the benchmark's workloads
+_SHAPES = {
+    "default": {},
+    "plain_read": {
+        "intra_block_reuse_factor": 4.0,
+        "ephemeral_key_fraction": 1.0,
+        "hot_key_share": 0.0,
+        "reads_only": True,
+        "accounts_per_block": 0.0,
+        "codes_per_block": 0.0,
+        "seed_trace_keys": True,
+    },
+    "hot_write": {"ephemeral_key_fraction": 0.2, "hot_key_share": 0.5, "read_write_ratio": 1.0, "pair_gap_mean": 2.0},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_trace_file_round_trip_gives_back_the_generated_ops(tmp_path, rng, shape):
+    for _ in range(2):
+        params = GeneratorParams(blocks=rng.randrange(1, 4), seed=rng.randrange(1 << 30), **_SHAPES[shape])
+        path = tmp_path / "t.trace"
+        blocks = generate_trace(params)
+        assert save_trace(path, params, blocks) == params.blocks
+
+        def flat(blocks):
+            return [(b.number, b.beneficiary, [(tx.sender, tx.recipient, tx.ops) for tx in b.txs]) for b in blocks]
+
+        assert flat(iter_trace_file(path)) == flat(blocks)
 
 
 def test_build_store_applies_all_blocks():
@@ -310,7 +359,7 @@ def test_build_store_applies_all_blocks():
     assert store.head_block == params.blocks
     assert collect_storage_keys(trace) <= set(store.storage.plain) | {
         k for cs in store.storage.changesets.values() for k in cs
-    } | {k for b in trace for tx in b.txs for op in tx.ops if op.kind == OpKind.STORAGE_READ for k in [op.key]}
+    } | {k for b in trace for tx in b.txs for kind, k, _ in tx.ops if kind == OpKind.STORAGE_READ}
 
 
 def test_build_store_effects_depend_on_account_state():
