@@ -22,6 +22,12 @@ Change-set keys and accounts are resolved by the store's one as-of rule,
 table that holds each value; this module prices the walks but never reads a
 change set or history index itself.
 
+The plan splits each hint's sorted storage entries into per-block runs, one
+per source. Its merged lists are the concatenated runs, deduplicated, so
+``sorted`` merges runs instead of sorting from scratch. ``prefetch`` fills
+each block's cache straight from that block's runs and prices the walks from
+the merged lists' counts.
+
 Each sorted fetch list is priced by ``store.walk_wall``: with ``workers = k``
 it is split into ``min(k, io_lanes)`` contiguous ranges, each one cursor walk,
 and the list's wall cost is its longest range. The batch wall cost is the sum
@@ -45,8 +51,9 @@ from __future__ import annotations
 import csv
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import IraError
 from .config import BaselineCacheConfig, PipelineConfig
@@ -66,7 +73,6 @@ from .primary import (
     Hint,
     HintDb,
     HintIntegrityError,
-    Source,
     decompress_hint,
     parse_hint,
     state_change_hash,
@@ -129,18 +135,30 @@ class BlockCache:
             raise CacheMissError("code", address, self.block_number) from None
 
 
+class StorageRuns(NamedTuple):
+    """One hint's storage keys split by route, each run in the hint's
+    (ascending) key order. The fields follow the ``Source`` values, so a
+    source indexes its run."""
+
+    plain: List[StorageKey]
+    zero: List[StorageKey]
+    changeset: List[StorageKey]
+
+
 @dataclass
 class PrefetchPlan:
     """Merged, deduplicated fetch lists for one batch of hints.
 
-    Every (key, source) entry of every hint lands in exactly one route.
-    Change-set and account entries keep their block number because their
-    values are block-dependent; ``prefetch`` resolves each (key, block) pair
-    to the table entry that holds its value.
+    Every (key, source) entry of every hint lands in exactly one per-block
+    run of ``runs``, from which ``prefetch`` fills that block's cache. The
+    merged lists are what the walks cover: change-set and account entries
+    keep their block number because their values are block-dependent. Zero
+    keys are deduplicated but not sorted, since no walk reads them.
     """
 
     blocks: List[int]
     per_block: Dict[int, Hint]
+    runs: Dict[int, StorageRuns]
     plain_keys: List[StorageKey]
     zero_keys: List[StorageKey]
     changeset_pairs: List[Tuple[StorageKey, int]]
@@ -149,35 +167,28 @@ class PrefetchPlan:
 
 
 def plan_prefetch(hints: Sequence[Hint]) -> PrefetchPlan:
-    """Merge a batch of decoded hints into sorted, routed fetch lists."""
-    plain: Set[StorageKey] = set()
-    zero: Set[StorageKey] = set()
-    cs_pairs: Set[Tuple[StorageKey, int]] = set()
-    acct_pairs: Set[Tuple[bytes, int]] = set()
-    codes: Set[bytes] = set()
+    """Merge a batch of decoded hints into sorted, routed fetch lists.
+
+    Each list is the concatenation of the blocks' sorted runs, so ``sorted``
+    merges runs rather than sorting from scratch."""
     per_block: Dict[int, Hint] = {}
-    PLAIN, ZERO = Source.PLAIN, Source.ZERO  # a local is cheaper than an enum member lookup
+    runs: Dict[int, StorageRuns] = {}
     for hint in hints:
-        per_block[hint.block_number] = hint
         b = hint.block_number
+        per_block[b] = hint
+        runs[b] = split = StorageRuns([], [], [])
         for key, src in hint.storage_entries:
-            if src == PLAIN:
-                plain.add(key)
-            elif src == ZERO:
-                zero.add(key)
-            else:
-                cs_pairs.add((key, b))
-        for addr in hint.accounts:
-            acct_pairs.add((addr, b))
-        codes.update(hint.codes)
+            split[src].append(key)
+    blocks = sorted(per_block)
     return PrefetchPlan(
-        blocks=sorted(per_block),
+        blocks=blocks,
         per_block=per_block,
-        plain_keys=sorted(plain),
-        zero_keys=sorted(zero),
-        changeset_pairs=sorted(cs_pairs),
-        account_pairs=sorted(acct_pairs),
-        code_addrs=sorted(codes),
+        runs=runs,
+        plain_keys=sorted(dict.fromkeys(chain.from_iterable(runs[b].plain for b in blocks))),
+        zero_keys=list(dict.fromkeys(chain.from_iterable(runs[b].zero for b in blocks))),
+        changeset_pairs=sorted(dict.fromkeys((key, b) for b in blocks for key in runs[b].changeset)),
+        account_pairs=sorted(dict.fromkeys((addr, b) for b in blocks for addr in per_block[b].accounts)),
+        code_addrs=sorted(dict.fromkeys(chain.from_iterable(per_block[b].codes for b in blocks))),
     )
 
 
@@ -204,53 +215,64 @@ class PrefetchResult:
 
 
 def _resolve(
-    table: VersionedTable, pairs: List[Tuple[bytes, int]]
-) -> Tuple[Dict[Tuple[bytes, int], Any], List[Tuple[int, bytes]], Set[bytes]]:
-    """Resolve (key, block) pairs as of their blocks with ``table.locate``.
+    table: VersionedTable,
+    keys: Iterable[bytes],
+    block: int,
+    values: Dict[bytes, Any],
+    fetches: List[Tuple[int, bytes]],
+    plain_keys: Set[bytes],
+) -> None:
+    """Resolve ``keys`` as of ``block`` with ``table.locate``.
 
-    Returns the value of each pair (``table.absent`` for an absent key), the
-    ``(n, key)`` change-set fetch of each pair that has one, and the keys read
-    from the plain table.
+    Puts the value of each key in ``values`` (``table.absent`` for an absent
+    key), the ``(n, key)`` change-set fetch of each key that has one in
+    ``fetches``, and each key read from the plain table in ``plain_keys``.
     """
-    values: Dict[Tuple[bytes, int], Any] = {}
-    fetches: List[Tuple[int, bytes]] = []
-    plain_keys: Set[bytes] = set()
-    for key, block in pairs:
-        n, value = table.locate(key, block)
+    locate, absent = table.locate, table.absent
+    for key in keys:
+        n, value = locate(key, block)
         if n is not None:
             fetches.append((n, key))
         elif value is not None:
             plain_keys.add(key)
-        values[(key, block)] = table.absent if value is None else value
-    return values, fetches, plain_keys
+        values[key] = absent if value is None else value
 
 
 def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> PrefetchResult:
     """Fetch everything a batch needs and assemble one cache per block.
 
     Each block's cache receives exactly the keys its own hint listed, with
-    values routed per that hint's sources.
+    values routed per that hint's sources, straight from the block's runs.
     """
     model = store.cost_model
+    plain = store.storage.plain
+    caches: Dict[int, BlockCache] = {b: BlockCache(b) for b in plan.blocks}
 
     walls: Dict[str, int] = {}
     walls["plain"] = walk_wall(len(plan.plain_keys), workers, model)
-    plain_vals: Dict[StorageKey, bytes] = {}
-    for key in plan.plain_keys:
-        value = store.storage.plain.get(key)
-        if value is None:
-            blocks = [b for b in plan.blocks if (key, Source.PLAIN) in plan.per_block[b].storage_entries]
-            raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}", blocks)
-        plain_vals[key] = value
+    try:
+        for b, cache in caches.items():
+            runs = plan.runs[b]
+            cache.storage = dict.fromkeys(runs.zero, ZERO_WORD)
+            cache.storage.update(zip(runs.plain, map(plain.__getitem__, runs.plain)))
+    except KeyError:
+        key = next(k for k in plan.plain_keys if k not in plain)
+        blocks = [b for b in plan.blocks if key in plan.runs[b].plain]
+        raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}", blocks) from None
 
     # change-set keys and accounts: a history consult over the unique keys,
     # then block-dependent values from a change-set walk and a plain walk
     # over the keys no later block modified
-    cs_vals, cs_fetches, cs_plain = _resolve(store.storage, plan.changeset_pairs)
+    cs_fetches: List[Tuple[int, bytes]] = []
+    cs_plain: Set[bytes] = set()
+    acct_fetches: List[Tuple[int, bytes]] = []
+    acct_plain: Set[bytes] = set()
+    for b, cache in caches.items():
+        _resolve(store.storage, plan.runs[b].changeset, b, cache.storage, cs_fetches, cs_plain)
+        _resolve(store.accounts, plan.per_block[b].accounts, b, cache.accounts, acct_fetches, acct_plain)
     walls["changeset_consult"] = walk_wall(len({key for key, _ in plan.changeset_pairs}), workers, model)
     walls["changeset_fetch"] = walk_wall(len(set(cs_fetches)), workers, model)
     walls["changeset_plain"] = walk_wall(len(cs_plain), workers, model)
-    acct_vals, acct_fetches, acct_plain = _resolve(store.accounts, plan.account_pairs)
     walls["account_consult"] = walk_wall(len({addr for addr, _ in plan.account_pairs}), workers, model)
     # Storage prices its unique (n, key) fetches, since blocks that resolve
     # to the same n share one; accounts price one fetch per (address, block),
@@ -278,26 +300,12 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
     walls["bytecode"] = walk_wall(len(hashes), workers, model)
     wall = sum(walls.values())
 
-    caches: Dict[int, BlockCache] = {}
     per_block_cost: Dict[int, int] = {}
     total_entries = sum(hint.entry_count() for hint in plan.per_block.values()) or 1
     remainder = wall
-    PLAIN, ZERO = Source.PLAIN, Source.ZERO  # a local is cheaper than an enum member lookup
-    for i, b in enumerate(plan.blocks):
+    for i, (b, cache) in enumerate(caches.items()):
         hint = plan.per_block[b]
-        cache = BlockCache(b)
-        for key, src in hint.storage_entries:
-            if src == PLAIN:
-                cache.storage[key] = plain_vals[key]
-            elif src == ZERO:
-                cache.storage[key] = ZERO_WORD
-            else:
-                cache.storage[key] = cs_vals[(key, b)]
-        for addr in hint.accounts:
-            cache.accounts[addr] = acct_vals[(addr, b)]
-        for addr in hint.codes:
-            cache.codes[addr] = code_vals[addr]
-        caches[b] = cache
+        cache.codes = {addr: code_vals[addr] for addr in hint.codes}
         if i == len(plan.blocks) - 1:
             share = remainder
         else:

@@ -1,5 +1,4 @@
-"""Offline cache-policy simulator: LRU, future-knowledge-optimal (MIN), and an
-exhaustive optimality oracle for small instances.
+"""Offline cache-policy simulator: LRU and future-knowledge-optimal (MIN).
 
 Keys are opaque: anything hashable and mutually comparable works. Eviction
 decisions are fully deterministic; when several cached keys are equally good
@@ -23,10 +22,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-BRUTE_FORCE_MAX_LEN = 14
 
 _INF = float("inf")
 
@@ -141,41 +137,6 @@ def simulate_belady(
     result.misses = misses
     result.hits = len(trace) - misses
     return result
-
-
-def brute_force_optimal(
-    trace: Sequence[Hashable],
-    capacity: int,
-    init: Optional[Iterable[Hashable]] = None,
-) -> int:
-    """Exact minimum miss count over all demand eviction schedules.
-
-    Explores every eviction choice with memoization on (position, cache
-    contents). Refuses traces longer than ``BRUTE_FORCE_MAX_LEN``.
-    """
-    _check_capacity(capacity)
-    if len(trace) > BRUTE_FORCE_MAX_LEN:
-        raise ValueError(f"brute force limited to traces of length <= {BRUTE_FORCE_MAX_LEN}")
-    start = frozenset(init or ())
-    if len(start) > capacity:
-        raise ValueError("initial contents exceed capacity")
-    trace = tuple(trace)
-
-    @lru_cache(maxsize=None)
-    def best(i: int, cache: frozenset) -> int:
-        if i == len(trace):
-            return 0
-        key = trace[i]
-        if key in cache:
-            return best(i + 1, cache)
-        if len(cache) < capacity:
-            return 1 + best(i + 1, cache | {key})
-        return 1 + min(best(i + 1, (cache - {victim}) | {key}) for victim in cache)
-
-    try:
-        return best(0, start)
-    finally:
-        best.cache_clear()
 
 
 def compare_policies(

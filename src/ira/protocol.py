@@ -180,14 +180,6 @@ def generic_replay(
     return ReplayStats(prefetched=prefetched, extra_prefetches=extra)
 
 
-def execute_direct(batch: Sequence[GenericOp], store: GenericStore) -> None:
-    for op in batch:
-        if op.kind == GenericOpKind.WRITE:
-            store.put(op.key, op.value)  # type: ignore[arg-type]
-        else:
-            store.get(op.key)
-
-
 # -- encodings ---------------------------------------------------------------------
 
 
@@ -197,11 +189,6 @@ class DecodedHint:
 
     keys: Optional[Set[bytes]]
     _member: Optional[object] = None
-
-    def member(self, key: bytes) -> bool:
-        if self.keys is not None:
-            return key in self.keys
-        return self._member(key)  # type: ignore[operator]
 
 
 def _encode_exact(keys: List[bytes]) -> bytes:

@@ -38,8 +38,12 @@ record shapes, key widths and value codecs, and both ``save`` and ``load``
 walk it. ``load`` accepts a file only if the records it reads match the
 file's count and end exactly at its last byte; it rebuilds the history index
 from the change sets and rejects a file whose records repeat a (block, key)
-pair or list a key's blocks out of order. See the README for the byte layout
-of each file.
+pair or list a key's blocks out of order. The two storage tables have
+fixed-width records, so ``load`` checks their length first and then slices
+every key and word in bulk. Account records are decoded through a memo that
+lives for one load, so identical records share one ``Account``: a genesis
+gives thousands of accounts the same record. See the README for the byte
+layout of each file.
 """
 
 from __future__ import annotations
@@ -115,11 +119,6 @@ class StorageKey(bytes):
 unchecked_storage_key = functools.partial(bytes.__new__, StorageKey)
 
 
-def word_from_int(value: int) -> bytes:
-    """Encode an unsigned integer as a 32-byte big-endian word."""
-    return value.to_bytes(WORD_LEN, "big")
-
-
 def check_word(word: bytes) -> bytes:
     if len(word) != WORD_LEN:
         raise ValueError(f"word must be {WORD_LEN} bytes, got {len(word)}")
@@ -152,34 +151,32 @@ def _pack_prior_account(prior: Optional[Account]) -> bytes:
     return b"\x00" if prior is None else b"\x01" + pack_account(prior)
 
 
-def _unpack_account(buf: bytes, off: int) -> Tuple[Account, int]:
-    balance = int.from_bytes(buf[off : off + 32], "big", signed=True)
-    nonce = _U64.unpack_from(buf, off + 32)[0]
-    flag = buf[off + 40]
-    off += 41
-    code_hash = None
-    if flag:
-        code_hash = buf[off : off + HASH_LEN]
-        off += HASH_LEN
-    # tuple.__new__ skips the argument handling of Account(...)
-    return tuple.__new__(Account, (balance, nonce, code_hash)), off
+def _unpack_account(buf: bytes, off: int, memo: Dict[bytes, Account]) -> Tuple[Account, int]:
+    """Decode the account record at ``off``. ``memo`` maps record bytes to
+    the records decoded so far, so identical records share one ``Account``
+    (a genesis gives thousands of accounts the same balance and nonce)."""
+    end = off + (41 + HASH_LEN if buf[off + 40] else 41)
+    raw = buf[off:end]
+    acc = memo.get(raw)
+    if acc is None:
+        balance = int.from_bytes(raw[:32], "big", signed=True)
+        code_hash = raw[41:] if raw[40] else None
+        # tuple.__new__ skips the argument handling of Account(...)
+        acc = memo[raw] = tuple.__new__(Account, (balance, _U64.unpack_from(raw, 32)[0], code_hash))
+    return acc, end
 
 
-def _unpack_prior_account(buf: bytes, off: int) -> Tuple[Optional[Account], int]:
+def _unpack_prior_account(buf: bytes, off: int, memo: Dict[bytes, Account]) -> Tuple[Optional[Account], int]:
     if buf[off]:
-        return _unpack_account(buf, off + 1)
+        return _unpack_account(buf, off + 1, memo)
     return None, off + 1
-
-
-def _unpack_word(buf: bytes, off: int) -> Tuple[bytes, int]:
-    return buf[off : off + WORD_LEN], off + WORD_LEN
 
 
 def _pack_code(code: bytes) -> bytes:
     return _U32.pack(len(code)) + code
 
 
-def _unpack_code(buf: bytes, off: int) -> Tuple[bytes, int]:
+def _unpack_code(buf: bytes, off: int, _memo: dict) -> Tuple[bytes, int]:
     (n,) = _U32.unpack_from(buf, off)
     off += 4
     return buf[off : off + n], off + n
@@ -195,14 +192,16 @@ class _Table(NamedTuple):
     key_len: int
     make_key: Callable[[bytes], bytes]
     pack: Callable[[Any], bytes]
-    unpack: Callable[[bytes, int], Tuple[Any, int]]  # (value, offset after it)
+    # (value, offset after it) of a variable-width value; None for a
+    # WORD_LEN word, which load slices in bulk
+    unpack: Optional[Callable[[bytes, int, dict], Tuple[Any, int]]]
 
 
 _TABLES = (
-    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, unchecked_storage_key, bytes, _unpack_word),
+    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, unchecked_storage_key, bytes, None),
     _Table("plain_accounts.bin", False, attrgetter("accounts.plain"), ADDRESS_LEN, bytes, pack_account, _unpack_account),
     _Table("bytecodes.bin", False, attrgetter("bytecodes"), HASH_LEN, bytes, _pack_code, _unpack_code),
-    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, unchecked_storage_key, bytes, _unpack_word),
+    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, unchecked_storage_key, bytes, None),
     _Table("account_changesets.bin", True, attrgetter("accounts"), ADDRESS_LEN, bytes, _pack_prior_account, _unpack_prior_account),
 )
 
@@ -504,28 +503,50 @@ class ArchivalStore:
             raise StoreError(f"{MANIFEST_NAME}: no integer head_block")
         store = cls(cost_model)
 
-        # Each walk stops at the end of the file, whatever its count says.
-        # The history index is rebuilt from the change-set records: they are
-        # sorted by block, so each key's blocks arrive ascending, and the
-        # index's add refuses a repeated or out-of-order record.
+        # A walk over variable-width records stops at the end of the file,
+        # whatever its count says; a word table's record count follows from
+        # the file's length, and its records are sliced in bulk. The history
+        # index is rebuilt from the change-set records: they are sorted by
+        # block, so each key's blocks arrive ascending, and the index's add
+        # refuses a repeated or out-of-order record.
+        memo: Dict[bytes, Account] = {}  # identical account records share one Account
         for table in _TABLES:
             buf = (directory / table.name).read_bytes()
             part, make_key, key_len, unpack = table.part(store), table.make_key, table.key_len, table.unpack
             n, off, end = 0, 8, len(buf)
             try:
                 (count,) = _U64.unpack_from(buf)
-                if table.changes:
+                if unpack is None:
+                    width = 8 * table.changes + key_len + WORD_LEN
+                    n = -(-(end - off) // width)  # the last record may be cut short
+                    off += n * width
+                    if n == count and off == end:
+                        at = range(8 + 8 * table.changes, end, width)
+                        keys = [make_key(buf[o : o + key_len]) for o in at]
+                        words = [buf[o + key_len : o + key_len + WORD_LEN] for o in at]
+                        if table.changes:
+                            blocks = [_U64.unpack_from(buf, o)[0] for o in range(8, end, width)]
+                            changesets, add = part.changesets, part.history.add
+                            for block, key, word in zip(blocks, keys, words):
+                                cs = changesets.get(block)
+                                if cs is None:
+                                    cs = changesets[block] = {}
+                                cs[key] = word
+                                add(key, block)
+                        else:
+                            part.update(zip(keys, words))
+                elif table.changes:
                     changesets, add, block_at = part.changesets, part.history.add, _U64.unpack_from
                     while off < end:
                         (block,) = block_at(buf, off)
                         key = make_key(buf[off + 8 : off + 8 + key_len])
-                        changesets.setdefault(block, {})[key], off = unpack(buf, off + 8 + key_len)
+                        changesets.setdefault(block, {})[key], off = unpack(buf, off + 8 + key_len, memo)
                         add(key, block)
                         n += 1
                 else:
                     while off < end:
                         key = make_key(buf[off : off + key_len])
-                        part[key], off = unpack(buf, off + key_len)
+                        part[key], off = unpack(buf, off + key_len, memo)
                         n += 1
             except (struct.error, IndexError, ValueError) as exc:
                 raise StoreError(f"{table.name}: record cut short ({exc})") from None

@@ -258,12 +258,14 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
     hot_rng = random.Random(_sub_seed(params.seed, "hot"))
 
     contract_cdf = _zipf_cdf(params.n_contracts, params.hot_contract_zipf_exponent)
+    # one sha256 per contract for the whole trace, not one per drawn key
+    contracts = [contract_address(c) for c in range(params.n_contracts)]
     hot_pool: List[StorageKey] = []
     if params.hot_key_share > 0:
         for _ in range(params.hot_keys):
             c = _draw_cdf(hot_rng, contract_cdf)
             slot = hot_rng.getrandbits(256).to_bytes(32, "big")
-            hot_pool.append(StorageKey.make(contract_address(c), slot))
+            hot_pool.append(StorageKey.make(contracts[c], slot))
         hot_cdf = _zipf_cdf(len(hot_pool), params.hot_contract_zipf_exponent)
     else:
         hot_cdf = []
@@ -275,7 +277,7 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
     def fresh_key() -> StorageKey:
         c = _draw_cdf(rng, contract_cdf)
         slot = rng.getrandbits(256).to_bytes(32, "big")
-        return StorageKey.make(contract_address(c), slot)
+        return StorageKey.make(contracts[c], slot)
 
     for number in range(1, params.blocks + 1):
         u = max(8, int(_lognormal(rng, params.unique_keys_median, params.unique_keys_sigma)))
@@ -323,7 +325,7 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
         for _ in range(_count_around(rng, params.accounts_per_block) if params.accounts_per_block > 0 else 0):
             ops.append((2, account_address(int(rng.random() * params.n_accounts)), None))  # ACCOUNT_READ
         for _ in range(_count_around(rng, params.codes_per_block) if params.codes_per_block > 0 else 0):
-            ops.append((3, contract_address(int(rng.random() * params.n_code_contracts)), None))  # CODE_LOAD
+            ops.append((3, contracts[int(rng.random() * params.n_code_contracts)], None))  # CODE_LOAD
         rng.shuffle(ops)
 
         n_txs = min(_count_around(rng, params.txs_per_block_mean), len(ops))
@@ -340,10 +342,6 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
             txs.append(Transaction(sender, recipient, ops[bounds[i] : bounds[i + 1]]))
         beneficiary = account_address(int(rng.random() * params.n_accounts))
         yield Block(number, beneficiary, txs)
-
-
-def generate_trace(params: GeneratorParams) -> List[Block]:
-    return list(iter_trace(params))
 
 
 # -- genesis -------------------------------------------------------------------
@@ -395,8 +393,8 @@ def collect_storage_keys(blocks: Iterable[Block]) -> Set[StorageKey]:
 # -- execution -------------------------------------------------------------------
 
 
-_UNSET = object()
 _EMPTY = Account()
+_LOG_TAGS = ("S", "S", "A", "C")  # access-log tag of each op kind
 
 
 @dataclass
@@ -428,93 +426,72 @@ def execute_block(
     The meter is charged one compute unit per op and one hit unit per read
     access (explicit read ops plus the implicit per-tx account touches); any
     I/O the view performs lands on the same meter via the view itself.
+
+    The loop keeps no per-op bookkeeping. The view is asked for a key at its
+    first read in the block, and for a storage key again only while the
+    view's answer is ``None``. The read count is ``ops - writes + 3 * txs``,
+    and the access sets are the memos' keys once the loop is done (every
+    account the overlay holds was read first). ``collect_log`` builds the
+    access log, in op order, by a second walk over the ops.
     """
     storage_overlay: Dict[StorageKey, bytes] = {}
-    storage_memo: Dict[StorageKey, bytes] = {}
+    seen: Dict[StorageKey, Optional[bytes]] = {}  # each storage key's value as last read or written
     account_overlay: Dict[bytes, Account] = {}
     account_memo: Dict[bytes, Optional[Account]] = {}
     code_memo: Dict[bytes, Optional[bytes]] = {}
-    storage_set: Set[StorageKey] = set()
-    account_set: Set[bytes] = set()
-    code_set: Set[bytes] = set()
-    log: Optional[List[Tuple[str, bytes]]] = [] if collect_log else None
-
-    ops = 0
-    reads = 0
-
-    def read_account(addr: bytes) -> Optional[Account]:
-        nonlocal reads
-        reads += 1
-        account_set.add(addr)
-        if log is not None:
-            log.append(("A", addr))
-        acc = account_overlay.get(addr, _UNSET)
-        if acc is not _UNSET:
-            return acc  # type: ignore[return-value]
-        acc = account_memo.get(addr, _UNSET)
-        if acc is _UNSET:
-            acc = view.get_account(addr)
-            account_memo[addr] = acc
-        return acc  # type: ignore[return-value]
+    get_storage, get_account, get_code = view.get_storage, view.get_account, view.get_code
+    beneficiary = block.beneficiary
+    ops = writes = 0
 
     for tx in block.txs:
-        for kind, key, value in tx.ops:
-            ops += 1
+        tx_ops = tx.ops
+        for kind, key, value in tx_ops:
             if kind == 0:  # STORAGE_READ
-                reads += 1
-                storage_set.add(key)
-                if log is not None:
-                    log.append(("S", key))
-                v = storage_overlay.get(key)
-                if v is None:
-                    v = storage_memo.get(key)
-                    if v is None:
-                        v = view.get_storage(key)
-                        storage_memo[key] = v
+                if seen.get(key) is None:
+                    seen[key] = get_storage(key)
             elif kind == 1:  # STORAGE_WRITE
-                storage_set.add(key)
-                if log is not None:
-                    log.append(("S", key))
-                storage_overlay[key] = value
+                storage_overlay[key] = seen[key] = value
+                writes += 1
             elif kind == 2:  # ACCOUNT_READ
-                read_account(key)
-            else:  # CODE_LOAD
-                reads += 1
-                code_set.add(key)
-                if log is not None:
-                    log.append(("C", key))
-                c = code_memo.get(key, _UNSET)
-                if c is _UNSET:
-                    c = view.get_code(key)
-                    code_memo[key] = c
+                if key not in account_memo:
+                    account_memo[key] = get_account(key)
+            elif key not in code_memo:  # CODE_LOAD
+                code_memo[key] = get_code(key)
 
-        fee = len(tx.ops) + 1
-        sender_acc = read_account(tx.sender) or _EMPTY
-        account_overlay[tx.sender] = Account(
-            balance=sender_acc.balance - fee,
-            nonce=sender_acc.nonce + 1,
-            code_hash=sender_acc.code_hash,
-        )
-        read_account(tx.recipient)
-        ben_acc = read_account(block.beneficiary) or _EMPTY
-        account_overlay[block.beneficiary] = Account(
-            balance=ben_acc.balance + fee,
-            nonce=ben_acc.nonce,
-            code_hash=ben_acc.code_hash,
-        )
+        ops += len(tx_ops)
+        fee = len(tx_ops) + 1
+        sender, recipient = tx.sender, tx.recipient
+        if sender not in account_memo:
+            account_memo[sender] = get_account(sender)
+        acc = account_overlay.get(sender) or account_memo[sender] or _EMPTY
+        # tuple.__new__ skips the argument handling of Account(...)
+        account_overlay[sender] = tuple.__new__(Account, (acc[0] - fee, acc[1] + 1, acc[2]))
+        if recipient not in account_memo:
+            account_memo[recipient] = get_account(recipient)
+        if beneficiary not in account_memo:
+            account_memo[beneficiary] = get_account(beneficiary)
+        acc = account_overlay.get(beneficiary) or account_memo[beneficiary] or _EMPTY
+        account_overlay[beneficiary] = tuple.__new__(Account, (acc[0] + fee, acc[1], acc[2]))
 
+    reads = ops - writes + 3 * len(block.txs)
     if meter is not None:
         meter.charge_compute(ops)
         meter.charge_hit(reads)
 
-    effects = Effects(storage=storage_overlay, accounts=account_overlay, codes={})
+    log: Optional[List[Tuple[str, bytes]]] = None
+    if collect_log:
+        log = []
+        for tx in block.txs:
+            log += [(_LOG_TAGS[kind], key) for kind, key, _ in tx.ops]
+            log += (("A", tx.sender), ("A", tx.recipient), ("A", beneficiary))
+
     return ExecResult(
-        effects=effects,
+        effects=Effects(storage=storage_overlay, accounts=account_overlay, codes={}),
         op_count=ops,
         read_count=reads,
-        storage_keys=storage_set,
-        account_addrs=account_set,
-        code_addrs=code_set,
+        storage_keys=set(seen),
+        account_addrs=set(account_memo),
+        code_addrs=set(code_memo),
         access_log=log,
     )
 
@@ -828,11 +805,3 @@ def trace_block_numbers(path: Path) -> Iterator[int]:
             if len(payload) < 8:
                 raise TraceFormatError("truncated trace record")
             yield _U64.unpack_from(payload)[0]
-
-
-def trace_file_hash(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
+from functools import lru_cache
 from pathlib import Path
+from typing import Hashable, Iterable, List, Optional, Sequence
 
 import pytest
 
 from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_baseline
+from ira.cachesim import _check_capacity
 from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary_block, serialize_hint
-from ira.store import ShardedIndex, StorageKey, check_word, word_from_int
+from ira.protocol import DecodedHint, GenericOp, GenericOpKind, GenericStore
+from ira.store import WORD_LEN, ShardedIndex, StorageKey, check_word
 from ira.workload import (
+    Block,
     GeneratorParams,
     Op,
     OpKind,
@@ -25,6 +31,11 @@ DEFAULT_SEED = 1
 
 def mk_key(i: int, contract: int = 0) -> StorageKey:
     return StorageKey.make(bytes([contract]) * 20, i.to_bytes(32, "big"))
+
+
+def word_from_int(value: int) -> bytes:
+    """Encode an unsigned integer as a 32-byte big-endian word."""
+    return value.to_bytes(WORD_LEN, "big")
 
 
 def mk_word(i: int) -> bytes:
@@ -58,6 +69,73 @@ def demo_params(blocks: int = 3, seed: int = 42) -> GeneratorParams:
         hot_keys=4,
         seed=seed,
     )
+
+
+def generate_trace(params: GeneratorParams) -> List[Block]:
+    return list(iter_trace(params))
+
+
+def trace_file_hash(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+BRUTE_FORCE_MAX_LEN = 14
+
+
+def brute_force_optimal(
+    trace: Sequence[Hashable],
+    capacity: int,
+    init: Optional[Iterable[Hashable]] = None,
+) -> int:
+    """Exact minimum miss count over all demand eviction schedules.
+
+    Explores every eviction choice with memoization on (position, cache
+    contents). Refuses traces longer than ``BRUTE_FORCE_MAX_LEN``.
+    """
+    _check_capacity(capacity)
+    if len(trace) > BRUTE_FORCE_MAX_LEN:
+        raise ValueError(f"brute force limited to traces of length <= {BRUTE_FORCE_MAX_LEN}")
+    start = frozenset(init or ())
+    if len(start) > capacity:
+        raise ValueError("initial contents exceed capacity")
+    trace = tuple(trace)
+
+    @lru_cache(maxsize=None)
+    def best(i: int, cache: frozenset) -> int:
+        if i == len(trace):
+            return 0
+        key = trace[i]
+        if key in cache:
+            return best(i + 1, cache)
+        if len(cache) < capacity:
+            return 1 + best(i + 1, cache | {key})
+        return 1 + min(best(i + 1, (cache - {victim}) | {key}) for victim in cache)
+
+    try:
+        return best(0, start)
+    finally:
+        best.cache_clear()
+
+
+def execute_direct(batch: Sequence[GenericOp], store: GenericStore) -> None:
+    """Run a generic batch straight against the store, with no hint."""
+    for op in batch:
+        if op.kind == GenericOpKind.WRITE:
+            store.put(op.key, op.value)  # type: ignore[arg-type]
+        else:
+            store.get(op.key)
+
+
+def hint_member(hint: DecodedHint, key: bytes) -> bool:
+    """Whether a decoded hint holds ``key``: in its key set, or by its
+    membership test."""
+    if hint.keys is not None:
+        return key in hint.keys
+    return hint._member(key)  # type: ignore[operator,misc]
 
 
 def history_entries(index: ShardedIndex, key: bytes) -> list:

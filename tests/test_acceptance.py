@@ -15,13 +15,12 @@ import time
 import pytest
 
 from ira.backup import PipelineConfig, pipeline_run, run_baseline
-from ira.cachesim import brute_force_optimal, compare_policies, simulate_belady, simulate_lru
+from ira.cachesim import compare_policies, simulate_belady, simulate_lru
 from ira.primary import Source, compress_hint, parse_hint, raw_hint_size, serialize_hint, run_primary_block, HintDb
 from ira.protocol import (
     GenericStore,
     decode_hint,
     encode_hint,
-    execute_direct,
     generic_generate,
     generic_replay,
     read_op,
@@ -36,9 +35,9 @@ from ira.workload import (
     iter_trace_file,
     plain_read_params,
     save_trace,
-    trace_file_hash,
 )
 
+from conftest import brute_force_optimal, execute_direct, hint_member, trace_file_hash
 from test_primary import random_hint
 
 
@@ -294,11 +293,11 @@ def test_criterion_10_generalized_protocol_safety():
                 failures += 1
             if encoding == "bloom":
                 view = decode_hint("bloom", hint.payload)
-                if not all(view.member(k) for k in access):
+                if not all(hint_member(view, k) for k in access):
                     failures += 1  # a false negative would be a contract break
                 for k in held_out:
                     bloom_trials += 1
-                    if view.member(k):
+                    if hint_member(view, k):
                         bloom_fp += 1
     fpr = bloom_fp / bloom_trials if bloom_trials else 0.0
     ok = failures == 0 and fpr <= 0.02

@@ -25,10 +25,9 @@ from ira.workload import (
     Transaction,
     build_store,
     derive_genesis,
-    generate_trace,
 )
 
-from conftest import demo_params, mk_addr, mk_key, mk_word, reroute_zero_key_to_plain, storage_read, storage_write
+from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word, reroute_zero_key_to_plain, storage_read, storage_write
 
 
 # -- plan_prefetch -------------------------------------------------------------------
@@ -72,6 +71,33 @@ def test_plan_merges_batch_into_sorted_lists():
     assert len(plan.plain_keys) <= 32 * 50
     assert plan.plain_keys == sorted(plan.plain_keys)
     assert plan.blocks == list(range(1, 33))
+
+
+def test_plan_dedups_zero_keys():
+    keys = [mk_key(i) for i in range(6)]
+    hints = [hint_from_sets(b, [(k, Source.ZERO) for k in keys[b - 1 : b + 3]], [], []) for b in (1, 2, 3)]
+    plan = plan_prefetch(hints)
+    assert len(plan.zero_keys) == len(set(plan.zero_keys)) == 6
+    assert set(plan.zero_keys) == set(keys)
+
+
+def test_plan_puts_each_hint_entry_in_exactly_one_block_run():
+    rng = random.Random(9)
+    keys = [mk_key(i, contract=i % 4) for i in range(40)]
+    hints = []
+    for b in (3, 1, 2, 5):
+        chosen = rng.sample(keys, 25)
+        hints.append(hint_from_sets(b, [(k, rng.choice(list(Source))) for k in chosen], [mk_addr(b)], []))
+    plan = plan_prefetch(hints)
+    assert set(plan.runs) == set(plan.blocks) == {1, 2, 3, 5}
+    for hint in hints:
+        runs = plan.runs[hint.block_number]
+        placed = [(k, src) for src in Source for k in runs[src]]
+        assert sorted(placed) == sorted(hint.storage_entries)
+        for src in Source:
+            assert runs[src] == [k for k, s in hint.storage_entries if s == src]
+    assert plan.changeset_pairs == sorted({(k, b) for b in plan.blocks for k in plan.runs[b].changeset})
+    assert plan.plain_keys == sorted({k for b in plan.blocks for k in plan.runs[b].plain})
 
 
 # -- prefetch cost model --------------------------------------------------------------

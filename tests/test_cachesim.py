@@ -7,11 +7,12 @@ import pytest
 from ira.cachesim import (
     SimResult,
     _next_use_indices,
-    brute_force_optimal,
     compare_policies,
     simulate_belady,
     simulate_lru,
 )
+
+from conftest import brute_force_optimal
 
 
 def test_motivating_example_lru_two_misses():

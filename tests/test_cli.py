@@ -856,6 +856,43 @@ def test_repeated_changeset_record_is_store_error_naming_the_file(demo_pipeline,
     assert not (tmp_path / "baseline.csv").exists()
 
 
+def _account_changeset_records(blob: bytes) -> list:
+    """The records of an ``account_changesets.bin``: u64 block, 20-byte
+    address, presence flag, then a 41-byte account record with a 32-byte
+    code hash after it when its last byte is set."""
+    records, off = [], 8
+    while off < len(blob):
+        end = off + 8 + 20 + 1
+        if blob[end - 1]:
+            end += 41 + (32 if blob[end + 40] else 0)
+        records.append(blob[off:end])
+        off = end
+    assert off == len(blob)
+    return records
+
+
+@pytest.mark.parametrize("fault", ["repeated-record", "blocks-out-of-order"])
+def test_bad_account_changeset_order_is_store_error_naming_the_file(demo_pipeline, tmp_path, capsys, fault):
+    d, c = demo_pipeline
+    store = _copy_store(d, tmp_path)
+    table = store / "account_changesets.bin"
+    blob = table.read_bytes()
+    records = _account_changeset_records(blob)
+    assert len(records) >= 3, "fixture table must hold records"
+    if fault == "repeated-record":
+        records[2] = records[1]
+    else:
+        # every key's blocks descend once the records run backwards
+        addrs = [r[8:28] for r in records]
+        assert len(set(addrs)) < len(addrs), "fixture must change an account in two blocks"
+        records.reverse()
+    table.write_bytes(blob[:8] + b"".join(records))
+    rc, err = _run_baseline_on(d, c, store, tmp_path / "baseline.csv", capsys)
+    assert rc == EXIT_CONFIG
+    assert err.startswith("store error: account_changesets.bin: ")
+    assert not (tmp_path / "baseline.csv").exists()
+
+
 def test_store_of_format_1_is_store_error(demo_pipeline, tmp_path, capsys):
     d, c = demo_pipeline
     store = _copy_store(d, tmp_path)

@@ -17,9 +17,9 @@ from pathlib import Path
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
 from ira.primary import Hint, HintDb, Source, annotate_sources, run_primary_block
 from ira.store import Account, ArchivalStore, CostMeter, Effects
-from ira.workload import build_store, derive_genesis, generate_trace
+from ira.workload import build_store, derive_genesis
 
-from conftest import demo_params, history_entries, mk_addr, mk_key, mk_word
+from conftest import demo_params, generate_trace, history_entries, mk_addr, mk_key, mk_word
 
 
 def _random_store(rng: random.Random):

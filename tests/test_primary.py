@@ -24,10 +24,10 @@ from ira.primary import (
     state_change_hash,
 )
 from ira.store import Account, ArchivalStore, CostMeter, Effects, StorageKey
-from ira.workload import build_store, derive_genesis, execute_block, generate_trace
+from ira.workload import build_store, derive_genesis, execute_block
 from ira.store import StoreView
 
-from conftest import demo_params, mk_addr, mk_key, mk_word
+from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word
 
 
 def random_key(rng: random.Random) -> StorageKey:

@@ -347,6 +347,29 @@ def test_loaded_accounts_are_account_records_equal_to_the_saved_ones(tmp_path):
         assert (acc.balance, acc.nonce, acc.code_hash) == tuple(store.accounts.plain[addr])
 
 
+def test_identical_account_records_load_as_one_object(tmp_path):
+    # a genesis gives thousands of accounts the same record; load decodes
+    # each distinct record once, in the plain table and the change sets alike
+    store = ArchivalStore()
+    addrs = [mk_addr(i) for i in range(1, 9)]
+    same, coded = Account(balance=10**24), Account(balance=3, nonce=1, code_hash=b"\x44" * 32)
+    store.seed_genesis(accounts={a: same if i % 2 else coded for i, a in enumerate(addrs)})
+    store.apply_block(1, Effects(accounts={addrs[0]: Account(balance=1), addrs[1]: Account(balance=2)}))
+    store.apply_block(2, Effects(accounts={addrs[2]: Account(balance=1), addrs[3]: same}))
+    store.save(tmp_path / "store")
+    loaded = ArchivalStore.load(tmp_path / "store")
+
+    assert loaded.accounts.plain == store.accounts.plain
+    assert loaded.accounts.changesets == store.accounts.changesets
+    records = list(loaded.accounts.plain.values())
+    records += [acc for cs in loaded.accounts.changesets.values() for acc in cs.values() if acc is not None]
+    by_value = {}
+    for acc in records:
+        assert by_value.setdefault(acc, acc) is acc, acc
+    assert len({id(acc) for acc in records}) == len(set(records)) == 4
+    assert loaded.accounts.changesets[1][addrs[0]] is loaded.accounts.changesets[2][addrs[2]] is loaded.accounts.plain[addrs[4]]
+
+
 def _assert_same_history(loaded: ArchivalStore, store: ArchivalStore) -> None:
     """Both history indexes hold the same blocks for every key of both tables."""
     for ours, theirs in ((loaded.storage, store.storage), (loaded.accounts, store.accounts)):

@@ -16,15 +16,13 @@ from ira.workload import (
     collect_storage_keys,
     derive_genesis,
     execute_block,
-    generate_trace,
     iter_trace,
     iter_trace_file,
     read_trace_params,
     save_trace,
-    trace_file_hash,
 )
 
-from conftest import demo_params, mk_addr, mk_key, mk_word, storage_read, storage_write
+from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word, storage_read, storage_write, trace_file_hash
 
 
 class DictView:
