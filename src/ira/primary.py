@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import struct
 import zlib
@@ -52,7 +53,6 @@ from .store import (
     StorageKey,
     StoreView,
     pack_account,
-    unchecked_storage_key,
 )
 from .workload import Block, ExecResult, execute_block
 
@@ -185,19 +185,19 @@ def parse_hint(raw: bytes) -> Hint:
     # the exact length proves every slice below has its full width
     off = HINT_HEADER.size
     end = off + STORAGE_ENTRY_LEN * ns
-    keys = [unchecked_storage_key(raw[i : i + KEY_LEN]) for i in range(off, end, STORAGE_ENTRY_LEN)]
+    keys = [raw[i : i + KEY_LEN] for i in range(off, end, STORAGE_ENTRY_LEN)]
     srcs = raw[off + KEY_LEN : end : STORAGE_ENTRY_LEN]
     if srcs and max(srcs) > 2:
         raise HintIntegrityError(f"invalid source byte {max(srcs)}")
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    if not all(map(operator.lt, keys, keys[1:])):
         raise HintIntegrityError("storage entries not strictly ascending")
-    storage: List[Tuple[StorageKey, Source]] = list(zip(keys, [_SOURCES[b] for b in srcs]))
+    storage: List[Tuple[StorageKey, Source]] = list(zip(keys, map(_SOURCES.__getitem__, srcs)))
     off = end
     lists: List[List[bytes]] = []
     for count in (na, nc):
         end = off + ADDRESS_LEN * count
         addrs = [raw[i : i + ADDRESS_LEN] for i in range(off, end, ADDRESS_LEN)]
-        if any(a >= b for a, b in zip(addrs, addrs[1:])):
+        if not all(map(operator.lt, addrs, addrs[1:])):
             raise HintIntegrityError("address entries not strictly ascending")
         lists.append(addrs)
         off = end

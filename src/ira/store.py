@@ -40,16 +40,17 @@ file's count and end exactly at its last byte; it rebuilds the history index
 from the change sets and rejects a file whose records repeat a (block, key)
 pair or list a key's blocks out of order. The two storage tables have
 fixed-width records, so ``load`` checks their length first and then slices
-every key and word in bulk. Account records are decoded through a memo that
-lives for one load, so identical records share one ``Account``: a genesis
-gives thousands of accounts the same record. See the README for the byte
-layout of each file.
+every key and word in bulk. A storage key is plain ``bytes``
+(``StorageKey`` is only its annotation name), so each key ``load`` keeps is
+the slice it cut, and the exact length proves its width. Account records
+are decoded through a memo that lives for one load, so identical records
+share one ``Account``: a genesis gives thousands of accounts the same
+record. See the README for the byte layout of each file.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -87,36 +88,19 @@ class MalformedEffectsError(StoreError):
     """Effects violate their shape contract (bad widths, conflicting bytecode)."""
 
 
-class StorageKey(bytes):
-    """52-byte composite key: 20-byte address followed by a 32-byte slot.
-
-    Ordering, hashing and equality are inherited from ``bytes``, so the
-    natural sort order is lexicographic over the address-then-slot
-    concatenation.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, raw: bytes) -> "StorageKey":
-        if len(raw) != KEY_LEN:
-            raise ValueError(f"storage key must be {KEY_LEN} bytes, got {len(raw)}")
-        return super().__new__(cls, raw)
-
-    @classmethod
-    def make(cls, address: bytes, slot: bytes) -> "StorageKey":
-        if len(address) != ADDRESS_LEN:
-            raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(address)}")
-        if len(slot) != SLOT_LEN:
-            raise ValueError(f"slot must be {SLOT_LEN} bytes, got {len(slot)}")
-        return super().__new__(cls, address + slot)
-
-    def __repr__(self) -> str:  # short form: full 104 hex chars is unreadable
-        return f"StorageKey({self[:6].hex()}..{self[-4:].hex()})"
+# A storage key: a 20-byte address followed by a 32-byte slot, as plain
+# ``bytes``, so the natural sort order is lexicographic over address then
+# slot, and a decoder keeps the slice it cut.
+StorageKey = bytes
 
 
-# Builds a StorageKey without the width check. Only for decoders that have
-# already proven every key slice is KEY_LEN bytes, by an exact record length.
-unchecked_storage_key = functools.partial(bytes.__new__, StorageKey)
+def storage_key(address: bytes, slot: bytes) -> StorageKey:
+    """The key of ``slot`` in the storage of ``address``."""
+    if len(address) != ADDRESS_LEN:
+        raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(address)}")
+    if len(slot) != SLOT_LEN:
+        raise ValueError(f"slot must be {SLOT_LEN} bytes, got {len(slot)}")
+    return address + slot
 
 
 def check_word(word: bytes) -> bytes:
@@ -190,7 +174,6 @@ class _Table(NamedTuple):
     changes: bool  # records are ``u64 block | key | value``, else ``key | value``
     part: Callable[[ArchivalStore], Any]  # the plain dict, or the versioned table
     key_len: int
-    make_key: Callable[[bytes], bytes]
     pack: Callable[[Any], bytes]
     # (value, offset after it) of a variable-width value; None for a
     # WORD_LEN word, which load slices in bulk
@@ -198,11 +181,11 @@ class _Table(NamedTuple):
 
 
 _TABLES = (
-    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, unchecked_storage_key, bytes, None),
-    _Table("plain_accounts.bin", False, attrgetter("accounts.plain"), ADDRESS_LEN, bytes, pack_account, _unpack_account),
-    _Table("bytecodes.bin", False, attrgetter("bytecodes"), HASH_LEN, bytes, _pack_code, _unpack_code),
-    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, unchecked_storage_key, bytes, None),
-    _Table("account_changesets.bin", True, attrgetter("accounts"), ADDRESS_LEN, bytes, _pack_prior_account, _unpack_prior_account),
+    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, bytes, None),
+    _Table("plain_accounts.bin", False, attrgetter("accounts.plain"), ADDRESS_LEN, pack_account, _unpack_account),
+    _Table("bytecodes.bin", False, attrgetter("bytecodes"), HASH_LEN, _pack_code, _unpack_code),
+    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, bytes, None),
+    _Table("account_changesets.bin", True, attrgetter("accounts"), ADDRESS_LEN, _pack_prior_account, _unpack_prior_account),
 )
 
 
@@ -512,7 +495,7 @@ class ArchivalStore:
         memo: Dict[bytes, Account] = {}  # identical account records share one Account
         for table in _TABLES:
             buf = (directory / table.name).read_bytes()
-            part, make_key, key_len, unpack = table.part(store), table.make_key, table.key_len, table.unpack
+            part, key_len, unpack = table.part(store), table.key_len, table.unpack
             n, off, end = 0, 8, len(buf)
             try:
                 (count,) = _U64.unpack_from(buf)
@@ -522,7 +505,7 @@ class ArchivalStore:
                     off += n * width
                     if n == count and off == end:
                         at = range(8 + 8 * table.changes, end, width)
-                        keys = [make_key(buf[o : o + key_len]) for o in at]
+                        keys = [buf[o : o + key_len] for o in at]
                         words = [buf[o + key_len : o + key_len + WORD_LEN] for o in at]
                         if table.changes:
                             blocks = [_U64.unpack_from(buf, o)[0] for o in range(8, end, width)]
@@ -539,13 +522,13 @@ class ArchivalStore:
                     changesets, add, block_at = part.changesets, part.history.add, _U64.unpack_from
                     while off < end:
                         (block,) = block_at(buf, off)
-                        key = make_key(buf[off + 8 : off + 8 + key_len])
+                        key = buf[off + 8 : off + 8 + key_len]
                         changesets.setdefault(block, {})[key], off = unpack(buf, off + 8 + key_len, memo)
                         add(key, block)
                         n += 1
                 else:
                     while off < end:
-                        key = make_key(buf[off : off + key_len])
+                        key = buf[off : off + key_len]
                         part[key], off = unpack(buf, off + key_len, memo)
                         n += 1
             except (struct.error, IndexError, ValueError) as exc:

@@ -18,8 +18,9 @@ the ephemeral-key fraction and the intra-block reuse factor are constructed
 directly (fresh single-appearance keys vs. scheduled pair reappearances vs. a
 small hot set), so measured statistics land close to the configured numbers.
 All randomness flows through ``random.Random`` primitives with stable
-cross-version behavior (``random()``, ``getrandbits``, ``shuffle``), so a
-seed fully determines the trace bytes.
+cross-version behavior (``random()``, ``getrandbits``, ``sample``), so a
+seed fully determines the trace bytes. Shuffles go through ``_shuffle``,
+which draws from ``getrandbits`` exactly as ``Random.shuffle`` does.
 
 Trace file format (``save_trace`` / ``iter_trace_file``), little-endian:
 
@@ -58,7 +59,7 @@ from .store import (
     StorageKey,
     StoreView,
     WORD_LEN,
-    unchecked_storage_key,
+    storage_key,
 )
 
 TRACE_MAGIC = b"TRC1"
@@ -87,7 +88,8 @@ class OpKind(IntEnum):
 
 
 # One state operation, a plain ``(kind, key, value)`` tuple: ``key`` is a
-# StorageKey for storage kinds and a 20-byte address for account/code kinds;
+# 52-byte storage key (plain ``bytes``, see ``store.StorageKey``) for storage
+# kinds and a 20-byte address for account/code kinds;
 # ``value`` is the 32-byte word of a storage write and None otherwise.
 Op = Tuple[int, bytes, Optional[bytes]]
 
@@ -164,6 +166,20 @@ def _zipf_cdf(n: int, exponent: float) -> List[float]:
 
 def _draw_cdf(rng: random.Random, cdf: List[float]) -> int:
     return bisect_right(cdf, rng.random())
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does: the same
+    Fisher-Yates swaps from the same ``getrandbits(k)`` rejection draws, so
+    the list and the generator's state afterwards are the same, but with no
+    ``_randbelow`` call per element."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 # -- generator -----------------------------------------------------------------
@@ -265,7 +281,7 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
         for _ in range(params.hot_keys):
             c = _draw_cdf(hot_rng, contract_cdf)
             slot = hot_rng.getrandbits(256).to_bytes(32, "big")
-            hot_pool.append(StorageKey.make(contracts[c], slot))
+            hot_pool.append(storage_key(contracts[c], slot))
         hot_cdf = _zipf_cdf(len(hot_pool), params.hot_contract_zipf_exponent)
     else:
         hot_cdf = []
@@ -277,7 +293,7 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
     def fresh_key() -> StorageKey:
         c = _draw_cdf(rng, contract_cdf)
         slot = rng.getrandbits(256).to_bytes(32, "big")
-        return StorageKey.make(contracts[c], slot)
+        return storage_key(contracts[c], slot)
 
     for number in range(1, params.blocks + 1):
         u = max(8, int(_lognormal(rng, params.unique_keys_median, params.unique_keys_sigma)))
@@ -307,14 +323,14 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
             while len(chosen) < hot_n:
                 chosen.add(hot_pool[_draw_cdf(rng, hot_cdf)])
             keys.extend(sorted(chosen))
-        rng.shuffle(keys)
+        _shuffle(rng, keys)
 
         n_ops = max(len(keys), int(round(params.intra_block_reuse_factor * len(keys))))
         accesses: List[StorageKey] = list(keys)
         n_keys = len(keys)
         for _ in range(n_ops - n_keys):
             accesses.append(keys[int(rng.random() * n_keys)])
-        rng.shuffle(accesses)
+        _shuffle(rng, accesses)
 
         ops: List[Op] = []
         for key in accesses:
@@ -326,7 +342,7 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
             ops.append((2, account_address(int(rng.random() * params.n_accounts)), None))  # ACCOUNT_READ
         for _ in range(_count_around(rng, params.codes_per_block) if params.codes_per_block > 0 else 0):
             ops.append((3, contracts[int(rng.random() * params.n_code_contracts)], None))  # CODE_LOAD
-        rng.shuffle(ops)
+        _shuffle(rng, ops)
 
         n_txs = min(_count_around(rng, params.txs_per_block_mean), len(ops))
         n_txs = max(1, n_txs)
@@ -677,7 +693,6 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
     at the end of the record: ``off`` only grows, so a short slice anywhere
     would leave it past the end.
     """
-    get = keys.get
     intern = keys.setdefault
     # plain ints compare faster than the enum members
     write, code = int(OpKind.STORAGE_WRITE), int(OpKind.CODE_LOAD)
@@ -705,10 +720,7 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
                 if kind <= write:
                     raw = payload[off : off + KEY_LEN]
                     off += KEY_LEN
-                    key = get(raw)
-                    if key is None:
-                        key = unchecked_storage_key(raw)
-                        keys[key] = key
+                    key = intern(raw, raw)
                     if kind == write:
                         ops.append((kind, key, payload[off : off + WORD_LEN]))
                         off += WORD_LEN

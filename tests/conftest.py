@@ -13,7 +13,7 @@ from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_ba
 from ira.cachesim import _check_capacity
 from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary_block, serialize_hint
 from ira.protocol import DecodedHint, GenericOp, GenericOpKind, GenericStore
-from ira.store import WORD_LEN, ShardedIndex, StorageKey, check_word
+from ira.store import WORD_LEN, ShardedIndex, StorageKey, check_word, storage_key
 from ira.workload import (
     Block,
     GeneratorParams,
@@ -30,7 +30,7 @@ DEFAULT_SEED = 1
 
 
 def mk_key(i: int, contract: int = 0) -> StorageKey:
-    return StorageKey.make(bytes([contract]) * 20, i.to_bytes(32, "big"))
+    return storage_key(bytes([contract]) * 20, i.to_bytes(32, "big"))
 
 
 def word_from_int(value: int) -> bytes:

@@ -10,10 +10,12 @@ from ira.store import (
     CostMeter,
     CostModel,
     Effects,
+    KEY_LEN,
     MalformedEffectsError,
     OrderingError,
     ShardedIndex,
     ZERO_WORD,
+    storage_key,
     walk_wall,
 )
 
@@ -368,6 +370,38 @@ def test_identical_account_records_load_as_one_object(tmp_path):
         assert by_value.setdefault(acc, acc) is acc, acc
     assert len({id(acc) for acc in records}) == len(set(records)) == 4
     assert loaded.accounts.changesets[1][addrs[0]] is loaded.accounts.changesets[2][addrs[2]] is loaded.accounts.plain[addrs[4]]
+
+
+def test_loaded_storage_keys_are_plain_bytes(tmp_path):
+    # each key is the slice load cut: exact bytes in the plain table, the
+    # change sets and the history index alike
+    store = ArchivalStore()
+    store.seed_genesis(storage={mk_key(7): mk_word(7), mk_key(8): mk_word(8)})
+    store.apply_block(1, Effects(storage={mk_key(1): mk_word(1), mk_key(7): mk_word(2)}))
+    store.apply_block(2, Effects(storage={mk_key(1): mk_word(3)}))
+    store.save(tmp_path / "store")
+    loaded = ArchivalStore.load(tmp_path / "store")
+
+    plain = list(loaded.storage.plain)
+    changed = [key for cs in loaded.storage.changesets.values() for key in cs]
+    indexed = list(loaded.storage.history._map)
+    assert (len(plain), len(changed), len(indexed)) == (3, 3, 2)
+    for key in plain + changed + indexed:
+        assert type(key) is bytes and len(key) == KEY_LEN, key
+
+
+@pytest.mark.parametrize(
+    "address, slot, message",
+    [
+        (bytes(19), bytes(32), "address must be 20 bytes, got 19"),
+        (bytes(21), bytes(32), "address must be 20 bytes, got 21"),
+        (bytes(20), bytes(31), "slot must be 32 bytes, got 31"),
+        (bytes(20), bytes(33), "slot must be 32 bytes, got 33"),
+    ],
+)
+def test_storage_key_refuses_bad_widths(address, slot, message):
+    with pytest.raises(ValueError, match=message):
+        storage_key(address, slot)
 
 
 def _assert_same_history(loaded: ArchivalStore, store: ArchivalStore) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ira.store import Account, CostMeter, CostModel, StorageKey, StoreView, ZERO_WORD
@@ -20,6 +22,7 @@ from ira.workload import (
     iter_trace_file,
     read_trace_params,
     save_trace,
+    _shuffle,
 )
 
 from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word, storage_read, storage_write, trace_file_hash
@@ -157,6 +160,20 @@ def test_generator_fixture_reuse_and_unique_keys():
     assert report.intra_block_reuse == 2.0
     assert report.unique_keys_global == 1
     assert report.ephemeral_fraction == 1.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shuffle_matches_random_shuffle(seed):
+    # the generator's inlined shuffle must give random.shuffle's order and
+    # leave the generator in its state, at every size, so traces stay the same
+    sizes = [*range(0, 70), 127, 128, 129, 1023, 1024, 1025, 4097]
+    for n in sizes:
+        ours, theirs = random.Random(seed * 7919 + n), random.Random(seed * 7919 + n)
+        a, b = list(range(n)), list(range(n))
+        _shuffle(ours, a)
+        theirs.shuffle(b)
+        assert a == b, n
+        assert ours.getstate() == theirs.getstate(), n
 
 
 def test_generator_same_seed_same_trace(tmp_path):
