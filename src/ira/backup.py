@@ -48,11 +48,9 @@ after another, and its blocks are ready when its own prefetch ends.
 
 from __future__ import annotations
 
-import csv
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import IraError
@@ -363,39 +361,9 @@ class ReplayMetrics:
     wait_total: int
     fallback_blocks: int
     corrupt_hints: int
-    config: PipelineConfig
 
     def digests(self) -> Dict[int, bytes]:
         return {r.block: r.digest for r in self.rows}
-
-    def write_csv(self, path: Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                [
-                    "block",
-                    "t_wait",
-                    "t_exec",
-                    "prefetch_cost",
-                    "hint_raw_bytes",
-                    "hint_compressed_bytes",
-                    "fallback",
-                    "digest",
-                ]
-            )
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.block,
-                        r.t_wait,
-                        r.t_exec,
-                        r.prefetch_cost,
-                        r.hint_raw_bytes,
-                        r.hint_compressed_bytes,
-                        int(r.fallback),
-                        r.digest.hex(),
-                    ]
-                )
 
 
 @dataclass
@@ -583,7 +551,6 @@ def pipeline_run(
         wait_total=sum(r.t_wait for r in rows),
         fallback_blocks=sum(r.fallback for r in rows),
         corrupt_hints=corrupt,
-        config=config,
     )
 
 
@@ -672,8 +639,6 @@ class BaselineMetrics:
     rows: List[BaselineBlockMetrics]
     total_cost: int
     io: int
-    hit: int
-    compute: int
 
     @property
     def io_fraction(self) -> float:
@@ -681,13 +646,6 @@ class BaselineMetrics:
 
     def digests(self) -> Dict[int, bytes]:
         return {r.block: r.digest for r in self.rows}
-
-    def write_csv(self, path: Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["block", "t_baseline", "ops", "reads", "io_cost", "digest"])
-            for r in self.rows:
-                w.writerow([r.block, r.t_baseline, r.ops, r.reads, r.io_cost, r.digest.hex()])
 
 
 def run_baseline(
@@ -704,7 +662,7 @@ def run_baseline(
     lru_a = _LruMap(cfg.accounts)
     lru_c = _LruMap(cfg.codes)
     rows: List[BaselineBlockMetrics] = []
-    total_io = total_hit = total_compute = 0
+    total_io = total_cost = 0
     for block in blocks:
         meter = CostMeter(model)
         view = BaselineView(store, block.number, meter, lru_s, lru_a, lru_c)
@@ -724,12 +682,5 @@ def run_baseline(
             )
         )
         total_io += meter.io
-        total_hit += meter.hit
-        total_compute += meter.compute
-    return BaselineMetrics(
-        rows=rows,
-        total_cost=total_io + total_hit + total_compute,
-        io=total_io,
-        hit=total_hit,
-        compute=total_compute,
-    )
+        total_cost += meter.total
+    return BaselineMetrics(rows=rows, total_cost=total_cost, io=total_io)

@@ -3,10 +3,13 @@
 Subcommands: gen-trace, build-store, run-primary, run-baseline, run-backup,
 compare, cachesim, proto, analyze. gen-trace writes a trace and build-store a
 store directory. run-primary, run-baseline, run-backup, compare and proto each
-write a CSV report plus a ``.meta.json`` sidecar; the sidecars of the three
-``run-*`` reports carry the config hash and cost-model snapshot, and
-``compare`` refuses to join reports whose hashes disagree. cachesim and
-analyze print their results.
+write a CSV report plus a ``.meta.json`` sidecar, all through one writer,
+``_write_report``; each command keeps its report's header beside its row
+tuple. The sidecars of the three ``run-*`` reports share the keys that
+``_run_meta`` builds (the config hash, the cost-model hash and snapshot, the
+row count), and ``compare`` refuses to join reports whose hashes disagree.
+cachesim and analyze print their results. A command that reads the config
+gets it from ``config.load_config``, checked in every section.
 
 Each command imports the ``ira`` modules it runs when it runs. At load time
 this module takes only the error classes of the package itself, so a
@@ -26,11 +29,12 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import ConfigError, IraError
 
 if TYPE_CHECKING:
+    from .config import Config
     from .store import ArchivalStore
 
 EXIT_OK = 0
@@ -49,28 +53,41 @@ def _out(args: argparse.Namespace, path: str) -> Path:
     return p
 
 
-def _write_sidecar(report_path: Path, payload: Dict) -> None:
-    side = report_path.with_suffix(report_path.suffix + ".meta.json")
-    with open(side, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+def _write_report(path: Path, header: Sequence[str], rows: Iterable[Sequence], meta: Dict) -> None:
+    """Write a CSV report, its header first, and ``meta`` as its sidecar."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as f:
+        json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _config_fingerprints(cfg: Dict) -> Dict[str, str]:
-    from . import config as config_mod
+def _run_meta(command: str, cfg: Config, store: ArchivalStore, rows: int, **fields) -> Dict:
+    """The sidecar of a ``run-*`` report: the keys the three share, then
+    ``fields``."""
+    from .config import content_hash
 
     return {
-        "config_hash": config_mod.content_hash(cfg),
-        "cost_model_hash": config_mod.content_hash(cfg["cost_model"]),
+        "subcommand": command,
+        "config_hash": content_hash(cfg.raw),
+        "cost_model_hash": content_hash(cfg.raw["cost_model"]),
+        "cost_model": store.cost_model.as_dict(),
+        "rows": rows,
+        **fields,
     }
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
-    from . import config as config_mod
-    from . import workload as workload_mod
+    from dataclasses import replace
 
-    cfg = config_mod.load_config(args.config)
-    params = config_mod.generator_params(cfg, seed=args.seed)
+    from . import workload as workload_mod
+    from .config import load_config
+
+    params = load_config(args.config).generator
+    if args.seed is not None:
+        params = replace(params, seed=args.seed)
     out = _out(args, args.out)
     count = workload_mod.save_trace(out, params, workload_mod.iter_trace(params))
     print(f"gen-trace: wrote {count} blocks to {out} (params hash {params.content_hash()[:12]})")
@@ -78,11 +95,10 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_build_store(args: argparse.Namespace) -> int:
-    from . import config as config_mod
     from . import workload as workload_mod
+    from .config import load_config
 
-    cfg = config_mod.load_config(args.config)
-    model = config_mod.cost_model(cfg)
+    model = load_config(args.config).cost_model
     trace_path = Path(args.trace)
     params, count = workload_mod.read_trace_params(trace_path)
     storage_keys = None
@@ -95,69 +111,42 @@ def cmd_build_store(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_store(args: argparse.Namespace, cfg: Dict) -> ArchivalStore:
+def _load_store(args: argparse.Namespace, cfg: Config) -> ArchivalStore:
     """Load ``--store``. Its costs come from the model in its manifest, so a
     config naming another model would label reports with costs they were not
     computed under."""
-    from . import config as config_mod
     from .store import ArchivalStore
 
     store = ArchivalStore.load(Path(args.store))
-    model = config_mod.cost_model(cfg)
-    if model != store.cost_model:
+    if cfg.cost_model != store.cost_model:
         raise ConfigError(
-            f"config cost model {model.as_dict()} differs from the store's {store.cost_model.as_dict()}"
+            f"config cost model {cfg.cost_model.as_dict()} differs from the store's {store.cost_model.as_dict()}"
         )
     return store
 
 
 def cmd_run_baseline(args: argparse.Namespace) -> int:
     from . import backup as backup_mod
-    from . import config as config_mod
+    from .config import load_config
     from .workload import iter_trace_file
 
-    cfg = config_mod.load_config(args.config)
+    cfg = load_config(args.config)
     store = _load_store(args, cfg)
-    cache_cfg = config_mod.baseline_cache(cfg)
-    metrics = backup_mod.run_baseline(iter_trace_file(Path(args.trace)), store, cache_cfg)
-    report = _out(args, args.report)
-    metrics.write_csv(report)
-    _write_sidecar(
-        report,
-        {
-            "subcommand": "run-baseline",
-            **_config_fingerprints(cfg),
-            "cost_model": store.cost_model.as_dict(),
-            "rows": len(metrics.rows),
-            "total_cost": metrics.total_cost,
-            "io_fraction": round(metrics.io_fraction, 6),
-        },
+    metrics = backup_mod.run_baseline(iter_trace_file(Path(args.trace)), store, cfg.baseline_cache)
+    _write_report(
+        _out(args, args.report),
+        ("block", "t_baseline", "ops", "reads", "io_cost", "digest"),
+        [(r.block, r.t_baseline, r.ops, r.reads, r.io_cost, r.digest.hex()) for r in metrics.rows],
+        _run_meta(
+            "run-baseline", cfg, store, len(metrics.rows),
+            total_cost=metrics.total_cost, io_fraction=round(metrics.io_fraction, 6),
+        ),
     )
     print(
         f"run-baseline: {len(metrics.rows)} blocks, total cost {metrics.total_cost}, "
         f"io fraction {metrics.io_fraction:.4f}"
     )
     return EXIT_OK
-
-
-def _rerun_clash(trace_path: Path, hints_path: Path, digests_path: Optional[Path]) -> Optional[str]:
-    """Why ``run-primary`` must not write: the hint database, else the digest
-    log, already holds an entry for a block of the trace, and the first such
-    block in trace order is named. ``None`` if neither does; creates no file."""
-    from . import workload as workload_mod
-    from .primary import DigestLog, HintDb
-
-    if hints_path.exists():
-        with HintDb(hints_path, create=False) as db:
-            clash = next((b for b in workload_mod.trace_block_numbers(trace_path) if b in db), None)
-        if clash is not None:
-            return f"{hints_path} already holds a hint for block {clash}"
-    if digests_path is not None and digests_path.exists():
-        logged = DigestLog(digests_path).read_all()
-        clash = next((b for b in workload_mod.trace_block_numbers(trace_path) if b in logged), None)
-        if clash is not None:
-            return f"{digests_path} already holds a digest for block {clash}"
-    return None
 
 
 def _undo_appends(path: Path, torn_bytes: int) -> Callable[[], None]:
@@ -182,68 +171,63 @@ def _undo_appends(path: Path, torn_bytes: int) -> Callable[[], None]:
 
 
 def cmd_run_primary(args: argparse.Namespace) -> int:
-    from . import config as config_mod
+    from .config import load_config
     from .primary import DigestLog, HintDb, run_primary_block
-    from .workload import iter_trace_file
+    from .workload import iter_trace_file, trace_block_numbers
 
-    cfg = config_mod.load_config(args.config)
+    cfg = load_config(args.config)
+    trace_path = Path(args.trace)
     hints_path = _out(args, args.hints_out)
     digests_path = _out(args, args.digests_out) if args.digests_out else None
-    # one hint and one digest per block: refuse before any output is touched
-    clash = _rerun_clash(Path(args.trace), hints_path, digests_path)
-    if clash is not None:
-        print(f"run-primary: {clash}", file=sys.stderr)
-        return EXIT_CONFIG
+    # One hint and one digest per block: refuse before any output is touched
+    # if the hint database, else the digest log, already holds a block of the
+    # trace, naming the first such block in trace order.
+    held = []
+    hints_torn = 0
+    if hints_path.exists():
+        with HintDb(hints_path, create=False) as db:
+            held.append((hints_path, "hint", set(db.blocks())))
+            hints_torn = db.torn_bytes
+    digest_log = None
+    if digests_path is not None:
+        digest_log = DigestLog(digests_path)
+        if digests_path.exists():
+            held.append((digests_path, "digest", digest_log.read_all()))
+    for path, what, blocks in held:
+        clash = next((b for b in trace_block_numbers(trace_path) if b in blocks), None)
+        if clash is not None:
+            print(f"run-primary: {path} already holds a {what} for block {clash}", file=sys.stderr)
+            return EXIT_CONFIG
     store = _load_store(args, cfg)
     report = _out(args, args.report)
     # A run that fails, on a bad trace record or an unwritable output, puts
     # both logs back as it found them, so that a rerun is not refused as a
-    # clash, and removes its partial report.
-    torn = 0
-    if hints_path.exists():
-        with HintDb(hints_path, create=False) as db:
-            torn = db.torn_bytes
-    undo = [_undo_appends(hints_path, torn)]
-    digest_log = None
-    if digests_path is not None:
-        digest_log = DigestLog(digests_path)
+    # clash, and removes its report.
+    undo = [_undo_appends(hints_path, hints_torn)]
+    if digest_log is not None:
         undo.append(_undo_appends(digests_path, digest_log.torn_bytes))
     hint_db = None
-    rows = exec_total = construct_total = 0
+    rows = []
     try:
         hint_db = HintDb(hints_path)
         undo.append(lambda: report.unlink(missing_ok=True))
-        with open(report, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"])
-            for block in iter_trace_file(Path(args.trace)):
-                result = run_primary_block(block, store)
-                hint_db.write_hint(block.number, result.compressed_bytes)
-                if digest_log is not None:
-                    digest_log.write(block.number, result.digest)
-                writer.writerow(
-                    [
-                        block.number,
-                        result.exec_cost,
-                        result.hint_construct_cost,
-                        result.serialize_cost,
-                        len(result.raw_bytes),
-                        len(result.compressed_bytes),
-                    ]
-                )
-                rows += 1
-                exec_total += result.exec_cost
-                construct_total += result.hint_construct_cost
+        for block in iter_trace_file(trace_path):
+            result = run_primary_block(block, store)
+            hint_db.write_hint(block.number, result.compressed_bytes)
+            if digest_log is not None:
+                digest_log.write(block.number, result.digest)
+            rows.append(
+                (block.number, result.exec_cost, result.hint_construct_cost, result.serialize_cost,
+                 len(result.raw_bytes), len(result.compressed_bytes))
+            )
         hint_db.close()
-        _write_sidecar(
+        exec_total = sum(row[1] for row in rows)
+        share = round(sum(row[2] for row in rows) / exec_total, 6) if exec_total else 0.0
+        _write_report(
             report,
-            {
-                "subcommand": "run-primary",
-                **_config_fingerprints(cfg),
-                "cost_model": store.cost_model.as_dict(),
-                "rows": rows,
-                "hint_cost_share": round(construct_total / exec_total, 6) if exec_total else 0.0,
-            },
+            ("block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"),
+            rows,
+            _run_meta("run-primary", cfg, store, len(rows), hint_cost_share=share),
         )
     except BaseException:
         if hint_db is not None:
@@ -251,17 +235,17 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         for restore in undo:
             restore()
         raise
-    print(f"run-primary: {rows} blocks, hints -> {args.hints_out}")
+    print(f"run-primary: {len(rows)} blocks, hints -> {args.hints_out}")
     return EXIT_OK
 
 
 def cmd_run_backup(args: argparse.Namespace) -> int:
     from . import backup as backup_mod
-    from . import config as config_mod
+    from .config import load_config
     from .primary import DigestLog, HintDb
     from .workload import iter_trace_file
 
-    cfg = config_mod.load_config(args.config)
+    cfg = load_config(args.config)
     # read before any output is written: a missing log is a missing input
     expected = None
     if args.digests:
@@ -271,42 +255,42 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
             # a crash mid-append; the torn block's digest is not checked
             print(f"run-backup: ignoring a torn tail of {digest_log.torn_bytes} bytes in {args.digests}", file=sys.stderr)
     store = _load_store(args, cfg)
-    pipeline_cfg = config_mod.pipeline_config(cfg)
     hint_db = HintDb(Path(args.hints), create=False) if args.hints else None
     if hint_db is not None and hint_db.torn_bytes:
         # a crash mid-append; the torn block falls back like a missing hint
         print(f"run-backup: ignoring a torn tail of {hint_db.torn_bytes} bytes in {args.hints}", file=sys.stderr)
     try:
-        metrics = backup_mod.pipeline_run(iter_trace_file(Path(args.trace)), store, hint_db, pipeline_cfg)
+        metrics = backup_mod.pipeline_run(iter_trace_file(Path(args.trace)), store, hint_db, cfg.pipeline)
     except backup_mod.CacheMissError as exc:
         print(f"run-backup: completeness violation: {exc}", file=sys.stderr)
         return EXIT_COMPLETENESS
     finally:
         if hint_db is not None:
             hint_db.close()
-    report = _out(args, args.report)
-    metrics.write_csv(report)
-    _write_sidecar(
-        report,
-        {
-            "subcommand": "run-backup",
-            **_config_fingerprints(cfg),
-            "cost_model": store.cost_model.as_dict(),
-            "rows": len(metrics.rows),
-            "wall_cost": metrics.wall_cost,
-            "prefetch_total": metrics.prefetch_total,
-            "prefetch_by_route": metrics.prefetch_by_route,
-            "exec_total": metrics.exec_total,
-            "wait_total": metrics.wait_total,
-            "fallback_blocks": metrics.fallback_blocks,
-            "corrupt_hints": metrics.corrupt_hints,
-            "workers": pipeline_cfg.workers,
-        },
+    _write_report(
+        _out(args, args.report),
+        ("block", "t_wait", "t_exec", "prefetch_cost", "hint_raw_bytes", "hint_compressed_bytes", "fallback", "digest"),
+        [
+            (r.block, r.t_wait, r.t_exec, r.prefetch_cost, r.hint_raw_bytes, r.hint_compressed_bytes,
+             int(r.fallback), r.digest.hex())
+            for r in metrics.rows
+        ],
+        _run_meta(
+            "run-backup", cfg, store, len(metrics.rows),
+            wall_cost=metrics.wall_cost,
+            prefetch_total=metrics.prefetch_total,
+            prefetch_by_route=metrics.prefetch_by_route,
+            exec_total=metrics.exec_total,
+            wait_total=metrics.wait_total,
+            fallback_blocks=metrics.fallback_blocks,
+            corrupt_hints=metrics.corrupt_hints,
+            workers=cfg.pipeline.workers,
+        ),
     )
     print(
         f"run-backup: {len(metrics.rows)} blocks, wall {metrics.wall_cost}, "
         f"prefetch {metrics.prefetch_total}, exec {metrics.exec_total}, "
-        f"wait {metrics.wait_total}, workers {pipeline_cfg.workers}, "
+        f"wait {metrics.wait_total}, workers {cfg.pipeline.workers}, "
         f"fallbacks {metrics.fallback_blocks}"
     )
     if expected is not None:
@@ -356,22 +340,11 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
         if sim_block is None:
             print(f"cachesim: block {args.block} not in trace", file=sys.stderr)
             return EXIT_CONFIG
-        # execution over an empty view: the op stream fixes the access pattern
-        class _ZeroView:
-            def get_storage(self, key):
-                return b"\x00" * 32
-
-            def get_account(self, addr):
-                return None
-
-            def get_code(self, addr):
-                return None
-
-        result = workload_mod.execute_block(sim_block, _ZeroView(), collect_log=True)
         # hex keys, the form of a --trace-file list, so --init entries compare
         # with them; hex keeps byte order, so Belady's tie-break is unchanged
         domain = args.domain
-        trace = [key.hex() for tag, key in result.access_log if domain == "all" or tag == domain[0].upper()]
+        log = workload_mod.access_log(sim_block)
+        trace = [key.hex() for tag, key in log if domain == "all" or tag == domain[0].upper()]
     else:
         print("cachesim: need --trace-file, or --trace with --block", file=sys.stderr)
         return EXIT_CONFIG
@@ -527,35 +500,29 @@ def cmd_proto(args: argparse.Namespace) -> int:
         )
         ok = protocol_mod.benefit_check(hint.size(), link.bandwidth, sc["latency_reduction"], sc["backups"])
         out_rows.append(
-            {
-                "batch": i,
-                "encoding": encoding,
-                "strategy": strategy,
-                "hint_bytes": hint.size(),
-                "prefetched": stats.prefetched,
-                "extra_prefetches": stats.extra_prefetches,
-                "hint_ready": "" if timeline.hint_ready is None else f"{timeline.hint_ready:.9f}",
-                "batch_ready": f"{timeline.batch_ready:.9f}",
-                "prefetch_window": f"{timeline.prefetch_window:.9f}",
-                "beneficial": int(ok),
-            }
+            (
+                i,
+                encoding,
+                strategy,
+                hint.size(),
+                stats.prefetched,
+                stats.extra_prefetches,
+                "" if timeline.hint_ready is None else f"{timeline.hint_ready:.9f}",
+                f"{timeline.batch_ready:.9f}",
+                f"{timeline.prefetch_window:.9f}",
+                int(ok),
+            )
         )
 
     match = primary.state() == backup_store.state()
-    report = _out(args, args.report)
-    with open(report, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(out_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(out_rows)
-    _write_sidecar(
-        report,
-        {
-            "subcommand": "proto",
-            "scenario": scenario,
-            "states_match": match,
-        },
+    _write_report(
+        _out(args, args.report),
+        ("batch", "encoding", "strategy", "hint_bytes", "prefetched", "extra_prefetches",
+         "hint_ready", "batch_ready", "prefetch_window", "beneficial"),
+        out_rows,
+        {"subcommand": "proto", "scenario": scenario, "states_match": match},
     )
-    verdict = "beneficial" if all(r["beneficial"] for r in out_rows) else "not-always-beneficial"
+    verdict = "beneficial" if all(row[-1] for row in out_rows) else "not-always-beneficial"
     print(f"proto: {n_batches} batches, states_match={match}, hint transmission {verdict}")
     return EXIT_OK if match else EXIT_DIGEST
 
@@ -609,7 +576,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     rows = []
+    speedups = []
     digests_match = True
+    total_baseline = wait_all = exec_all = blocks_with_wait = 0
     for row in backup:
         block = row["block"]
         base = baseline.get(block)
@@ -621,23 +590,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         speedup = t_baseline / denom if denom else float("inf")
         if base["digest"] and row["digest"] and base["digest"] != row["digest"]:
             digests_match = False
-        rows.append(
-            {
-                "block": block,
-                "t_baseline": t_baseline,
-                "t_wait": t_wait,
-                "t_exec": t_exec,
-                "speedup": repr(speedup),
-            }
-        )
+        rows.append((block, t_baseline, t_wait, t_exec, repr(speedup)))
+        speedups.append(speedup)
+        total_baseline += t_baseline
+        wait_all += t_wait
+        exec_all += t_exec
+        blocks_with_wait += t_wait > 0
 
-    out = _out(args, args.out)
-    with open(out, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["block", "t_baseline", "t_wait", "t_exec", "speedup"])
-        writer.writeheader()
-        writer.writerows(rows)
-
-    speedups = sorted(float(r["speedup"]) for r in rows)
+    speedups.sort()
     n = len(speedups)
 
     def pct(q: float) -> float:
@@ -646,9 +606,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         idx = min(n - 1, max(0, int(q * n)))
         return speedups[idx]
 
-    wait_all = sum(r["t_wait"] for r in rows)
-    wall_all = wait_all + sum(r["t_exec"] for r in rows) or 1
-    total_baseline = sum(r["t_baseline"] for r in rows)
+    wall_all = wait_all + exec_all or 1
     aggregate = total_baseline / wall_all
 
     summary = {
@@ -657,11 +615,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "speedup_p90": pct(0.90),
         "speedup_p99": pct(0.99),
         "aggregate_speedup": aggregate,
-        "blocks_with_wait": sum(1 for r in rows if r["t_wait"] > 0),
+        "blocks_with_wait": blocks_with_wait,
         "wait_share_of_wall": wait_all / wall_all,
         "digests_match": digests_match,
     }
-    _write_sidecar(out, {"subcommand": "compare", **base_meta | back_meta, "summary": summary})
+    _write_report(
+        _out(args, args.out),
+        ("block", "t_baseline", "t_wait", "t_exec", "speedup"),
+        rows,
+        {"subcommand": "compare", **base_meta | back_meta, "summary": summary},
+    )
     print(
         f"compare: {n} blocks, median speedup {summary['speedup_median']:.2f}x, "
         f"P90 {summary['speedup_p90']:.2f}x, P99 {summary['speedup_p99']:.2f}x, "
@@ -675,7 +638,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import workload as workload_mod
 
     per_block: Optional[List[Dict[str, int]]] = [] if args.per_block else None
-    report = workload_mod.analyze_trace(workload_mod.iter_trace_file(Path(args.trace)), per_block)
+    try:
+        report = workload_mod.analyze_trace(workload_mod.iter_trace_file(Path(args.trace)), per_block)
+    except workload_mod.ParameterError as exc:  # a trace of no blocks
+        print(f"analyze: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for key, value in report.to_flat().items():
         print(f"{key}={value}")
     if args.per_block:

@@ -5,7 +5,8 @@ defaults below. They come from each section's dataclass: the generator's and
 the cost model's live in their own modules, the pipeline's and the baseline
 cache's live here, so that loading a config never loads the backup. Reports
 record the config hash (and the cost-model hash) so joins across runs can
-refuse to compare unlike configurations.
+refuse to compare unlike configurations. That hash covers every section, so
+``load_config`` parses and checks them all, whichever a command uses.
 """
 
 from __future__ import annotations
@@ -63,6 +64,39 @@ DEFAULT_CONFIG: Dict[str, Any] = {
 }
 
 
+@dataclass(frozen=True)
+class Config:
+    """A checked config: each section parsed, and ``raw``, the merged JSON
+    that the report hashes are computed from."""
+
+    generator: GeneratorParams
+    cost_model: CostModel
+    baseline_cache: BaselineCacheConfig
+    pipeline: PipelineConfig
+    raw: Dict[str, Dict[str, Any]]
+
+
+def _generator(data: Dict[str, Any]) -> GeneratorParams:
+    params = GeneratorParams.from_dict(data)
+    params.validate()
+    return params
+
+
+def _pipeline(data: Dict[str, Any]) -> PipelineConfig:
+    cfg = PipelineConfig(**{k: int(v) for k, v in data.items()})
+    cfg.validate()
+    return cfg
+
+
+# each section's parser; a TypeError or ValueError is a bad section
+_SECTIONS = {
+    "generator": _generator,
+    "cost_model": CostModel.from_dict,
+    "baseline_cache": lambda data: BaselineCacheConfig(**{k: int(v) for k, v in data.items()}),
+    "pipeline": _pipeline,
+}
+
+
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -71,26 +105,13 @@ def content_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def load_config(path: Optional[Path]) -> Dict[str, Any]:
-    """Merge a config file over the defaults (defaults alone if no path)."""
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+def _read_user_config(path: Path) -> Dict[str, Dict[str, Any]]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             user = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
@@ -100,39 +121,18 @@ def load_config(path: Optional[Path]) -> Dict[str, Any]:
     for name, section in user.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name} must be a JSON object, got {json.dumps(section)}")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    return user
 
 
-def generator_params(config: Dict[str, Any], seed: Optional[int] = None) -> GeneratorParams:
-    data = dict(config["generator"])
-    if seed is not None:
-        data["seed"] = seed
-    try:
-        params = GeneratorParams.from_dict(data)
-        params.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad generator section: {exc}") from None
-    return params
-
-
-def cost_model(config: Dict[str, Any]) -> CostModel:
-    try:
-        return CostModel.from_dict(config["cost_model"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cost_model section: {exc}") from None
-
-
-def baseline_cache(config: Dict[str, Any]) -> BaselineCacheConfig:
-    try:
-        return BaselineCacheConfig(**{k: int(v) for k, v in config["baseline_cache"].items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad baseline_cache section: {exc}") from None
-
-
-def pipeline_config(config: Dict[str, Any]) -> PipelineConfig:
-    try:
-        cfg = PipelineConfig(**{k: int(v) for k, v in config["pipeline"].items()})
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad pipeline section: {exc}") from None
-    return cfg
+def load_config(path: Optional[Path]) -> Config:
+    """Merge a config file over the defaults (defaults alone if no path) and
+    check every section; a bad one raises ConfigError naming it."""
+    user = {} if path is None else _read_user_config(path)
+    raw = {name: {**default, **user.get(name, {})} for name, default in DEFAULT_CONFIG.items()}
+    sections = {}
+    for name, parse in _SECTIONS.items():
+        try:
+            sections[name] = parse(raw[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name} section: {exc}") from None
+    return Config(raw=raw, **sections)

@@ -50,6 +50,7 @@ from .store import (
     CostMeter,
     Effects,
     KEY_LEN,
+    OrderingError,
     StorageKey,
     StoreView,
     pack_account,
@@ -260,12 +261,6 @@ def state_change_hash(effects: Effects) -> bytes:
         h.update(b"S")
         h.update(key)
         h.update(effects.storage[key])
-    for code_hash in sorted(effects.codes):
-        code = effects.codes[code_hash]
-        h.update(b"C")
-        h.update(code_hash)
-        h.update(len(code).to_bytes(4, "little"))
-        h.update(code)
     return h.digest()
 
 
@@ -292,7 +287,7 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
     replays history, and the hint's sources say where each value lives then.
     """
     if store.head_block < block.number:
-        raise ValueError(f"primary needs store head >= {block.number}, have {store.head_block}")
+        raise OrderingError(f"primary needs store head >= {block.number}, have {store.head_block}")
 
     model = store.cost_model
     exec_meter = CostMeter(model)

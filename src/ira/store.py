@@ -85,7 +85,7 @@ class OrderingError(StoreError):
 
 
 class MalformedEffectsError(StoreError):
-    """Effects violate their shape contract (bad widths, conflicting bytecode)."""
+    """Effects violate their shape contract (bad key or address widths)."""
 
 
 # A storage key: a 20-byte address followed by a 32-byte slot, as plain
@@ -288,7 +288,6 @@ class Effects:
 
     storage: Dict[StorageKey, bytes] = field(default_factory=dict)
     accounts: Dict[bytes, Account] = field(default_factory=dict)
-    codes: Dict[bytes, bytes] = field(default_factory=dict)  # code hash -> bytecode
 
 
 class VersionedTable:
@@ -334,7 +333,7 @@ class VersionedTable:
 
 class ArchivalStore:
     """Archival state store: a versioned table for storage and one for
-    accounts, plus the immutable bytecode table.
+    accounts, plus the immutable bytecode table, which genesis seeds.
 
     Writers call :meth:`apply_block` with strictly consecutive block numbers;
     reads are safe under any concurrency once building is done. Cost
@@ -383,7 +382,6 @@ class ArchivalStore:
         self._check(effects)
         self.storage.apply(block_number, effects.storage)
         self.accounts.apply(block_number, effects.accounts)
-        self.bytecodes.update(effects.codes)
         self.head_block = block_number
 
     def _check(self, effects: Effects) -> None:
@@ -394,10 +392,6 @@ class ArchivalStore:
         for addr in effects.accounts:
             if len(addr) != ADDRESS_LEN:
                 raise MalformedEffectsError(f"bad address width: {len(addr)}")
-        for code_hash, code in effects.codes.items():
-            existing = self.bytecodes.get(code_hash)
-            if existing is not None and existing != code:
-                raise MalformedEffectsError("conflicting bytecode for one code hash")
 
     # -- reads ---------------------------------------------------------------
 

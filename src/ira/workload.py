@@ -447,8 +447,8 @@ def execute_block(
     first read in the block, and for a storage key again only while the
     view's answer is ``None``. The read count is ``ops - writes + 3 * txs``,
     and the access sets are the memos' keys once the loop is done (every
-    account the overlay holds was read first). ``collect_log`` builds the
-    access log, in op order, by a second walk over the ops.
+    account the overlay holds was read first). ``collect_log`` adds the
+    block's ``access_log``.
     """
     storage_overlay: Dict[StorageKey, bytes] = {}
     seen: Dict[StorageKey, Optional[bytes]] = {}  # each storage key's value as last read or written
@@ -494,22 +494,27 @@ def execute_block(
         meter.charge_compute(ops)
         meter.charge_hit(reads)
 
-    log: Optional[List[Tuple[str, bytes]]] = None
-    if collect_log:
-        log = []
-        for tx in block.txs:
-            log += [(_LOG_TAGS[kind], key) for kind, key, _ in tx.ops]
-            log += (("A", tx.sender), ("A", tx.recipient), ("A", beneficiary))
-
     return ExecResult(
-        effects=Effects(storage=storage_overlay, accounts=account_overlay, codes={}),
+        effects=Effects(storage=storage_overlay, accounts=account_overlay),
         op_count=ops,
         read_count=reads,
         storage_keys=set(seen),
         account_addrs=set(account_memo),
         code_addrs=set(code_memo),
-        access_log=log,
+        access_log=access_log(block) if collect_log else None,
     )
+
+
+def access_log(block: Block) -> List[Tuple[str, bytes]]:
+    """Every access of the block's execution in op order, tagged ``S``
+    (storage), ``A`` (account) or ``C`` (code), each transaction's implicit
+    sender, recipient and beneficiary reads last. The op stream alone fixes
+    it, whatever the state."""
+    log: List[Tuple[str, bytes]] = []
+    for tx in block.txs:
+        log += [(_LOG_TAGS[kind], key) for kind, key, _ in tx.ops]
+        log += (("A", tx.sender), ("A", tx.recipient), ("A", block.beneficiary))
+    return log
 
 
 def build_store(

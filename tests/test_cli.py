@@ -742,7 +742,7 @@ def test_unknown_config_section_rejected(tmp_path):
 
 
 def test_config_hash_stable():
-    assert content_hash(DEFAULT_CONFIG) == content_hash(load_config(None))
+    assert content_hash(DEFAULT_CONFIG) == content_hash(load_config(None).raw)
 
 
 def test_reports_reproducible(demo_pipeline, tmp_path):
@@ -1140,13 +1140,129 @@ def test_backup_has_no_pipeline_override_flags(demo_pipeline, tmp_path, capsys):
     assert not (tmp_path / "backup.csv").exists()
 
 
-def test_pipeline_crash_on_miss_is_not_a_config_field():
-    from ira.config import ConfigError, pipeline_config
+def test_pipeline_crash_on_miss_is_not_a_config_field(tmp_path):
+    from ira.config import ConfigError
 
-    cfg = load_config(None)
-    cfg["pipeline"]["crash_on_miss"] = 0
-    with pytest.raises(ConfigError):
-        pipeline_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pipeline": {"crash_on_miss": 0}}))
+    with pytest.raises(ConfigError, match="bad pipeline section"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("run-baseline", {"pipeline": {"batch_size": 0}}, "bad pipeline section: batch_size must be >= 1"),
+        ("run-backup", {"generator": {"blocks": 0}}, "bad generator section: blocks must be >= 1"),
+    ],
+    ids=["pipeline-refuses-baseline", "generator-refuses-backup"],
+)
+def test_a_command_that_reads_the_config_checks_every_section(demo_pipeline, tmp_path, capsys, command, section, message):
+    # the sidecar's config hash covers every section, so a section the
+    # command does not use must still be one that could run
+    d, _ = demo_pipeline
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(section))
+    report = tmp_path / "report.csv"
+    argv = ["--config", str(path), command, "--trace", str(d / "t.trace"), "--store", str(d / "store"), "--report", str(report)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc = main(["--config", str(path), "gen-trace", "--out", str(tmp_path / "t.trace")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config file is not valid JSON: ")
+    assert not (tmp_path / "t.trace").exists()
+
+
+def test_primary_on_a_store_behind_the_trace_is_store_error(demo_pipeline, tmp_path, capsys):
+    # blocks 1-4 run against a 4-block store, block 5 is past its head: the
+    # run fails as a store error and puts both logs back as it found them
+    d, _ = demo_pipeline
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"generator": demo_params(blocks=4).as_dict()}))
+    assert main(["--config", str(short), "gen-trace", "--out", str(tmp_path / "short.trace")]) == EXIT_OK
+    assert main(["build-store", "--trace", str(tmp_path / "short.trace"), "--out", str(tmp_path / "store")]) == EXIT_OK
+    before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
+    for name, blob in before.items():
+        (tmp_path / name).write_bytes(blob)
+    capsys.readouterr()
+    rc = main(
+        [
+            "run-primary",
+            "--trace", str(d / "t.trace"),
+            "--store", str(tmp_path / "store"),
+            "--hints-out", str(tmp_path / "hints.db"),
+            "--digests-out", str(tmp_path / "digests.bin"),
+            "--report", str(tmp_path / "primary.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "store error: primary needs store head >= 5, have 4\n"
+    for name, blob in before.items():
+        assert (tmp_path / name).read_bytes() == blob, name
+    assert not (tmp_path / "primary.csv").exists()
+
+
+def test_analyze_of_an_empty_trace_is_exit_2(tmp_path, capsys):
+    from ira.workload import save_trace
+
+    trace = tmp_path / "empty.trace"
+    save_trace(trace, demo_params(), iter([]))
+    rc = main(["analyze", "--trace", str(trace), "--per-block", str(tmp_path / "per_block.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "analyze: cannot analyze an empty trace\n"
+    assert not (tmp_path / "per_block.csv").exists()
+
+
+def test_reports_of_an_empty_trace_are_header_only(tmp_path):
+    # the reports of a trace of no blocks, pinned byte for byte
+    from ira.workload import save_trace
+
+    t, s = str(tmp_path / "t.trace"), str(tmp_path / "store")
+    save_trace(Path(t), demo_params(), iter([]))
+    assert main(["build-store", "--trace", t, "--out", s]) == EXIT_OK
+    for argv in (
+        ["run-primary", "--hints-out", str(tmp_path / "hints.db"), "--report", str(tmp_path / "primary.csv")],
+        ["run-baseline", "--report", str(tmp_path / "baseline.csv")],
+        ["run-backup", "--hints", str(tmp_path / "hints.db"), "--report", str(tmp_path / "backup.csv")],
+    ):
+        assert main([argv[0], "--trace", t, "--store", s, *argv[1:]]) == EXIT_OK, argv[0]
+    compare = ["compare", "--baseline", str(tmp_path / "baseline.csv"), "--backup", str(tmp_path / "backup.csv")]
+    assert main([*compare, "--out", str(tmp_path / "compare.csv")]) == EXIT_OK
+
+    shared = {
+        "config_hash": content_hash(DEFAULT_CONFIG),
+        "cost_model_hash": content_hash(DEFAULT_CONFIG["cost_model"]),
+        "cost_model": DEFAULT_CONFIG["cost_model"],
+        "rows": 0,
+    }
+    baseline = {**shared, "subcommand": "run-baseline", "total_cost": 0, "io_fraction": 0.0}
+    backup = {
+        **shared, "subcommand": "run-backup", "wall_cost": 0, "prefetch_total": 0,
+        "prefetch_by_route": dict.fromkeys(ROUTES, 0), "exec_total": 0, "wait_total": 0,
+        "fallback_blocks": 0, "corrupt_hints": 0, "workers": 16,
+    }
+    summary = dict.fromkeys(("aggregate_speedup", "speedup_median", "speedup_p90", "speedup_p99", "wait_share_of_wall"), 0.0)
+    expected = {
+        "primary.csv": ("block,exec_cost,hint_construct_cost,serialize_cost,raw_bytes,compressed_bytes",
+                        {**shared, "subcommand": "run-primary", "hint_cost_share": 0.0}),
+        "baseline.csv": ("block,t_baseline,ops,reads,io_cost,digest", baseline),
+        "backup.csv": ("block,t_wait,t_exec,prefetch_cost,hint_raw_bytes,hint_compressed_bytes,fallback,digest", backup),
+        # the merged input sidecars override the leading subcommand
+        "compare.csv": ("block,t_baseline,t_wait,t_exec,speedup",
+                        {"subcommand": "compare", **baseline, **backup,
+                         "summary": {**summary, "blocks": 0, "blocks_with_wait": 0, "digests_match": True}}),
+    }
+    for name, (header, meta) in expected.items():
+        assert (tmp_path / name).read_bytes() == header.encode() + b"\r\n", name
+        side = (tmp_path / f"{name}.meta.json").read_text()
+        assert side == json.dumps(meta, indent=2, sort_keys=True) + "\n", name
 
 
 class _CommandFailed(Exception):

@@ -117,7 +117,7 @@ def reference_execute_block(block: Block, view, meter: Optional[CostMeter] = Non
         meter.charge_compute(ops)
         meter.charge_hit(reads)
 
-    effects = Effects(storage=storage_overlay, accounts=account_overlay, codes={})
+    effects = Effects(storage=storage_overlay, accounts=account_overlay)
     return ExecResult(
         effects=effects,
         op_count=ops,

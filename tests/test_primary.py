@@ -23,7 +23,7 @@ from ira.primary import (
     serialize_hint,
     state_change_hash,
 )
-from ira.store import Account, ArchivalStore, CostMeter, Effects, StorageKey
+from ira.store import Account, ArchivalStore, CostMeter, Effects, OrderingError, StorageKey
 from ira.workload import build_store, derive_genesis, execute_block
 from ira.store import StoreView
 
@@ -237,12 +237,11 @@ def test_digest_sensitive_to_single_bit():
     assert state_change_hash(base) != state_change_hash(changed)
 
 
-def test_digest_covers_accounts_and_codes():
+def test_digest_covers_accounts():
     a = Effects(accounts={mk_addr(1): Account(balance=1)})
     b = Effects(accounts={mk_addr(1): Account(balance=2)})
     assert state_change_hash(a) != state_change_hash(b)
-    c = Effects(codes={b"\x01" * 32: b"\xfe"})
-    assert state_change_hash(c) != state_change_hash(Effects())
+    assert state_change_hash(a) != state_change_hash(Effects())
 
 
 # -- run_primary_block -----------------------------------------------------------------
@@ -297,7 +296,7 @@ def test_primary_mode_preconditions(demo_world):
     params, trace, _ = demo_world
     short_store = build_store(trace[:1], derive_genesis(params))
     run_primary_block(trace[0], short_store)
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderingError):
         run_primary_block(trace[1], short_store)
 
 
