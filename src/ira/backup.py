@@ -49,7 +49,6 @@ after another, and its blocks are ready when its own prefetch ends.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -143,8 +142,7 @@ class StorageRuns(NamedTuple):
     changeset: List[StorageKey]
 
 
-@dataclass
-class PrefetchPlan:
+class PrefetchPlan(NamedTuple):
     """Merged, deduplicated fetch lists for one batch of hints.
 
     Every (key, source) entry of every hint lands in exactly one per-block
@@ -204,8 +202,7 @@ ROUTES = (
 )
 
 
-@dataclass
-class PrefetchResult:
+class PrefetchResult(NamedTuple):
     caches: Dict[int, BlockCache]
     wall_cost: int
     per_block_cost: Dict[int, int]
@@ -313,8 +310,7 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> Pref
     return PrefetchResult(caches=caches, wall_cost=wall, per_block_cost=per_block_cost, route_walls=walls)
 
 
-@dataclass
-class ReplayBlockResult:
+class ReplayBlockResult(NamedTuple):
     block_number: int
     effects: Effects
     digest: bytes
@@ -339,8 +335,7 @@ def replay_block(block: Block, cache: BlockCache, cost_model: CostModel) -> Repl
 # -- pipeline ---------------------------------------------------------------------
 
 
-@dataclass
-class BlockMetrics:
+class BlockMetrics(NamedTuple):
     block: int
     t_wait: int
     t_exec: int
@@ -351,8 +346,7 @@ class BlockMetrics:
     digest: bytes
 
 
-@dataclass
-class ReplayMetrics:
+class ReplayMetrics(NamedTuple):
     rows: List[BlockMetrics]
     wall_cost: int
     prefetch_total: int
@@ -366,8 +360,7 @@ class ReplayMetrics:
         return {r.block: r.digest for r in self.rows}
 
 
-@dataclass
-class _Batch:
+class _Batch(NamedTuple):
     """One batch of blocks with the prefetch plan of its decoded hints.
 
     ``fallback`` holds the blocks replayed against the store: their hint is
@@ -416,22 +409,24 @@ def _decode_batch(batch: List[Block], hint_db: Optional[HintDb]) -> _Batch:
     return _Batch(batch, plan_prefetch(hints), fallback, raw_sizes, comp_sizes, corrupt)
 
 
-def _prefetch_batch(batch: _Batch, store: ArchivalStore, workers: int) -> PrefetchResult:
-    """Prefetch a decoded batch. Blocks whose hints the store cannot serve go
-    to the fallback, counted as corrupt, and the rest is planned again; each
-    retry drops at least one block, so the loop ends."""
+def _prefetch_batch(batch: _Batch, store: ArchivalStore, workers: int) -> Tuple[PrefetchResult, _Batch]:
+    """Prefetch a decoded batch, and return the batch as prefetched. Blocks
+    whose hints the store cannot serve go to the fallback, counted as
+    corrupt, and the rest is planned again; each retry drops at least one
+    block, so the loop ends."""
     while True:
         try:
-            return prefetch(batch.plan, store, workers=workers)
+            return prefetch(batch.plan, store, workers=workers), batch
         except PrefetchError as exc:
             refused = set(exc.blocks)
-            batch.fallback |= refused
-            batch.corrupt += len(refused)
-            batch.plan = plan_prefetch([h for b, h in batch.plan.per_block.items() if b not in refused])
+            batch = batch._replace(
+                plan=plan_prefetch([h for b, h in batch.plan.per_block.items() if b not in refused]),
+                fallback=batch.fallback | refused,
+                corrupt=batch.corrupt + len(refused),
+            )
 
 
-@dataclass
-class _Queued:
+class _Queued(NamedTuple):
     """A block waiting for the executor: its cache (None on the fallback
     path), the virtual time the cache is ready, and its report fields."""
 
@@ -525,7 +520,7 @@ def pipeline_run(
             if need > 0:
                 room = steady_starts[need - 1]
             produced += len(batch.blocks)
-        pf = _prefetch_batch(batch, store, config.workers)
+        pf, batch = _prefetch_batch(batch, store, config.workers)
         prod_free = max(prod_free, room) + pf.wall_cost
         for route, cost in pf.route_walls.items():
             by_route[route] += cost
@@ -624,8 +619,7 @@ class BaselineView:
         return code
 
 
-@dataclass
-class BaselineBlockMetrics:
+class BaselineBlockMetrics(NamedTuple):
     block: int
     t_baseline: int
     ops: int
@@ -634,8 +628,7 @@ class BaselineBlockMetrics:
     digest: bytes
 
 
-@dataclass
-class BaselineMetrics:
+class BaselineMetrics(NamedTuple):
     rows: List[BaselineBlockMetrics]
     total_cost: int
     io: int

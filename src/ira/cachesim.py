@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 _INF = float("inf")
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     misses: int
     hits: int
-    eviction_log: List[Tuple[int, Hashable]] = field(default_factory=list)
+    eviction_log: List[Tuple[int, Hashable]]
 
     @property
     def accesses(self) -> int:
@@ -58,8 +56,7 @@ def simulate_lru(
     if len(cache) > capacity:
         raise ValueError("initial contents exceed capacity")
 
-    result = SimResult(0, 0)
-    log = result.eviction_log
+    log: List[Tuple[int, Hashable]] = []
     misses = 0
     for step, key in enumerate(trace):
         if key in cache:
@@ -69,9 +66,7 @@ def simulate_lru(
             if len(cache) >= capacity:
                 log.append((step, cache.popitem(last=False)[0]))
             cache[key] = None
-    result.misses = misses
-    result.hits = len(trace) - misses
-    return result
+    return SimResult(misses, len(trace) - misses, log)
 
 
 def _next_use_indices(trace: Sequence[Hashable]) -> List[float]:
@@ -116,8 +111,7 @@ def simulate_belady(
     heap = live_heap()
     push, pop = heapq.heappush, heapq.heappop
 
-    result = SimResult(0, 0)
-    log = result.eviction_log
+    log: List[Tuple[int, Hashable]] = []
     misses = 0
     for step, key in enumerate(trace):
         if key not in cache:
@@ -134,9 +128,7 @@ def simulate_belady(
         push(heap, (-nxt, -rank[key], key))
         if len(heap) > 2 * capacity + 64:
             heap = live_heap()  # drop stale entries: the heap stays O(C)
-    result.misses = misses
-    result.hits = len(trace) - misses
-    return result
+    return SimResult(misses, len(trace) - misses, log)
 
 
 def compare_policies(

@@ -80,14 +80,12 @@ def _run_meta(command: str, cfg: Config, store: ArchivalStore, rows: int, **fiel
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from . import workload as workload_mod
     from .config import load_config
 
     params = load_config(args.config).generator
     if args.seed is not None:
-        params = replace(params, seed=args.seed)
+        params = params._replace(seed=args.seed)
     out = _out(args, args.out)
     count = workload_mod.save_trace(out, params, workload_mod.iter_trace(params))
     print(f"gen-trace: wrote {count} blocks to {out} (params hash {params.content_hash()[:12]})")
@@ -623,7 +621,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _out(args, args.out),
         ("block", "t_baseline", "t_wait", "t_exec", "speedup"),
         rows,
-        {"subcommand": "compare", **base_meta | back_meta, "summary": summary},
+        {**base_meta | back_meta, "subcommand": "compare", "summary": summary},
     )
     print(
         f"compare: {n} blocks, median speedup {summary['speedup_median']:.2f}x, "

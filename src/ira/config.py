@@ -1,7 +1,7 @@
 """Run configuration: one human-editable JSON file with a content hash.
 
 The file has one section per concern; anything omitted falls back to the
-defaults below. They come from each section's dataclass: the generator's and
+defaults below. They come from each section's record: the generator's and
 the cost model's live in their own modules, the pipeline's and the baseline
 cache's live here, so that loading a config never loads the backup. Reports
 record the config hash (and the cost-model hash) so joins across runs can
@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
-from . import ConfigError
+from . import ConfigError, finished
 from .store import CostModel
 from .workload import GeneratorParams
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """The backup pipeline's batching, channel, warm-up and prefetch lanes."""
 
     batch_size: int = 32
@@ -43,29 +41,29 @@ class PipelineConfig:
             raise ValueError("warm-up sizes must be non-negative")
 
 
-@dataclass
-class BaselineCacheConfig:
+@finished
+class BaselineCacheConfig(NamedTuple):
     """Cross-block LRU capacities (entries) for the unhinted baseline."""
 
     accounts: int = 100_000
     storage: int = 1_000_000
     codes: int = 10_000
 
-    def __post_init__(self) -> None:
-        if min(self.accounts, self.storage, self.codes) < 0:
+    def _finish(self) -> "BaselineCacheConfig":
+        if min(self) < 0:
             raise ValueError("capacities must be non-negative")
+        return self
 
 
 DEFAULT_CONFIG: Dict[str, Any] = {
     "generator": GeneratorParams().as_dict(),
     "cost_model": CostModel().as_dict(),
-    "baseline_cache": asdict(BaselineCacheConfig()),
-    "pipeline": asdict(PipelineConfig()),
+    "baseline_cache": BaselineCacheConfig()._asdict(),
+    "pipeline": PipelineConfig()._asdict(),
 }
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """A checked config: each section parsed, and ``raw``, the merged JSON
     that the report hashes are computed from."""
 

@@ -38,10 +38,9 @@ import operator
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import IraError
 from .store import (
@@ -92,8 +91,7 @@ class Source(IntEnum):
 _SOURCES = (Source.PLAIN, Source.ZERO, Source.CHANGESET)  # indexed by source byte
 
 
-@dataclass
-class Hint:
+class Hint(NamedTuple):
     """Canonical per-block access hint: sorted, deduplicated entry lists."""
 
     block_number: int
@@ -267,8 +265,7 @@ def state_change_hash(effects: Effects) -> bytes:
 # -- primary block run -----------------------------------------------------------
 
 
-@dataclass
-class PrimaryBlockResult:
+class PrimaryBlockResult(NamedTuple):
     block_number: int
     effects: Effects
     hint: Hint

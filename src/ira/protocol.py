@@ -31,10 +31,9 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -55,24 +54,26 @@ class GenericOpKind(IntEnum):
     WRITE = 1
 
 
-@dataclass(frozen=True)
-class GenericOp:
+class GenericOp(NamedTuple):
+    """One op of a batch; build it with ``read_op`` or ``write_op``, which
+    check it."""
+
     kind: GenericOpKind
     key: bytes
     value: Optional[bytes] = None
 
-    def __post_init__(self) -> None:
-        if not self.key:
-            raise ValueError("key must be non-empty")
-        if (self.kind == GenericOpKind.WRITE) != (self.value is not None):
-            raise ValueError("value present iff op is a write")
-
 
 def read_op(key: bytes) -> GenericOp:
+    if not key:
+        raise ValueError("key must be non-empty")
     return GenericOp(GenericOpKind.READ, key)
 
 
 def write_op(key: bytes, value: bytes) -> GenericOp:
+    if not key:
+        raise ValueError("key must be non-empty")
+    if value is None:
+        raise ValueError("value present iff op is a write")
     return GenericOp(GenericOpKind.WRITE, key, value)
 
 
@@ -102,8 +103,7 @@ class HintEncoding(Enum):
 # -- hint generation / replay -------------------------------------------------------
 
 
-@dataclass
-class GenericHint:
+class GenericHint(NamedTuple):
     """Access set of one batch plus how it is encoded on the wire."""
 
     encoding: HintEncoding
@@ -131,8 +131,7 @@ def generic_generate(batch: Sequence[GenericOp], store: GenericStore) -> Tuple[S
     return access, delta
 
 
-@dataclass
-class ReplayStats:
+class ReplayStats(NamedTuple):
     prefetched: int
     extra_prefetches: int
 
@@ -158,7 +157,7 @@ def generic_replay(
         pool = set(candidates) if candidates is not None else set(batch_keys)
         pool.update(batch_keys)  # no false negatives: every true access tests positive
         # the membership test itself, bound once for the whole pool
-        to_fetch = sorted(filter(view._member, pool))
+        to_fetch = sorted(filter(view.member, pool))
 
     cache: Dict[bytes, Optional[bytes]] = {}
     for key in to_fetch:
@@ -183,12 +182,11 @@ def generic_replay(
 # -- encodings ---------------------------------------------------------------------
 
 
-@dataclass
-class DecodedHint:
+class DecodedHint(NamedTuple):
     """Decoded form: either a concrete key set or a membership test."""
 
     keys: Optional[Set[bytes]]
-    _member: Optional[object] = None
+    member: Optional[Callable[[bytes], bool]] = None
 
 
 def _encode_exact(keys: List[bytes]) -> bytes:
@@ -411,8 +409,8 @@ def decode_hint(encoding: str, payload: bytes) -> DecodedHint:
         return DecodedHint(keys=_decode_prefix(payload))
     if enc == HintEncoding.BLOOM:
         bf = BloomFilter.from_bytes(payload)
-        return DecodedHint(keys=None, _member=bf.__contains__)
-    return DecodedHint(keys=None, _member=_decode_range(payload))
+        return DecodedHint(keys=None, member=bf.__contains__)
+    return DecodedHint(keys=None, member=_decode_range(payload))
 
 
 # -- bandwidth / transmission --------------------------------------------------------
@@ -426,8 +424,7 @@ def benefit_check(hint_bytes: int, bandwidth: float, latency_reduction: float, n
     return hint_bytes / bandwidth < latency_reduction * n_backups
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(NamedTuple):
     """Affine link: delivering n bytes takes latency + n / bandwidth."""
 
     latency: float = 0.001
@@ -445,8 +442,7 @@ class TransmissionStrategy(Enum):
     ON_DEMAND = "on_demand"
 
 
-@dataclass
-class DeliveryTimeline:
+class DeliveryTimeline(NamedTuple):
     """When each artifact becomes usable at the backup. ``hint_ready`` is None
     when the hint never arrives (lost, or never requested)."""
 

@@ -53,12 +53,11 @@ from __future__ import annotations
 import bisect
 import json
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import IraError
+from . import IraError, finished, fresh_parts
 
 ADDRESS_LEN = 20
 SLOT_LEN = 32
@@ -112,8 +111,7 @@ def check_word(word: bytes) -> bytes:
 class Account(NamedTuple):
     """Account record: balance, nonce and an optional bytecode hash.
 
-    ``code_hash is None`` means the account carries no bytecode. A named
-    tuple, not a dataclass: a store load builds one per record.
+    ``code_hash is None`` means the account carries no bytecode.
     """
 
     balance: int = 0
@@ -189,8 +187,8 @@ _TABLES = (
 )
 
 
-@dataclass(frozen=True)
-class CostModel:
+@finished
+class CostModel(NamedTuple):
     """Integer cost units for the simulated storage stack.
 
     ``io_lanes`` caps how many simulated I/Os can be in flight at once: a
@@ -204,22 +202,17 @@ class CostModel:
     c_compute: int = 1
     io_lanes: int = 16
 
-    def __post_init__(self) -> None:
+    def _finish(self) -> "CostModel":
         if not (self.c_random_seek > self.c_sequential_step >= self.c_hit >= 0):
             raise ValueError("cost model requires c_random_seek > c_sequential_step >= c_hit >= 0")
         if self.c_compute < 0:
             raise ValueError("c_compute must be >= 0")
         if self.io_lanes < 1:
             raise ValueError("io_lanes must be >= 1")
+        return self
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "c_random_seek": self.c_random_seek,
-            "c_sequential_step": self.c_sequential_step,
-            "c_hit": self.c_hit,
-            "c_compute": self.c_compute,
-            "io_lanes": self.io_lanes,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "CostModel":
@@ -282,12 +275,14 @@ class ShardedIndex:
         return entries[bisect.bisect_left(entries, block)]
 
 
-@dataclass
-class Effects:
+@finished
+class Effects(NamedTuple):
     """Net state updates of one block: last written value per key."""
 
-    storage: Dict[StorageKey, bytes] = field(default_factory=dict)
-    accounts: Dict[bytes, Account] = field(default_factory=dict)
+    storage: Dict[StorageKey, bytes] = None
+    accounts: Dict[bytes, Account] = None
+
+    _finish = fresh_parts
 
 
 class VersionedTable:

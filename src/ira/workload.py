@@ -41,12 +41,11 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
 from enum import IntEnum
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from . import IraError
+from . import IraError, finished, fresh_parts
 from .store import (
     ADDRESS_LEN,
     Account,
@@ -94,15 +93,13 @@ class OpKind(IntEnum):
 Op = Tuple[int, bytes, Optional[bytes]]
 
 
-@dataclass(slots=True)
-class Transaction:
+class Transaction(NamedTuple):
     sender: bytes
     recipient: bytes
     ops: List[Op]
 
 
-@dataclass(slots=True)
-class Block:
+class Block(NamedTuple):
     number: int
     beneficiary: bytes
     txs: List[Transaction]
@@ -185,8 +182,7 @@ def _shuffle(rng: random.Random, x: list) -> None:
 # -- generator -----------------------------------------------------------------
 
 
-@dataclass
-class GeneratorParams:
+class GeneratorParams(NamedTuple):
     """Knobs for the synthetic trace generator.
 
     Every statistical target here is an explicit configuration value with a
@@ -236,7 +232,7 @@ class GeneratorParams:
             raise ParameterError("hot_key_share > 0 requires hot_keys >= 1")
 
     def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "GeneratorParams":
@@ -363,11 +359,13 @@ def iter_trace(params: GeneratorParams) -> Iterator[Block]:
 # -- genesis -------------------------------------------------------------------
 
 
-@dataclass
-class GenesisState:
-    storage: Dict[StorageKey, bytes] = field(default_factory=dict)
-    accounts: Dict[bytes, Account] = field(default_factory=dict)
-    codes: Dict[bytes, bytes] = field(default_factory=dict)
+@finished
+class GenesisState(NamedTuple):
+    storage: Dict[StorageKey, bytes] = None
+    accounts: Dict[bytes, Account] = None
+    codes: Dict[bytes, bytes] = None
+
+    _finish = fresh_parts
 
 
 def seed_word_for(key: StorageKey) -> bytes:
@@ -413,8 +411,7 @@ _EMPTY = Account()
 _LOG_TAGS = ("S", "S", "A", "C")  # access-log tag of each op kind
 
 
-@dataclass
-class ExecResult:
+class ExecResult(NamedTuple):
     """Outcome of executing one block against a state view."""
 
     effects: Effects
@@ -459,8 +456,7 @@ def execute_block(
     beneficiary = block.beneficiary
     ops = writes = 0
 
-    for tx in block.txs:
-        tx_ops = tx.ops
+    for sender, recipient, tx_ops in block.txs:
         for kind, key, value in tx_ops:
             if kind == 0:  # STORAGE_READ
                 if seen.get(key) is None:
@@ -476,7 +472,6 @@ def execute_block(
 
         ops += len(tx_ops)
         fee = len(tx_ops) + 1
-        sender, recipient = tx.sender, tx.recipient
         if sender not in account_memo:
             account_memo[sender] = get_account(sender)
         acc = account_overlay.get(sender) or account_memo[sender] or _EMPTY
@@ -536,8 +531,7 @@ def build_store(
 # -- analysis -------------------------------------------------------------------
 
 
-@dataclass
-class WorkloadReport:
+class WorkloadReport(NamedTuple):
     blocks: int
     txs: int
     storage_ops: int
@@ -559,7 +553,7 @@ class WorkloadReport:
 
     def to_flat(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
-        for name, value in self.__dict__.items():
+        for name, value in self._asdict().items():
             if name == "concentration":
                 for rank, share in value:
                     out[f"concentration_top_{rank}"] = round(share, 6)
@@ -699,6 +693,7 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
     would leave it past the end.
     """
     intern = keys.setdefault
+    new = tuple.__new__  # skips the argument handling of Transaction(...) and Block(...)
     # plain ints compare faster than the enum members
     write, code = int(OpKind.STORAGE_WRITE), int(OpKind.CODE_LOAD)
     try:
@@ -737,12 +732,12 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
                 else:
                     raise TraceFormatError(f"unknown op kind {kind} at byte {off - 1}")
                 ops.append((kind, key, None))
-            txs.append(Transaction(sender, recipient, ops))
+            txs.append(new(Transaction, (sender, recipient, ops)))
     except (IndexError, struct.error):
         raise TraceFormatError("truncated trace record") from None
     if off != len(payload):
         raise TraceFormatError(f"trace record of block {number} has {len(payload)} bytes, its ops {off}")
-    return Block(number, beneficiary, txs)
+    return new(Block, (number, beneficiary, txs))
 
 
 def save_trace(path: Path, params: GeneratorParams, blocks: Iterable[Block]) -> int:

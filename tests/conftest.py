@@ -135,7 +135,7 @@ def hint_member(hint: DecodedHint, key: bytes) -> bool:
     membership test."""
     if hint.keys is not None:
         return key in hint.keys
-    return hint._member(key)  # type: ignore[operator,misc]
+    return hint.member(key)  # type: ignore[misc]
 
 
 def history_entries(index: ShardedIndex, key: bytes) -> list:

@@ -136,19 +136,20 @@ def _reference_lru(trace, capacity, init=None):
     for key in init or ():
         recency[key] = clock
         clock += 1
-    result = SimResult(0, 0)
+    hits = misses = 0
+    log = []
     for step, key in enumerate(trace):
         if key in recency:
-            result.hits += 1
+            hits += 1
         else:
-            result.misses += 1
+            misses += 1
             if len(recency) >= capacity:
                 victim = min(recency, key=lambda k: recency[k])
                 del recency[victim]
-                result.eviction_log.append((step, victim))
+                log.append((step, victim))
         recency[key] = clock
         clock += 1
-    return result
+    return SimResult(misses, hits, log)
 
 
 def _reference_belady(trace, capacity, init=None):
@@ -157,18 +158,19 @@ def _reference_belady(trace, capacity, init=None):
     for i in range(len(trace) - 1, -1, -1):
         first_use[trace[i]] = i
     cache = {key: first_use.get(key, float("inf")) for key in init or ()}
-    result = SimResult(0, 0)
+    hits = misses = 0
+    log = []
     for step, key in enumerate(trace):
         if key in cache:
-            result.hits += 1
+            hits += 1
         else:
-            result.misses += 1
+            misses += 1
             if len(cache) >= capacity:
                 victim = max(cache.items(), key=lambda kv: (kv[1], kv[0]))[0]
                 del cache[victim]
-                result.eviction_log.append((step, victim))
+                log.append((step, victim))
         cache[key] = next_use[step]
-    return result
+    return SimResult(misses, hits, log)
 
 
 def _assert_same_as_reference(trace, capacity, init=None):

@@ -760,15 +760,13 @@ def test_reports_reproducible(demo_pipeline, tmp_path):
     assert (tmp_path / "baseline2.csv.meta.json").read_bytes() == Path(str(d / "baseline.csv") + ".meta.json").read_bytes()
 
 
-def test_config_defaults_come_from_the_dataclasses():
-    from dataclasses import asdict
-
+def test_config_defaults_come_from_the_records():
     from ira.backup import BaselineCacheConfig, PipelineConfig
 
     # pinned on the default config; it moved when pipeline.workers became 16
     assert content_hash(DEFAULT_CONFIG) == "46abcf998fda88740dccbcc8dd18a213a67cbc4f27305781cdfd374e40c4ba65"
-    assert asdict(PipelineConfig()) == DEFAULT_CONFIG["pipeline"]
-    assert asdict(BaselineCacheConfig()) == DEFAULT_CONFIG["baseline_cache"]
+    assert PipelineConfig()._asdict() == DEFAULT_CONFIG["pipeline"]
+    assert BaselineCacheConfig()._asdict() == DEFAULT_CONFIG["baseline_cache"]
 
 
 def _copy_store(d: Path, tmp_path: Path) -> Path:
@@ -1254,9 +1252,9 @@ def test_reports_of_an_empty_trace_are_header_only(tmp_path):
                         {**shared, "subcommand": "run-primary", "hint_cost_share": 0.0}),
         "baseline.csv": ("block,t_baseline,ops,reads,io_cost,digest", baseline),
         "backup.csv": ("block,t_wait,t_exec,prefetch_cost,hint_raw_bytes,hint_compressed_bytes,fallback,digest", backup),
-        # the merged input sidecars override the leading subcommand
+        # the merged input sidecars, then compare's own subcommand
         "compare.csv": ("block,t_baseline,t_wait,t_exec,speedup",
-                        {"subcommand": "compare", **baseline, **backup,
+                        {**baseline, **backup, "subcommand": "compare",
                          "summary": {**summary, "blocks": 0, "blocks_with_wait": 0, "digests_match": True}}),
     }
     for name, (header, meta) in expected.items():
@@ -1456,28 +1454,39 @@ COMMAND_MODULES = {
 @pytest.fixture(scope="module")
 def cycle_imports(tmp_path_factory):
     """Every command of the demo cycle, in order, each run by ``ira.cli.main``
-    in a fresh interpreter: command -> (exit code, ira modules loaded)."""
+    in a fresh interpreter: command -> (exit code, ira modules loaded, every
+    module the command added after ``from ira.cli import main``)."""
     script = (
         "import json, sys\n"
         "from ira.cli import main\n"
+        "before = set(sys.modules)\n"
         "rc = main(sys.argv[1:])\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('ira.'))]))\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('ira.')),"
+        " sorted(set(sys.modules) - before)]))\n"
     )
     loaded = {}
     for command, argv in _cli_cycle(tmp_path_factory.mktemp("imports") / "run", 4):
         proc = subprocess.run([sys.executable, "-c", script, *argv], env=_env_with_src(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (command, proc.stderr)
-        rc, modules = json.loads(proc.stdout.splitlines()[-1])
-        loaded[command] = (rc, set(modules))
+        rc, modules, added = json.loads(proc.stdout.splitlines()[-1])
+        loaded[command] = (rc, set(modules), set(added))
     return loaded
 
 
 @pytest.mark.parametrize("command", list(COMMAND_MODULES))
 def test_each_command_loads_only_the_modules_it_runs(cycle_imports, command):
-    rc, modules = cycle_imports[command]
+    rc, modules, _ = cycle_imports[command]
     assert rc == EXIT_OK
     assert modules == {"ira.cli"} | {f"ira.{name}" for name in COMMAND_MODULES[command]}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_no_command_loads_dataclasses(cycle_imports, command):
+    # Records are NamedTuples. Importing dataclasses also loads inspect (and
+    # ast, dis, tokenize), which would cost each command milliseconds.
+    _, _, added = cycle_imports[command]
+    assert not {"dataclasses", "inspect"} & added
 
 
 def test_python_m_ira_cli_runs_the_command(demo_config, tmp_path):

@@ -9,7 +9,6 @@ cross-block LRU depends on that order).
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
@@ -171,7 +170,7 @@ def assert_same_as_reference(block: Block, make_view) -> None:
             meter = CostMeter()
             view = RecordingView(make_view(meter))
             result = run(block, view, meter, collect_log=collect_log)
-            outcomes.append((astuple(result), (meter.io, meter.hit, meter.compute), view.calls))
+            outcomes.append((tuple(result), (meter.io, meter.hit, meter.compute), view.calls))
         (ref, ref_meter, ref_calls), (new, new_meter, new_calls) = outcomes
         assert new == ref, (block.number, collect_log)
         assert new_meter == ref_meter, (block.number, collect_log)
@@ -205,7 +204,7 @@ def test_generated_blocks_match_reference(params):
             meter = CostMeter()
             view = RecordingView(BaselineView(store, block.number, meter, lru_s, lru_a, lru_c))
             result = run(block, view, meter)
-            outcomes.append((astuple(result), (meter.io, meter.hit, meter.compute), view.calls))
+            outcomes.append((tuple(result), (meter.io, meter.hit, meter.compute), view.calls))
         assert outcomes[0] == outcomes[1], block.number
 
 

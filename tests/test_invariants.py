@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
@@ -111,8 +110,7 @@ def test_changeset_routed_batches_equal_read_as_of():
 def test_hinted_digests_equal_fallback_digests():
     rng = random.Random(43)
     for case in range(300):
-        params = replace(
-            demo_params(blocks=rng.randrange(2, 10), seed=rng.randrange(1 << 30)),
+        params = demo_params(blocks=rng.randrange(2, 10), seed=rng.randrange(1 << 30))._replace(
             ephemeral_key_fraction=rng.random(),
             hot_key_share=rng.random(),
             read_write_ratio=rng.uniform(0.25, 12.0),
@@ -142,7 +140,7 @@ def test_hinted_digests_equal_fallback_digests():
 
 def test_pipeline_totals_add_up_under_random_configs(tmp_path):
     rng = random.Random(53)
-    params = replace(demo_params(blocks=24, seed=5), txs_per_block_mean=4.0, unique_keys_median=20)
+    params = demo_params(blocks=24, seed=5)._replace(txs_per_block_mean=4.0, unique_keys_median=20)
     trace = generate_trace(params)
     store = build_store(trace, derive_genesis(params))
     hints = {block.number: run_primary_block(block, store).compressed_bytes for block in trace}
@@ -166,7 +164,7 @@ def test_pipeline_totals_add_up_under_random_configs(tmp_path):
                 elif b not in missing:
                     db.write_hint(b, hints[b])
             metrics = pipeline_run(trace, store, db, cfg)
-            walls = [pipeline_run(trace, store, db, replace(cfg, workers=k)).wall_cost for k in (1, 2, 4, 16, 64)]
+            walls = [pipeline_run(trace, store, db, cfg._replace(workers=k)).wall_cost for k in (1, 2, 4, 16, 64)]
         assert all(a >= b for a, b in zip(walls, walls[1:])), (case, cfg, walls)
         rows = metrics.rows
         assert metrics.wall_cost == metrics.wait_total + metrics.exec_total, case

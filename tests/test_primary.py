@@ -145,7 +145,7 @@ def test_serialize_rejects_unsorted_entries():
 
 def test_serialize_rejects_oversized_counts():
     hint = Hint(1, [], [mk_addr(i % 200) for i in range(2)], [])
-    hint.accounts = [b"\x01" * 20] * 70000  # overflows the u16 account count
+    hint = hint._replace(accounts=[b"\x01" * 20] * 70000)  # overflows the u16 account count
     with pytest.raises(SerializationError):
         serialize_hint(hint)
 

@@ -157,7 +157,7 @@ def test_bloom_refuses_zero_width_payload():
     with pytest.raises(DecodeError):
         decode_hint("bloom", payload)
     hint = encode_hint([b"k"], "bloom")
-    hint.payload = payload
+    hint = hint._replace(payload=payload)
     with pytest.raises(DecodeError):
         generic_replay([read_op(b"k")], hint, GenericStore({b"k": b"v"}))
 

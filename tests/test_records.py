@@ -1,0 +1,78 @@
+"""Records are NamedTuples: the pitfalls of that idiom, pinned.
+
+A NamedTuple field default is one object shared by every record, and a
+NamedTuple body cannot define ``__new__``, so the defaults of the dict
+records and the construction checks need care (``ira.finished``).
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from ira import ConfigError
+from ira.cachesim import SimResult, simulate_belady, simulate_lru
+from ira.config import load_config
+from ira.protocol import read_op, write_op
+from ira.store import CostModel, Effects
+from ira.workload import GenesisState
+
+
+@pytest.mark.parametrize("record", [Effects, GenesisState])
+def test_dict_records_never_share_a_default(record):
+    a, b = record(), record()
+    for part_a, part_b in zip(a, b):
+        assert part_a == {} and part_a is not part_b
+    given = {b"k": b"v"}
+    assert record(given)[0] is given
+    assert all(part == {} for part in record(given)[1:])
+
+
+def test_sim_results_never_share_an_eviction_log():
+    with pytest.raises(TypeError):
+        SimResult(0, 0)  # no default list to share
+    for simulate in (simulate_lru, simulate_belady):
+        a, b = simulate([1, 2, 3], 1), simulate([1, 2, 3], 1)
+        assert a == b and a.eviction_log is not b.eviction_log
+
+
+def test_generic_op_constructors_check_their_op():
+    with pytest.raises(ValueError, match="^key must be non-empty$"):
+        read_op(b"")
+    with pytest.raises(ValueError, match="^key must be non-empty$"):
+        write_op(b"", b"v")
+    with pytest.raises(ValueError, match="^value present iff op is a write$"):
+        write_op(b"k", None)
+    assert read_op(b"k").value is None and write_op(b"k", b"v").value == b"v"
+
+
+def test_cost_model_checks_on_construction():
+    with pytest.raises(ValueError, match="^io_lanes must be >= 1$"):
+        CostModel(io_lanes=0)
+    with pytest.raises(ValueError, match="^c_compute must be >= 0$"):
+        CostModel(c_compute=-1)
+    assert CostModel(io_lanes=4).io_lanes == 4
+
+
+def _load(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return load_config(path)
+
+
+def test_negative_baseline_capacity_is_a_bad_section(tmp_path):
+    with pytest.raises(ConfigError, match="^bad baseline_cache section: capacities must be non-negative$"):
+        _load(tmp_path, {"baseline_cache": {"storage": -1}})
+
+
+@pytest.mark.parametrize(
+    "section, record",
+    [("generator", "GeneratorParams"), ("cost_model", "CostModel"),
+     ("baseline_cache", "BaselineCacheConfig"), ("pipeline", "PipelineConfig")],
+)
+def test_an_unknown_setting_is_a_bad_section(tmp_path, section, record):
+    # a dataclass said __init__() here
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, {section: {"no_such_setting": 1}})
+    assert str(exc.value) == f"bad {section} section: {record}.__new__() got an unexpected keyword argument 'no_such_setting'"
