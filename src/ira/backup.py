@@ -36,21 +36,23 @@ of the walls, which ``PrefetchResult.route_walls`` keeps one by one.
 The pipeline runs on a virtual integer clock, so results are independent of
 host scheduling: one producer prefetches batches and one executor replays
 blocks, connected by a channel that holds at most ``channel_capacity`` steady
-blocks not yet started. ``pipeline_run`` takes the batches in order. Before
-the producer takes a batch, the executor runs queued blocks until the channel
-has room for it. Each clock value depends only on values computed before it,
-so this order gives the same numbers as any event order that respects those
-dependencies. Leading warm-up batches bypass the channel, bounded by a block
-count and a buffer entry budget; the first batch that does not fit ends
-warm-up for good. Like steady batches, each is prefetched on every lane, one
-after another, and its blocks are ready when its own prefetch ends.
+blocks not yet started. A block starts when both the executor and its
+batch's prefetch are done, and a steady batch's prefetch starts when the
+producer is free and the channel has room for the batch, that is, once an
+earlier steady block has started. No clock value depends on a later batch,
+so ``pipeline_run`` times and replays each batch as soon as it is prefetched,
+in one pass, and holds one batch of caches at most. Leading warm-up batches
+bypass the channel, bounded by a block count and a buffer entry budget; the
+first batch that does not fit ends warm-up for good. Like steady batches,
+each is prefetched on every lane, one after another, and its blocks are ready
+when its own prefetch ends.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from itertools import chain
-from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import IraError
 from .config import BaselineCacheConfig, PipelineConfig
@@ -233,7 +235,7 @@ def _resolve(
         values[key] = absent if value is None else value
 
 
-def prefetch(plan: PrefetchPlan, store: ArchivalStore, workers: int = 1) -> PrefetchResult:
+def prefetch(plan: PrefetchPlan, store: ArchivalStore, *, workers: int) -> PrefetchResult:
     """Fetch everything a batch needs and assemble one cache per block.
 
     Each block's cache receives exactly the keys its own hint listed, with
@@ -426,19 +428,6 @@ def _prefetch_batch(batch: _Batch, store: ArchivalStore, workers: int) -> Tuple[
             )
 
 
-class _Queued(NamedTuple):
-    """A block waiting for the executor: its cache (None on the fallback
-    path), the virtual time the cache is ready, and its report fields."""
-
-    block: Block
-    ready: int
-    steady: bool  # produced through the bounded channel, not by warm-up
-    cache: Optional[BlockCache] = None
-    prefetch_cost: int = 0
-    raw_bytes: int = 0
-    compressed_bytes: int = 0
-
-
 def pipeline_run(
     blocks: Iterable[Block],
     store: ArchivalStore,
@@ -461,49 +450,21 @@ def pipeline_run(
     block_list = list(blocks)
     size = config.batch_size
     batches = (_decode_batch(block_list[i : i + size], hint_db) for i in range(0, len(block_list), size))
-    queue: Deque[_Queued] = deque()
     by_route = dict.fromkeys(ROUTES, 0)
     corrupt = 0
     rows: List[BlockMetrics] = []
     steady_starts: List[int] = []  # execution start of each steady block
     exec_free = 0
 
-    def execute_next() -> None:
-        nonlocal exec_free
-        entry = queue.popleft()
-        block = entry.block
-        start = max(exec_free, entry.ready)
-        if entry.steady:
-            steady_starts.append(start)
-        if entry.cache is None:
-            meter = CostMeter(model)
-            result = execute_block(block, StoreView(store, block.number, meter), meter)
-            t_exec, digest = meter.total, state_change_hash(result.effects)
-        else:
-            rb = replay_block(block, entry.cache, model)
-            t_exec, digest = rb.t_exec, rb.digest
-        rows.append(
-            BlockMetrics(
-                block=block.number,
-                t_wait=start - exec_free,
-                t_exec=t_exec,
-                prefetch_cost=entry.prefetch_cost,
-                hint_raw_bytes=entry.raw_bytes,
-                hint_compressed_bytes=entry.compressed_bytes,
-                fallback=entry.cache is None,
-                digest=digest,
-            )
-        )
-        exec_free = start + t_exec
-
     # Warm-up batches bypass the bounded channel. Warm-up is bounded by block
     # count and, past the first batch, the buffer entry budget; the first
     # batch over either bound ends it for good. A steady batch may enter the
     # channel once at most channel_capacity steady blocks would be in it, not
-    # yet started: the executor runs queued blocks until then, and the
-    # producer starts when both it and the channel are free.
+    # yet started, so the producer starts when both it and the channel are
+    # free. The blocks that must start first are all in earlier batches, so
+    # each batch is replayed as soon as it is prefetched.
     warm = True
-    prod_free = warm_blocks = warm_entries = produced = 0
+    prod_free = warm_blocks = warm_entries = 0
     for batch in batches:
         room = 0
         if warm:
@@ -514,28 +475,31 @@ def pipeline_run(
             warm_blocks += len(batch.blocks)
             warm_entries += entries
         if not warm:
-            need = produced + len(batch.blocks) - config.channel_capacity
-            while len(steady_starts) < need:
-                execute_next()
+            need = len(steady_starts) + len(batch.blocks) - config.channel_capacity
             if need > 0:
                 room = steady_starts[need - 1]
-            produced += len(batch.blocks)
         pf, batch = _prefetch_batch(batch, store, config.workers)
         prod_free = max(prod_free, room) + pf.wall_cost
-        for route, cost in pf.route_walls.items():
-            by_route[route] += cost
+        for route, wall in pf.route_walls.items():
+            by_route[route] += wall
+        corrupt += batch.corrupt
         for block in batch.blocks:
             b = block.number
+            start = max(exec_free, prod_free)
+            if not warm:
+                steady_starts.append(start)
             if b in batch.fallback:
-                queue.append(_Queued(block, prod_free, not warm))
+                meter = CostMeter(model)
+                result = execute_block(block, StoreView(store, b, meter), meter)
+                t_exec, digest = meter.total, state_change_hash(result.effects)
+                cost = raw = comp = 0
             else:
-                cache = pf.caches.pop(b)  # the queue holds the only reference
-                queue.append(
-                    _Queued(block, prod_free, not warm, cache, pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b])
-                )
-        corrupt += batch.corrupt
-    while queue:
-        execute_next()
+                # popped, so the cache dies as soon as its block has executed
+                rb = replay_block(block, pf.caches.pop(b), model)
+                t_exec, digest = rb.t_exec, rb.digest
+                cost, raw, comp = pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b]
+            rows.append(BlockMetrics(b, start - exec_free, t_exec, cost, raw, comp, b in batch.fallback, digest))
+            exec_free = start + t_exec
 
     return ReplayMetrics(
         rows=rows,

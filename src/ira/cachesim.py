@@ -143,9 +143,5 @@ def compare_policies(
         "accesses": len(trace),
         "lru_misses": lru.misses,
         "belady_misses": opt.misses,
-        "lru_hits": lru.hits,
-        "belady_hits": opt.hits,
         "miss_ratio_lru_over_belady": (lru.misses / opt.misses) if opt.misses else _INF,
-        "lru_evictions": lru.eviction_log,
-        "belady_evictions": opt.eviction_log,
     }

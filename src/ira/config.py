@@ -34,7 +34,7 @@ class PipelineConfig(NamedTuple):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.channel_capacity < self.batch_size:
-            raise ValueError("channel_capacity must be >= batch_size (deadlock guard)")
+            raise ValueError("channel_capacity must be >= batch_size (a batch enters the channel whole)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.warmup_blocks < 0 or self.warmup_buffer_entries < 0:

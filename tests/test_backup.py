@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ira import backup
 from ira.backup import (
     ROUTES,
     BaselineCacheConfig,
@@ -48,7 +49,7 @@ def test_plan_all_zero_hint_costs_nothing():
     assert plan.plain_keys == []
     store = ArchivalStore()
     store.apply_block(1, Effects())
-    result = prefetch(plan, store)
+    result = prefetch(plan, store, workers=1)
     assert result.wall_cost == 0
     assert all(result.caches[1].storage[mk_key(i)] == ZERO_WORD for i in range(10))
 
@@ -170,7 +171,7 @@ def test_prefetch_missing_plain_key_raises():
     store, _ = make_plain_store(4)
     hint = hint_from_sets(1, [(mk_key(999), Source.PLAIN)], [], [])
     with pytest.raises(PrefetchError):
-        prefetch(plan_prefetch([hint]), store)
+        prefetch(plan_prefetch([hint]), store, workers=1)
 
 
 def test_prefetch_error_names_the_blocks_at_fault():
@@ -182,14 +183,14 @@ def test_prefetch_error_names_the_blocks_at_fault():
         hint_from_sets(3, [(missing, Source.PLAIN)], [], []),
     ]
     with pytest.raises(PrefetchError) as err:
-        prefetch(plan_prefetch(hints), store)
+        prefetch(plan_prefetch(hints), store, workers=1)
     assert err.value.blocks == [1, 3]
 
     a, b = mk_addr(1), mk_addr(2)
     store.accounts.plain.update({a: Account(code_hash=b"\x07" * 32), b: Account()})
     hints = [hint_from_sets(1, [], [], [b]), hint_from_sets(2, [], [], [a, b])]
     with pytest.raises(PrefetchError) as err:
-        prefetch(plan_prefetch(hints), store)
+        prefetch(plan_prefetch(hints), store, workers=1)
     assert err.value.blocks == [2]
 
 
@@ -199,7 +200,7 @@ def test_prefetch_changeset_values_match_read_as_of():
     store.apply_block(1, Effects(storage={k: mk_word(10)}))
     store.apply_block(2, Effects(storage={k: mk_word(20)}))
     hint = hint_from_sets(2, [(k, Source.CHANGESET)], [], [])
-    result = prefetch(plan_prefetch([hint]), store)
+    result = prefetch(plan_prefetch([hint]), store, workers=1)
     assert result.caches[2].storage[k] == store.read_as_of(k, 2) == mk_word(10)
 
 
@@ -246,7 +247,7 @@ def test_prefetch_accounts_as_of_block():
     store.apply_block(2, Effects(accounts={a: Account(balance=25)}))
     h1 = hint_from_sets(1, [], [a], [])
     h2 = hint_from_sets(3, [], [a], [])
-    result = prefetch(plan_prefetch([h1, h2]), store)
+    result = prefetch(plan_prefetch([h1, h2]), store, workers=1)
     assert result.caches[1].accounts[a] == Account(balance=100)  # pre-state of block 1
     assert result.caches[3].accounts[a] == Account(balance=25)
 
@@ -277,7 +278,7 @@ def test_replay_matches_primary_digest_small():
     store = build_store(trace, derive_genesis(params))
     for block in trace:
         pr = run_primary_block(block, store)
-        pf = prefetch(plan_prefetch([pr.hint]), store)
+        pf = prefetch(plan_prefetch([pr.hint]), store, workers=1)
         rb = replay_block(block, pf.caches[block.number], store.cost_model)
         assert rb.digest == pr.digest
 
@@ -308,7 +309,7 @@ def test_replay_with_dropped_key_halts_naming_it():
         pr.hint.accounts,
         pr.hint.codes,
     )
-    pf = prefetch(plan_prefetch([weakened]), store)
+    pf = prefetch(plan_prefetch([weakened]), store, workers=1)
     with pytest.raises(CacheMissError) as err:
         replay_block(block, pf.caches[block.number], store.cost_model)
     assert err.value.key == bytes(dropped_key)
@@ -652,6 +653,30 @@ def test_pipeline_bounded_channel_limits_producer_lead(pipeline_world):
     # here the one-batch channel holds the producer back; the walls are
     # pinned so that any change to the pipeline's clock shows
     assert (metrics.wall_cost, metrics_wide.wall_cost) == (58193, 35009)
+
+
+def test_pipeline_holds_one_batch_of_caches_at_most(pipeline_world, monkeypatch):
+    # the channel lets the producer run four batches ahead, but a batch is
+    # replayed as soon as it is prefetched and each cache dies with its block
+    _, trace, store, db, digests = pipeline_world
+    live = peak = 0
+
+    class CountedCache(BlockCache):
+        def __init__(self, block_number):
+            nonlocal live, peak
+            super().__init__(block_number)
+            live += 1
+            peak = max(peak, live)
+
+        def __del__(self):
+            nonlocal live
+            live -= 1
+
+    monkeypatch.setattr(backup, "BlockCache", CountedCache)
+    cfg = PipelineConfig(batch_size=2, channel_capacity=8, warmup_blocks=0, workers=1)
+    metrics = pipeline_run(trace, store, db, cfg)
+    assert metrics.digests() == digests and metrics.fallback_blocks == 0
+    assert (peak, live) == (cfg.batch_size, 0)
 
 
 # -- baseline -----------------------------------------------------------------------------

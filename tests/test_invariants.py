@@ -2,7 +2,8 @@
 ``read_as_of``, also for keys a hint routes as change-set that
 the store resolves to plain or zero, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
-under any config and any mix of good, missing and misfiled hints, more
+under any config and any mix of good, missing and misfiled hints, the
+clock equals that of a producer and an executor joined by a queue, more
 prefetch workers never raise the wall, and a saved store loads back with the
 same history index and as-of reads."""
 
@@ -10,11 +11,13 @@ from __future__ import annotations
 
 import random
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
+import pytest
+
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
-from ira.primary import Hint, HintDb, Source, annotate_sources, run_primary_block
+from ira.primary import Hint, HintDb, Source, annotate_sources, decompress_hint, parse_hint, run_primary_block
 from ira.store import Account, ArchivalStore, CostMeter, Effects
 from ira.workload import build_store, derive_genesis
 
@@ -44,7 +47,7 @@ def test_routed_values_equal_read_as_of():
         store, keys, addrs = _random_store(rng)
         for b in range(1, store.head_block + 2):
             entries = annotate_sources(keys, store, b)
-            cache = prefetch(plan_prefetch([Hint(b, entries, addrs, [])]), store).caches[b]
+            cache = prefetch(plan_prefetch([Hint(b, entries, addrs, [])]), store, workers=1).caches[b]
             for key, src in entries:
                 assert cache.storage[key] == store.read_as_of(key, b), (case, b, src)
             for addr in addrs:
@@ -91,7 +94,7 @@ def test_changeset_routed_batches_equal_read_as_of():
         blocks = sorted(rng.sample(span, rng.randint(1, len(span))))
         hints = [Hint(b, [(k, Source.CHANGESET) for k in keys if rng.random() < 0.7], [], []) for b in blocks]
         plan = plan_prefetch(hints)
-        result = prefetch(plan, store)
+        result = prefetch(plan, store, workers=1)
         for hint in hints:
             b = hint.block_number
             for key, _ in hint.storage_entries:
@@ -138,13 +141,20 @@ def test_hinted_digests_equal_fallback_digests():
         assert hinted.digests() == fallback.digests() == primary, (case, params, cfg)
 
 
-def test_pipeline_totals_add_up_under_random_configs(tmp_path):
-    rng = random.Random(53)
+@pytest.fixture(scope="module")
+def random_world():
     params = demo_params(blocks=24, seed=5)._replace(txs_per_block_mean=4.0, unique_keys_median=20)
     trace = generate_trace(params)
     store = build_store(trace, derive_genesis(params))
     hints = {block.number: run_primary_block(block, store).compressed_bytes for block in trace}
-    unhinted = pipeline_run(trace, store, None).digests()
+    return trace, store, hints
+
+
+def _random_pipeline_cases(hints, tmp_path):
+    """400 seeded pipeline configs, each with an open hint DB in which up to
+    three hints are missing and up to three misfiled under another block.
+    Yields ``(case, cfg, db, missing, misfiled)``."""
+    rng = random.Random(53)
     numbers = sorted(hints)
     for case in range(400):
         batch = rng.randrange(1, 6)
@@ -163,14 +173,89 @@ def test_pipeline_totals_add_up_under_random_configs(tmp_path):
                     db.write_hint(b, hints[rng.choice([n for n in numbers if n != b])])
                 elif b not in missing:
                     db.write_hint(b, hints[b])
-            metrics = pipeline_run(trace, store, db, cfg)
-            walls = [pipeline_run(trace, store, db, cfg._replace(workers=k)).wall_cost for k in (1, 2, 4, 16, 64)]
+            yield case, cfg, db, missing, misfiled
+
+
+def test_pipeline_totals_add_up_under_random_configs(random_world, tmp_path):
+    trace, store, hints = random_world
+    unhinted = pipeline_run(trace, store, None).digests()
+    for case, cfg, db, missing, misfiled in _random_pipeline_cases(hints, tmp_path):
+        metrics = pipeline_run(trace, store, db, cfg)
+        walls = [pipeline_run(trace, store, db, cfg._replace(workers=k)).wall_cost for k in (1, 2, 4, 16, 64)]
         assert all(a >= b for a, b in zip(walls, walls[1:])), (case, cfg, walls)
         rows = metrics.rows
         assert metrics.wall_cost == metrics.wait_total + metrics.exec_total, case
         assert sum(r.prefetch_cost for r in rows) == metrics.prefetch_total, case
         assert sum(metrics.prefetch_by_route.values()) == metrics.prefetch_total, case
-        assert all(r.t_wait == 0 for i, r in enumerate(rows) if i % batch), (case, cfg)
+        assert all(r.t_wait == 0 for i, r in enumerate(rows) if i % cfg.batch_size), (case, cfg)
         assert metrics.digests() == unhinted, case
         assert [r.block for r in rows if r.fallback] == sorted(missing | misfiled), case
         assert metrics.corrupt_hints == len(misfiled), (case, cfg)
+
+
+def _queued_clock(batches, cfg):
+    """The pipeline clock as a live producer and executor joined by a queue.
+
+    Per batch, ``batches`` gives the block count, the entries of its decoded
+    hints, its prefetch wall and each block's ``t_exec``. Before the producer
+    takes a steady batch, the executor runs queued blocks until the channel
+    has room for it. Returns each block's ``t_wait`` and the wall."""
+    queue = deque()  # (ready, steady, t_exec) per block
+    steady_starts, waits = [], []
+    exec_free = 0
+
+    def execute_next():
+        nonlocal exec_free
+        ready, steady, t_exec = queue.popleft()
+        start = max(exec_free, ready)
+        if steady:
+            steady_starts.append(start)
+        waits.append(start - exec_free)
+        exec_free = start + t_exec
+
+    warm = True
+    prod_free = warm_blocks = warm_entries = produced = 0
+    for count, entries, wall, t_execs in batches:
+        room = 0
+        if warm:
+            warm = warm_blocks + count <= cfg.warmup_blocks and not (
+                warm_blocks and warm_entries + entries > cfg.warmup_buffer_entries
+            )
+            warm_blocks += count
+            warm_entries += entries
+        if not warm:
+            need = produced + count - cfg.channel_capacity
+            while len(steady_starts) < need:
+                execute_next()
+            if need > 0:
+                room = steady_starts[need - 1]
+            produced += count
+        prod_free = max(prod_free, room) + wall
+        queue.extend((prod_free, not warm, t_exec) for t_exec in t_execs)
+    while queue:
+        execute_next()
+    return waits, exec_free
+
+
+def test_single_pass_clock_equals_queued_producer_executor(random_world, tmp_path):
+    # these configs bind the channel (channel = batch), end warm-up by the
+    # entry budget and mix in missing and misfiled hints
+    trace, store, hints = random_world
+    entries = {b: parse_hint(decompress_hint(data)).entry_count() for b, data in hints.items()}
+    for case, cfg, db, missing, misfiled in _random_pipeline_cases(hints, tmp_path):
+        metrics = pipeline_run(trace, store, db, cfg)
+        rows = metrics.rows
+        batches = []
+        for i in range(0, len(rows), cfg.batch_size):
+            part = rows[i : i + cfg.batch_size]
+            batches.append(
+                (
+                    len(part),
+                    sum(entries[r.block] for r in part if r.block not in missing | misfiled),
+                    sum(r.prefetch_cost for r in part),
+                    [r.t_exec for r in part],
+                )
+            )
+        waits, wall = _queued_clock(batches, cfg)
+        assert waits == [r.t_wait for r in rows], (case, cfg)
+        assert wall == metrics.wall_cost, (case, cfg)
