@@ -30,18 +30,41 @@ class ConfigError(IraError):
     prefix = "config error"
 
 
+# Each setting type: the words an error names it by, and the exact types of
+# the values it admits. Nothing is converted: a bool is no number, and a
+# float setting keeps an int as given.
+KINDS = {
+    bool: ("true or false", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+}
+
+
 def finished(cls):
     """Class decorator for a ``typing.NamedTuple`` with a ``_finish`` method.
 
     A NamedTuple body cannot define ``__new__``, so this wraps the generated
-    one: calling the class builds the record, then returns
-    ``record._finish()``, which raises on a bad record or returns a
-    completed one. ``_make`` and ``_replace`` skip ``_finish``.
+    one: calling the class builds the record, checks each field whose default
+    is a bool, int, float or str against ``KINDS`` (a TypeError names the
+    field), then returns ``record._finish()``, which raises on a bad record
+    or returns a completed one. The checked fields are listed once, here, so
+    a record whose defaults are None checks none. ``_make`` and ``_replace``
+    skip both steps.
     """
-    new = cls.__new__
+    new, defaults = cls.__new__, cls._field_defaults
+    typed = tuple(
+        (i, name, *KINDS[type(defaults.get(name))])
+        for i, name in enumerate(cls._fields)
+        if type(defaults.get(name)) in KINDS
+    )
 
     def __new__(cls_, *args, **kwargs):
-        return new(cls_, *args, **kwargs)._finish()
+        record = new(cls_, *args, **kwargs)
+        for i, name, words, types in typed:
+            if type(record[i]) not in types:
+                raise TypeError(f"{name} must be {words}, got {record[i]!r}")
+        return record._finish()
 
     cls.__new__ = staticmethod(__new__)
     return cls

@@ -445,7 +445,6 @@ def pipeline_run(
     row.
     """
     config = config or PipelineConfig()
-    config.validate()
     model = store.cost_model
     block_list = list(blocks)
     size = config.batch_size

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import ConfigError, IraError
+from . import KINDS, ConfigError, IraError
 
 if TYPE_CHECKING:
     from .config import Config
@@ -73,7 +73,7 @@ def _run_meta(command: str, cfg: Config, store: ArchivalStore, rows: int, **fiel
         "subcommand": command,
         "config_hash": content_hash(cfg.raw),
         "cost_model_hash": content_hash(cfg.raw["cost_model"]),
-        "cost_model": store.cost_model.as_dict(),
+        "cost_model": store.cost_model._asdict(),
         "rows": rows,
         **fields,
     }
@@ -81,14 +81,14 @@ def _run_meta(command: str, cfg: Config, store: ArchivalStore, rows: int, **fiel
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     from . import workload as workload_mod
-    from .config import load_config
+    from .config import content_hash, load_config
 
     params = load_config(args.config).generator
     if args.seed is not None:
         params = params._replace(seed=args.seed)
     out = _out(args, args.out)
     count = workload_mod.save_trace(out, params, workload_mod.iter_trace(params))
-    print(f"gen-trace: wrote {count} blocks to {out} (params hash {params.content_hash()[:12]})")
+    print(f"gen-trace: wrote {count} blocks to {out} (params hash {content_hash(params._asdict())[:12]})")
     return EXIT_OK
 
 
@@ -118,7 +118,7 @@ def _load_store(args: argparse.Namespace, cfg: Config) -> ArchivalStore:
     store = ArchivalStore.load(Path(args.store))
     if cfg.cost_model != store.cost_model:
         raise ConfigError(
-            f"config cost model {cfg.cost_model.as_dict()} differs from the store's {store.cost_model.as_dict()}"
+            f"config cost model {cfg.cost_model._asdict()} differs from the store's {store.cost_model._asdict()}"
         )
     return store
 
@@ -418,9 +418,9 @@ _LINK_FIELDS = ("latency", "bandwidth", "loss_probability", "seed")
 
 
 def _proto_scenario(raw: object) -> Dict[str, object]:
-    """The settings of a ``proto`` scenario, each converted to its type and
-    checked against its domain; an unknown setting, or one outside its
-    domain, raises ConfigError."""
+    """The settings of a ``proto`` scenario, each checked against its kind
+    (``ira.KINDS``; nothing is converted) and its domain; an unknown setting,
+    or one of the wrong kind or outside its domain, raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("proto scenario must be a JSON object")
     fields = _scenario_fields()
@@ -433,13 +433,9 @@ def _proto_scenario(raw: object) -> Dict[str, object]:
             if default is not None:
                 out[name] = default
             continue
-        try:
-            value = kind(raw[name])
-            valid = check(value)
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"proto scenario: {name} must be {domain}, got {raw[name]!r}")
+        value = raw[name]
+        if type(value) not in KINDS[kind][1] or not check(value):
+            raise ConfigError(f"proto scenario: {name} must be {domain}, got {value!r}")
         out[name] = value
     return out
 
@@ -482,11 +478,7 @@ def cmd_proto(args: argparse.Namespace) -> int:
             else:
                 batch.append(protocol_mod.read_op(key))
         access, _ = protocol_mod.generic_generate(batch, primary)
-        if encoding == "range":
-            lo, hi = min(access), max(access)
-            hint = protocol_mod.encode_hint(access, "range", intervals=[(lo, hi)])
-        else:
-            hint = protocol_mod.encode_hint(access, encoding, **encode_options)
+        hint = protocol_mod.encode_hint(access, encoding, **encode_options)
         stats = protocol_mod.generic_replay(batch, hint, backup_store, candidates=universe)
         timeline = protocol_mod.simulate_transmission(
             strategy,

@@ -6,7 +6,10 @@ the cost model's live in their own modules, the pipeline's and the baseline
 cache's live here, so that loading a config never loads the backup. Reports
 record the config hash (and the cost-model hash) so joins across runs can
 refuse to compare unlike configurations. That hash covers every section, so
-``load_config`` parses and checks them all, whichever a command uses.
+``load_config`` checks them all, whichever a command uses. A section is
+checked by building its ``ira.finished`` record, which refuses a value of the
+wrong type or outside its domain and converts none; the trace header and the
+store manifest are checked by building the same records.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .store import CostModel
 from .workload import GeneratorParams
 
 
+@finished
 class PipelineConfig(NamedTuple):
     """The backup pipeline's batching, channel, warm-up and prefetch lanes."""
 
@@ -30,7 +34,7 @@ class PipelineConfig(NamedTuple):
     warmup_buffer_entries: int = 134_217_728  # 8 GiB at ~64 bytes per entry
     workers: int = 16
 
-    def validate(self) -> None:
+    def _finish(self) -> "PipelineConfig":
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.channel_capacity < self.batch_size:
@@ -39,6 +43,7 @@ class PipelineConfig(NamedTuple):
             raise ValueError("workers must be >= 1")
         if self.warmup_blocks < 0 or self.warmup_buffer_entries < 0:
             raise ValueError("warm-up sizes must be non-negative")
+        return self
 
 
 @finished
@@ -55,16 +60,15 @@ class BaselineCacheConfig(NamedTuple):
         return self
 
 
-DEFAULT_CONFIG: Dict[str, Any] = {
-    "generator": GeneratorParams().as_dict(),
-    "cost_model": CostModel().as_dict(),
-    "baseline_cache": BaselineCacheConfig()._asdict(),
-    "pipeline": PipelineConfig()._asdict(),
-}
+# each section's record; building it from the section is the whole check
+_SECTIONS = {"generator": GeneratorParams, "cost_model": CostModel,
+             "baseline_cache": BaselineCacheConfig, "pipeline": PipelineConfig}
+
+DEFAULT_CONFIG: Dict[str, Any] = {name: record()._asdict() for name, record in _SECTIONS.items()}
 
 
 class Config(NamedTuple):
-    """A checked config: each section parsed, and ``raw``, the merged JSON
+    """A checked config: each section's record, and ``raw``, the merged JSON
     that the report hashes are computed from."""
 
     generator: GeneratorParams
@@ -72,27 +76,6 @@ class Config(NamedTuple):
     baseline_cache: BaselineCacheConfig
     pipeline: PipelineConfig
     raw: Dict[str, Dict[str, Any]]
-
-
-def _generator(data: Dict[str, Any]) -> GeneratorParams:
-    params = GeneratorParams.from_dict(data)
-    params.validate()
-    return params
-
-
-def _pipeline(data: Dict[str, Any]) -> PipelineConfig:
-    cfg = PipelineConfig(**{k: int(v) for k, v in data.items()})
-    cfg.validate()
-    return cfg
-
-
-# each section's parser; a TypeError or ValueError is a bad section
-_SECTIONS = {
-    "generator": _generator,
-    "cost_model": CostModel.from_dict,
-    "baseline_cache": lambda data: BaselineCacheConfig(**{k: int(v) for k, v in data.items()}),
-    "pipeline": _pipeline,
-}
 
 
 def canonical_json(obj: Any) -> str:
@@ -128,9 +111,9 @@ def load_config(path: Optional[Path]) -> Config:
     user = {} if path is None else _read_user_config(path)
     raw = {name: {**default, **user.get(name, {})} for name, default in DEFAULT_CONFIG.items()}
     sections = {}
-    for name, parse in _SECTIONS.items():
+    for name, record in _SECTIONS.items():
         try:
-            sections[name] = parse(raw[name])
+            sections[name] = record(**raw[name])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {name} section: {exc}") from None
     return Config(raw=raw, **sections)

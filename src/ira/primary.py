@@ -395,9 +395,6 @@ class HintDb:
     def blocks(self) -> List[int]:
         return sorted(self._index)
 
-    def __contains__(self, block_number: int) -> bool:
-        return block_number in self._index
-
     def close(self) -> None:
         self._file.close()
 

@@ -333,8 +333,6 @@ class BloomFilter:
 def _encode_range(intervals: Sequence[Tuple[bytes, bytes]]) -> bytes:
     out = bytearray(_U32.pack(len(intervals)))
     for start, end in intervals:
-        if start > end:
-            raise ValueError("range interval start must be <= end")
         out += _U16.pack(len(start))
         out += start
         out += _U16.pack(len(end))
@@ -379,9 +377,9 @@ def encode_hint(
     encoding: HintEncoding | str = HintEncoding.EXACT,
     *,
     target_fpr: float = 0.01,
-    intervals: Optional[Sequence[Tuple[bytes, bytes]]] = None,
 ) -> GenericHint:
-    """Encode an access set. Range encoding takes explicit key intervals."""
+    """Encode an access set. A range hint is one interval, from the least
+    key to the greatest (none for an empty set)."""
     if isinstance(encoding, str):
         encoding = HintEncoding(encoding)
     sorted_keys = sorted(set(keys))
@@ -395,9 +393,7 @@ def encode_hint(
             bf.add(key)
         payload = bf.to_bytes()
     else:
-        if intervals is None:
-            raise ValueError("range encoding requires explicit intervals")
-        payload = _encode_range(intervals)
+        payload = _encode_range([(sorted_keys[0], sorted_keys[-1])] if sorted_keys else [])
     return GenericHint(encoding=encoding, payload=payload)
 
 

@@ -211,13 +211,6 @@ class CostModel(NamedTuple):
             raise ValueError("io_lanes must be >= 1")
         return self
 
-    def as_dict(self) -> Dict[str, int]:
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "CostModel":
-        return cls(**{k: int(v) for k, v in data.items()})
-
 
 DEFAULT_COST_MODEL = CostModel()
 
@@ -447,7 +440,7 @@ class ArchivalStore:
         manifest = {
             "format": STORE_FORMAT_VERSION,
             "head_block": self.head_block,
-            "cost_model": self.cost_model.as_dict(),
+            "cost_model": self.cost_model._asdict(),
         }
         with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
@@ -468,10 +461,10 @@ class ArchivalStore:
         if "cost_model" not in manifest:
             raise StoreError(f"{MANIFEST_NAME}: no cost_model")
         try:
-            cost_model = CostModel.from_dict(manifest["cost_model"])
-        except (AttributeError, TypeError, ValueError) as exc:
+            cost_model = CostModel(**manifest["cost_model"])
+        except (TypeError, ValueError) as exc:
             raise StoreError(f"{MANIFEST_NAME}: bad cost_model ({exc})") from None
-        if not isinstance(manifest.get("head_block"), int):
+        if type(manifest.get("head_block")) is not int:  # a bool is no block number
             raise StoreError(f"{MANIFEST_NAME}: no integer head_block")
         store = cls(cost_model)
 

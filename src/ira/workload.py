@@ -182,6 +182,7 @@ def _shuffle(rng: random.Random, x: list) -> None:
 # -- generator -----------------------------------------------------------------
 
 
+@finished
 class GeneratorParams(NamedTuple):
     """Knobs for the synthetic trace generator.
 
@@ -211,7 +212,7 @@ class GeneratorParams(NamedTuple):
     seed_trace_keys: bool = False
     seed: int = 1
 
-    def validate(self) -> None:
+    def _finish(self) -> "GeneratorParams":
         if self.blocks < 1:
             raise ParameterError("blocks must be >= 1")
         for name in ("ephemeral_key_fraction", "hot_key_share"):
@@ -230,17 +231,7 @@ class GeneratorParams(NamedTuple):
             raise ParameterError("n_code_contracts cannot exceed n_contracts")
         if self.hot_key_share > 0 and self.hot_keys < 1:
             raise ParameterError("hot_key_share > 0 requires hot_keys >= 1")
-
-    def as_dict(self) -> Dict[str, object]:
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "GeneratorParams":
-        return cls(**data)
-
-    def content_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return self
 
 
 def plain_read_params(blocks: int = 1000, seed: int = 7) -> GeneratorParams:
@@ -265,7 +256,6 @@ def plain_read_params(blocks: int = 1000, seed: int = 7) -> GeneratorParams:
 
 def iter_trace(params: GeneratorParams) -> Iterator[Block]:
     """Yield the deterministic block sequence for ``params``."""
-    params.validate()
     rng = random.Random(params.seed)
     hot_rng = random.Random(_sub_seed(params.seed, "hot"))
 
@@ -742,7 +732,7 @@ def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
 
 def save_trace(path: Path, params: GeneratorParams, blocks: Iterable[Block]) -> int:
     """Write a trace file; returns the number of blocks written."""
-    params_json = json.dumps(params.as_dict(), sort_keys=True, separators=(",", ":")).encode()
+    params_json = json.dumps(params._asdict(), sort_keys=True, separators=(",", ":")).encode()
     count = 0
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
@@ -795,7 +785,7 @@ def read_trace_params(path: Path) -> Tuple[GeneratorParams, int]:
     with open(path, "rb") as f:
         params_json, count = _read_trace_header(f)
     try:
-        return GeneratorParams.from_dict(json.loads(params_json.decode())), count
+        return GeneratorParams(**json.loads(params_json.decode())), count
     except (ValueError, TypeError) as exc:
         raise TraceFormatError(f"bad trace params: {exc}") from None
 

@@ -283,10 +283,7 @@ def test_criterion_10_generalized_protocol_safety():
             backup = GenericStore(dict(base))
             direct = GenericStore(dict(base))
             access, _ = generic_generate(batch, primary)
-            if encoding == "range":
-                hint = encode_hint(access, "range", intervals=[(min(access), max(access))])
-            else:
-                hint = encode_hint(access, encoding, target_fpr=0.01)
+            hint = encode_hint(access, encoding, target_fpr=0.01)
             generic_replay(batch, hint, backup, candidates=universe)
             execute_direct(batch, direct)
             if not (backup.state() == direct.state() == primary.state()):

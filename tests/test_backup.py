@@ -371,7 +371,7 @@ def test_pipeline_wait_charged_to_first_block_of_stalled_batch():
     for b in range(8):
         ops = [storage_write(k, mk_word(1)) for k in keys[b]]
         blocks.append(Block(b + 1, mk_addr(250), [Transaction(mk_addr(1), mk_addr(2), ops)]))
-    genesis = derive_genesis(GeneratorParams(blocks=1, n_accounts=4, n_contracts=1, hot_keys=1, seed=1))
+    genesis = derive_genesis(GeneratorParams(blocks=1, n_accounts=4, n_contracts=1, n_code_contracts=1, hot_keys=1, seed=1))
     genesis.accounts[mk_addr(1)] = Account(balance=10**9)
     genesis.accounts[mk_addr(2)] = Account(balance=0)
     genesis.accounts[mk_addr(250)] = Account(balance=0)
@@ -619,7 +619,7 @@ def test_pipeline_unservable_hint_falls_back(pipeline_world, tmp_path, from_bloc
 
 def test_pipeline_config_rejects_undersized_channel():
     with pytest.raises(ValueError):
-        PipelineConfig(batch_size=32, channel_capacity=8).validate()
+        PipelineConfig(batch_size=32, channel_capacity=8)
 
 
 def test_pipeline_empty_range():
@@ -717,7 +717,7 @@ def test_baseline_lru_capacity_two_fig_trace():
         Block(1, mk_addr(250), [Transaction(mk_addr(1), mk_addr(2), [storage_write(a, mk_word(1)), storage_write(b, mk_word(2))])]),
         Block(2, mk_addr(250), [Transaction(mk_addr(1), mk_addr(2), [storage_read(c), storage_read(a), storage_read(c)])]),
     ]
-    genesis = derive_genesis(GeneratorParams(blocks=1, n_accounts=4, n_contracts=1, hot_keys=1, seed=1))
+    genesis = derive_genesis(GeneratorParams(blocks=1, n_accounts=4, n_contracts=1, n_code_contracts=1, hot_keys=1, seed=1))
     genesis.accounts.update({mk_addr(1): Account(balance=10**9), mk_addr(2): Account(), mk_addr(250): Account()})
     store = build_store(blocks, genesis)
     cfg = BaselineCacheConfig(storage=2, accounts=100, codes=10)

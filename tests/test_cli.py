@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from conftest import demo_params, reroute_zero_key_to_plain
 def demo_config(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("cfg") / "demo.json"
     cfg = {
-        "generator": demo_params(blocks=6).as_dict(),
+        "generator": demo_params(blocks=6)._asdict(),
         "pipeline": {"batch_size": 2, "channel_capacity": 4, "warmup_blocks": 2},
     }
     path.write_text(json.dumps(cfg))
@@ -913,8 +915,10 @@ def test_store_of_format_1_is_store_error(demo_pipeline, tmp_path, capsys):
         ('{"format": 2, "cost_model": {"c_seek": 100}}', "manifest.json: bad cost_model"),
         ('{"format": 2, "cost_model": 7}', "manifest.json: bad cost_model"),
         ('{"format": 2, "cost_model": {}}', "manifest.json: no integer head_block"),
+        ('{"format": 2, "cost_model": {}, "head_block": true}', "manifest.json: no integer head_block"),
     ],
-    ids=["not-json", "not-object", "no-cost-model", "refused-model", "unknown-field", "model-not-object", "no-head-block"],
+    ids=["not-json", "not-object", "no-cost-model", "refused-model", "unknown-field", "model-not-object", "no-head-block",
+         "bool-head-block"],
 )
 def test_bad_manifest_is_store_error(demo_pipeline, tmp_path, capsys, manifest, message):
     d, c = demo_pipeline
@@ -1125,6 +1129,78 @@ def test_bad_config_section_is_config_error(demo_pipeline, tmp_path, capsys, sec
     assert not (tmp_path / "baseline.csv").exists()
 
 
+def _trace_header(trace: bytes) -> bytes:
+    """Magic, version, params JSON and block count: the bytes before the records."""
+    (plen,) = struct.unpack_from("<I", trace, 6)
+    return trace[: 10 + plen + 8]
+
+
+def _with_trace_params(trace: bytes, changes: dict) -> bytes:
+    """``trace`` with ``changes`` made to the params JSON of its header."""
+    (plen,) = struct.unpack_from("<I", trace, 6)
+    blob = json.dumps({**json.loads(trace[10 : 10 + plen]), **changes}).encode()
+    return trace[:6] + struct.pack("<I", len(blob)) + blob + trace[10 + plen :]
+
+
+# bench/run.py's SMOKE generator section, as its default workload writes it:
+# an int for the float setting txs_per_block_mean. Each config row below
+# changes a file holding this section.
+SMOKE_GENERATOR = {"txs_per_block_mean": 8, "unique_keys_median": 120, "n_accounts": 500, "hot_keys": 64, "blocks": 8}
+# sha256 of the trace header that gen-trace writes for it, in which
+# txs_per_block_mean stays 8 (not 8.0), so every SMOKE trace keeps its bytes
+SMOKE_HEADER_SHA256 = "fb6a4734466c5d263c9fbcf893c89b7fe7ac3abd166fcf719ae2ac9585562b46"
+
+# every door a setting comes in by: where the value goes, the value, and
+# the setting that stderr must name (None: values of the right kind only)
+ENTRY_POINTS = {
+    "generator-blocks": ("config", {"generator": {"blocks": 2.5}}, "blocks"),
+    "generator-reads_only": ("config", {"generator": {"reads_only": "no"}}, "reads_only"),
+    "baseline_cache-storage": ("config", {"baseline_cache": {"storage": True}}, "storage"),
+    "pipeline-batch_size": ("config", {"pipeline": {"batch_size": "8"}}, "batch_size"),
+    "trace-header-n_accounts": ("trace", {"n_accounts": "x"}, "n_accounts"),
+    "trace-header-n_code_contracts": ("trace", {"n_code_contracts": 9}, "n_code_contracts"),  # n_contracts is 8
+    "manifest-c_random_seek": ("manifest", {"c_random_seek": 100.7}, "c_random_seek"),
+    "proto-scenario": ("proto", {"batches": 2.9, "ops_per_batch": "5", "encoding": "bloom"}, "batches"),
+    "smoke-int-for-float": ("config", {}, None),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_a_setting_of_the_wrong_type_is_exit_2_at_every_entry_point(demo_pipeline, tmp_path, entry):
+    # nothing is converted: a wrongly typed value is refused, naming the
+    # setting, wherever it comes from, and a right one is kept as given
+    where, value, setting = ENTRY_POINTS[entry]
+    d, c = demo_pipeline
+    out = tmp_path / "out"
+    if where == "config":
+        cfg = {"generator": SMOKE_GENERATOR}
+        for name, section in value.items():
+            cfg[name] = {**cfg.get(name, {}), **section}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["--config", str(tmp_path / "cfg.json"), "gen-trace", "--out", str(out)]
+    elif where == "trace":
+        (tmp_path / "t.trace").write_bytes(_with_trace_params((d / "t.trace").read_bytes(), value))
+        argv = ["--config", c, "build-store", "--trace", str(tmp_path / "t.trace"), "--out", str(out)]
+    elif where == "manifest":
+        store = _copy_store(d, tmp_path)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["cost_model"].update(value)
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--config", c, "run-baseline", "--trace", str(d / "t.trace"), "--store", str(store), "--report", str(out)]
+    else:
+        (tmp_path / "scenario.json").write_text(json.dumps(value))
+        argv = ["proto", "--scenario", str(tmp_path / "scenario.json"), "--report", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "ira.cli", *argv], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=60)
+    if setting is None:
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(_trace_header(out.read_bytes())).hexdigest() == SMOKE_HEADER_SHA256
+        return
+    assert proc.returncode == EXIT_CONFIG, (proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr and setting in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 def test_backup_has_no_pipeline_override_flags(demo_pipeline, tmp_path, capsys):
     # the config's pipeline section is the one place these settings live,
     # so the sidecar's config hash covers them
@@ -1183,7 +1259,7 @@ def test_primary_on_a_store_behind_the_trace_is_store_error(demo_pipeline, tmp_p
     # run fails as a store error and puts both logs back as it found them
     d, _ = demo_pipeline
     short = tmp_path / "short.json"
-    short.write_text(json.dumps({"generator": demo_params(blocks=4).as_dict()}))
+    short.write_text(json.dumps({"generator": demo_params(blocks=4)._asdict()}))
     assert main(["--config", str(short), "gen-trace", "--out", str(tmp_path / "short.trace")]) == EXIT_OK
     assert main(["build-store", "--trace", str(tmp_path / "short.trace"), "--out", str(tmp_path / "store")]) == EXIT_OK
     before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
@@ -1304,7 +1380,7 @@ def _cli_cycle(d: Path, blocks: int) -> list:
     """Every subcommand once, on a demo trace of ``blocks`` blocks; the key
     list and the proto scenario grow with it."""
     d.mkdir()
-    cfg = {"generator": demo_params(blocks=blocks).as_dict(), "pipeline": {"batch_size": 2, "channel_capacity": 4, "warmup_blocks": 2}}
+    cfg = {"generator": demo_params(blocks=blocks)._asdict(), "pipeline": {"batch_size": 2, "channel_capacity": 4, "warmup_blocks": 2}}
     (d / "cfg.json").write_text(json.dumps(cfg))
     (d / "keys.txt").write_text("".join(f"{i % 97:04x}\n" for i in range(50 * blocks)))
     (d / "scenario.json").write_text(json.dumps({"batches": blocks, "ops_per_batch": 30, "key_space": 100, "seed": 3}))

@@ -171,14 +171,17 @@ def test_bloom_refuses_more_probes_than_a_hint_holds():
 
 
 def test_range_membership_boundaries():
+    # a range hint covers exactly [min, max] of its keys
     k1, k2 = b"aaa", b"mmm"
-    hint = encode_hint([], "range", intervals=[(k1, k2)])
+    hint = encode_hint([k2, b"ggg", k1], "range")
     view = decode_hint("range", hint.payload)
     assert hint_member(view, k1)
     assert hint_member(view, b"ccc")
     assert hint_member(view, k2)
     assert not hint_member(view, k2 + b"\x00")  # successor of the interval end
     assert not hint_member(view, b"a")
+    assert view.member.intervals == [(k1, k2)]
+    assert decode_hint("range", encode_hint([], "range").payload).member.intervals == []
 
 
 def test_decode_rejects_garbage():
@@ -202,10 +205,7 @@ def test_replay_matches_direct_execution_all_encodings(encoding):
         backup = GenericStore(dict(base))
         direct = GenericStore(dict(base))
         access, _ = generic_generate(batch, primary)
-        if encoding == "range":
-            hint = encode_hint(access, "range", intervals=[(min(access), max(access))])
-        else:
-            hint = encode_hint(access, encoding, target_fpr=0.01)
+        hint = encode_hint(access, encoding, target_fpr=0.01)
         stats = generic_replay(batch, hint, backup, candidates=universe)
         execute_direct(batch, direct)
         assert backup.state() == direct.state() == primary.state()

@@ -8,15 +8,16 @@ records and the construction checks need care (``ira.finished``).
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from ira import ConfigError
 from ira.cachesim import SimResult, simulate_belady, simulate_lru
-from ira.config import load_config
+from ira.config import BaselineCacheConfig, PipelineConfig, load_config
 from ira.protocol import read_op, write_op
 from ira.store import CostModel, Effects
-from ira.workload import GenesisState
+from ira.workload import GeneratorParams, GenesisState
 
 
 @pytest.mark.parametrize("record", [Effects, GenesisState])
@@ -76,3 +77,18 @@ def test_an_unknown_setting_is_a_bad_section(tmp_path, section, record):
     with pytest.raises(ConfigError) as exc:
         _load(tmp_path, {section: {"no_such_setting": 1}})
     assert str(exc.value) == f"bad {section} section: {record}.__new__() got an unexpected keyword argument 'no_such_setting'"
+
+
+@pytest.mark.parametrize(
+    "record, field, value, words",
+    [
+        (PipelineConfig, "batch_size", 8.9, "an integer"),
+        (BaselineCacheConfig, "storage", True, "an integer"),
+        (CostModel, "c_hit", "1", "an integer"),
+        (GeneratorParams, "reads_only", 0, "true or false"),
+        (GeneratorParams, "hot_key_share", False, "a number"),
+    ],
+)
+def test_a_config_record_refuses_a_value_of_another_kind(record, field, value, words):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{field} must be {words}, got {value!r}')}$"):
+        record(**{field: value})

@@ -150,7 +150,7 @@ def test_meter_charges_compute_per_op_and_hit_per_read():
 
 def test_generator_rejects_reuse_below_one():
     with pytest.raises(ParameterError):
-        GeneratorParams(intra_block_reuse_factor=0.5).validate()
+        GeneratorParams(intra_block_reuse_factor=0.5)
 
 
 def test_generator_fixture_reuse_and_unique_keys():
