@@ -29,9 +29,9 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
-from . import KINDS, ConfigError, IraError
+from . import ConfigError, IraError
 
 if TYPE_CHECKING:
     from .config import Config
@@ -98,7 +98,8 @@ def cmd_build_store(args: argparse.Namespace) -> int:
 
     model = load_config(args.config).cost_model
     trace_path = Path(args.trace)
-    params, count = workload_mod.read_trace_params(trace_path)
+    with open(trace_path, "rb") as f:
+        params, count = workload_mod.read_trace_header(f)
     storage_keys = None
     if params.seed_trace_keys:
         storage_keys = workload_mod.collect_storage_keys(workload_mod.iter_trace_file(trace_path))
@@ -326,15 +327,7 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
     elif args.trace and args.block is not None:
         from . import workload as workload_mod
 
-        sim_block = None
-        try:
-            for blk in workload_mod.iter_trace_file(Path(args.trace)):
-                if blk.number == args.block:
-                    sim_block = blk
-                    break
-        except workload_mod.TraceFormatError as exc:
-            print(f"cachesim: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        sim_block = next((b for b in workload_mod.iter_trace_file(Path(args.trace)) if b.number == args.block), None)
         if sim_block is None:
             print(f"cachesim: block {args.block} not in trace", file=sys.stderr)
             return EXIT_CONFIG
@@ -369,77 +362,6 @@ def cmd_cachesim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fraction(v: float) -> bool:
-    return 0.0 <= v <= 1.0
-
-
-def _scenario_fields() -> Dict[str, Tuple]:
-    """Scenario settings: name -> (type, default, check, domain). A default
-    of None leaves an omitted setting to the protocol object that owns it:
-    LinkModel for the link, encode_hint for target_fpr and
-    simulate_transmission for miss_rate_threshold."""
-    from . import protocol as protocol_mod
-
-    encodings = tuple(e.value for e in protocol_mod.HintEncoding)
-    strategies = tuple(s.value for s in protocol_mod.TransmissionStrategy)
-
-    def bloom_fpr(v: float) -> bool:
-        """In (0, 1), and reachable within a bloom hint's probe limit for
-        any batch: a one-key filter needs the most probes, so if it builds,
-        every larger filter does too."""
-        try:
-            protocol_mod.BloomFilter(1, v)
-        except ValueError:
-            return False
-        return True
-
-    fpr_domain = f"a number in (0, 1) that needs at most {protocol_mod.MAX_BLOOM_PROBES} bloom probes"
-    return {
-        "batches": (int, 20, lambda v: v >= 1, "an integer >= 1"),
-        "ops_per_batch": (int, 50, lambda v: v >= 1, "an integer >= 1"),
-        "key_space": (int, 200, lambda v: v >= 1, "an integer >= 1"),
-        "write_fraction": (float, 0.3, _fraction, "a number in [0, 1]"),
-        "encoding": (str, "exact", lambda v: v in encodings, f"one of {encodings}"),
-        "strategy": (str, "inline", lambda v: v in strategies, f"one of {strategies}"),
-        "target_fpr": (float, None, bloom_fpr, fpr_domain),
-        "latency": (float, None, lambda v: v >= 0.0, "a number >= 0"),
-        "bandwidth": (float, None, lambda v: v > 0.0, "a number > 0"),
-        "loss_probability": (float, None, _fraction, "a number in [0, 1]"),
-        "seed": (int, None, lambda v: True, "an integer"),
-        "backups": (int, 1, lambda v: v >= 1, "an integer >= 1"),
-        "latency_reduction": (float, 0.01, lambda v: v >= 0.0, "a number >= 0"),
-        "batch_bytes": (int, 2_000_000, lambda v: v >= 0, "an integer >= 0"),
-        "miss_rate": (float, 0.1, _fraction, "a number in [0, 1]"),
-        "miss_rate_threshold": (float, None, _fraction, "a number in [0, 1]"),
-    }
-
-
-_LINK_FIELDS = ("latency", "bandwidth", "loss_probability", "seed")
-
-
-def _proto_scenario(raw: object) -> Dict[str, object]:
-    """The settings of a ``proto`` scenario, each checked against its kind
-    (``ira.KINDS``; nothing is converted) and its domain; an unknown setting,
-    or one of the wrong kind or outside its domain, raises ConfigError."""
-    if not isinstance(raw, dict):
-        raise ConfigError("proto scenario must be a JSON object")
-    fields = _scenario_fields()
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ConfigError(f"proto scenario: unknown settings {sorted(unknown)}")
-    out: Dict[str, object] = {}
-    for name, (kind, default, check, domain) in fields.items():
-        if name not in raw:
-            if default is not None:
-                out[name] = default
-            continue
-        value = raw[name]
-        if type(value) not in KINDS[kind][1] or not check(value):
-            raise ConfigError(f"proto scenario: {name} must be {domain}, got {value!r}")
-        out[name] = value
-    return out
-
-
 def cmd_proto(args: argparse.Namespace) -> int:
     import random as _random
 
@@ -451,49 +373,42 @@ def cmd_proto(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"proto: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    sc = _proto_scenario(scenario)
+    if not isinstance(scenario, dict):
+        raise ConfigError("proto scenario must be a JSON object")
+    try:
+        sc = protocol_mod.Scenario(**scenario)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"proto scenario: {exc}") from None
 
-    link = protocol_mod.LinkModel(**{name: sc[name] for name in _LINK_FIELDS if name in sc})
+    link = sc.link()
     rng = _random.Random(link.seed)
-    n_batches, ops_per_batch, key_space = sc["batches"], sc["ops_per_batch"], sc["key_space"]
-    write_fraction = sc["write_fraction"]
-    encoding, strategy = sc["encoding"], sc["strategy"]
-    encode_options = {"target_fpr": sc["target_fpr"]} if "target_fpr" in sc else {}
-    transmit_options = {"miss_rate": sc["miss_rate"]}
-    if "miss_rate_threshold" in sc:
-        transmit_options["miss_rate_threshold"] = sc["miss_rate_threshold"]
-
+    key_space, write_fraction = sc.key_space, sc.write_fraction
     universe = [b"key:%06d" % i for i in range(key_space)]
-    state = {k: b"v0" for k in universe}
-    primary = protocol_mod.GenericStore(dict(state))
-    backup_store = protocol_mod.GenericStore(dict(state))
+    primary = dict.fromkeys(universe, b"v0")
+    backup_store = dict(primary)
 
     out_rows = []
-    for i in range(n_batches):
+    for i in range(sc.batches):
         batch = []
-        for _ in range(ops_per_batch):
+        for _ in range(sc.ops_per_batch):
             key = universe[int(rng.random() * key_space)]
             if rng.random() < write_fraction:
                 batch.append(protocol_mod.write_op(key, b"v%d" % i))
             else:
                 batch.append(protocol_mod.read_op(key))
-        access, _ = protocol_mod.generic_generate(batch, primary)
-        hint = protocol_mod.encode_hint(access, encoding, **encode_options)
+        access = protocol_mod.generic_generate(batch, primary)
+        hint = protocol_mod.encode_hint(access, sc.encoding, target_fpr=sc.target_fpr)
         stats = protocol_mod.generic_replay(batch, hint, backup_store, candidates=universe)
         timeline = protocol_mod.simulate_transmission(
-            strategy,
-            hint.size(),
-            sc["batch_bytes"],
-            link,
-            rng=rng,
-            **transmit_options,
+            sc.strategy, hint.size(), sc.batch_bytes, link, rng=rng,
+            miss_rate=sc.miss_rate, miss_rate_threshold=sc.miss_rate_threshold,
         )
-        ok = protocol_mod.benefit_check(hint.size(), link.bandwidth, sc["latency_reduction"], sc["backups"])
+        ok = protocol_mod.benefit_check(hint.size(), link.bandwidth, sc.latency_reduction, sc.backups)
         out_rows.append(
             (
                 i,
-                encoding,
-                strategy,
+                sc.encoding,
+                sc.strategy,
                 hint.size(),
                 stats.prefetched,
                 stats.extra_prefetches,
@@ -504,7 +419,7 @@ def cmd_proto(args: argparse.Namespace) -> int:
             )
         )
 
-    match = primary.state() == backup_store.state()
+    match = primary == backup_store
     _write_report(
         _out(args, args.report),
         ("batch", "encoding", "strategy", "hint_bytes", "prefetched", "extra_prefetches",
@@ -513,7 +428,7 @@ def cmd_proto(args: argparse.Namespace) -> int:
         {"subcommand": "proto", "scenario": scenario, "states_match": match},
     )
     verdict = "beneficial" if all(row[-1] for row in out_rows) else "not-always-beneficial"
-    print(f"proto: {n_batches} batches, states_match={match}, hint transmission {verdict}")
+    print(f"proto: {sc.batches} batches, states_match={match}, hint transmission {verdict}")
     return EXIT_OK if match else EXIT_DIGEST
 
 

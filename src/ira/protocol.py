@@ -22,6 +22,11 @@ Transmission strategies are simulated against a two-parameter link model
 couples the hint to the batch, sideband sends it ahead on its own channel,
 and on-demand only ships a hint after a miss-rate-triggered request
 round-trip.
+
+The data is plain: a state is a dict of byte strings, an op a ``(kind, key,
+value)`` tuple, and an encoding or strategy is named by a string. A
+``Scenario`` holds the settings of one ``ira proto`` run and checks them
+when it is built (``ira.finished``).
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from enum import Enum, IntEnum
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+from . import finished
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -49,55 +55,27 @@ class CompletenessError(Exception):
     """Replay under an exact encoding touched a key outside the hint."""
 
 
-class GenericOpKind(IntEnum):
-    READ = 0
-    WRITE = 1
+# One op of a batch, ``(kind, key, value)``: kind is "read" or "write", and
+# value is present iff the op is a write. Build it with ``read_op`` or
+# ``write_op``, which check it.
+Op = Tuple[str, bytes, Optional[bytes]]
+
+ENCODINGS = ("exact", "prefix", "bloom", "range")
+STRATEGIES = ("inline", "sideband", "on_demand")
 
 
-class GenericOp(NamedTuple):
-    """One op of a batch; build it with ``read_op`` or ``write_op``, which
-    check it."""
-
-    kind: GenericOpKind
-    key: bytes
-    value: Optional[bytes] = None
-
-
-def read_op(key: bytes) -> GenericOp:
+def read_op(key: bytes) -> Op:
     if not key:
         raise ValueError("key must be non-empty")
-    return GenericOp(GenericOpKind.READ, key)
+    return ("read", key, None)
 
 
-def write_op(key: bytes, value: bytes) -> GenericOp:
+def write_op(key: bytes, value: bytes) -> Op:
     if not key:
         raise ValueError("key must be non-empty")
     if value is None:
         raise ValueError("value present iff op is a write")
-    return GenericOp(GenericOpKind.WRITE, key, value)
-
-
-class GenericStore:
-    """Flat byte-string key-value state."""
-
-    def __init__(self, data: Optional[Dict[bytes, bytes]] = None):
-        self.data: Dict[bytes, bytes] = dict(data or {})
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self.data.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.data[key] = value
-
-    def state(self) -> Dict[bytes, bytes]:
-        return dict(self.data)
-
-
-class HintEncoding(Enum):
-    EXACT = "exact"
-    PREFIX = "prefix"
-    BLOOM = "bloom"
-    RANGE = "range"
+    return ("write", key, value)
 
 
 # -- hint generation / replay -------------------------------------------------------
@@ -106,29 +84,24 @@ class HintEncoding(Enum):
 class GenericHint(NamedTuple):
     """Access set of one batch plus how it is encoded on the wire."""
 
-    encoding: HintEncoding
+    encoding: str
     payload: bytes
 
     def size(self) -> int:
         return 1 + len(self.payload)  # tag byte + body
 
 
-def generic_generate(batch: Sequence[GenericOp], store: GenericStore) -> Tuple[Set[bytes], Dict[bytes, bytes]]:
-    """Execute a batch on the primary, collecting the touched key set.
+def generic_generate(batch: Sequence[Op], store: Dict[bytes, bytes]) -> Set[bytes]:
+    """Execute a batch on the primary's state, returning the touched key set.
 
     Both reads and writes enter the access set (a replayer needs the
-    pre-state of written keys as much as read ones). Returns the access set
-    and the applied write delta."""
+    pre-state of written keys as much as read ones)."""
     access: Set[bytes] = set()
-    delta: Dict[bytes, bytes] = {}
-    for op in batch:
-        access.add(op.key)
-        if op.kind == GenericOpKind.WRITE:
-            delta[op.key] = op.value  # type: ignore[assignment]
-            store.put(op.key, op.value)  # type: ignore[arg-type]
-        else:
-            store.get(op.key)
-    return access, delta
+    for kind, key, value in batch:
+        access.add(key)
+        if kind == "write":
+            store[key] = value  # type: ignore[assignment]
+    return access
 
 
 class ReplayStats(NamedTuple):
@@ -137,9 +110,9 @@ class ReplayStats(NamedTuple):
 
 
 def generic_replay(
-    batch: Sequence[GenericOp],
+    batch: Sequence[Op],
     hint: GenericHint,
-    store: GenericStore,
+    store: Dict[bytes, bytes],
     candidates: Optional[Iterable[bytes]] = None,
 ) -> ReplayStats:
     """Prefetch per the hint, execute the batch from cache, persist dirty keys.
@@ -149,8 +122,8 @@ def generic_replay(
     The final store state is identical to direct execution for every
     encoding; only the amount of prefetch I/O differs.
     """
-    view = decode_hint(hint.encoding.value, hint.payload)
-    batch_keys = {op.key for op in batch}
+    view = decode_hint(hint.encoding, hint.payload)
+    batch_keys = {key for _, key, _ in batch}
     if view.keys is not None:
         to_fetch = sorted(view.keys)
     else:
@@ -166,16 +139,14 @@ def generic_replay(
     extra = len([k for k in to_fetch if k not in batch_keys])
 
     dirty: Dict[bytes, bytes] = {}
-    for op in batch:
-        key = op.key
+    for kind, key, value in batch:
         if key not in cache:
             if view.keys is not None:
                 raise CompletenessError(f"exact hint missed key {key.hex()}")
             raise AssertionError("membership encoding produced a false negative")
-        if op.kind == GenericOpKind.WRITE:
-            dirty[key] = op.value  # type: ignore[assignment]
-    for key, value in dirty.items():
-        store.put(key, value)
+        if kind == "write":
+            dirty[key] = value  # type: ignore[assignment]
+    store.update(dirty)
     return ReplayStats(prefetched=prefetched, extra_prefetches=extra)
 
 
@@ -372,41 +343,37 @@ def _decode_range(payload: bytes) -> _RangeView:
         raise DecodeError("range hint truncated") from None
 
 
-def encode_hint(
-    keys: Iterable[bytes],
-    encoding: HintEncoding | str = HintEncoding.EXACT,
-    *,
-    target_fpr: float = 0.01,
-) -> GenericHint:
-    """Encode an access set. A range hint is one interval, from the least
-    key to the greatest (none for an empty set)."""
-    if isinstance(encoding, str):
-        encoding = HintEncoding(encoding)
+def encode_hint(keys: Iterable[bytes], encoding: str = "exact", *, target_fpr: float = 0.01) -> GenericHint:
+    """Encode an access set under one of ``ENCODINGS``. A range hint is one
+    interval, from the least key to the greatest (none for an empty set)."""
     sorted_keys = sorted(set(keys))
-    if encoding == HintEncoding.EXACT:
+    if encoding == "exact":
         payload = _encode_exact(sorted_keys)
-    elif encoding == HintEncoding.PREFIX:
+    elif encoding == "prefix":
         payload = _encode_prefix(sorted_keys)
-    elif encoding == HintEncoding.BLOOM:
+    elif encoding == "bloom":
         bf = BloomFilter(len(sorted_keys), target_fpr)
         for key in sorted_keys:
             bf.add(key)
         payload = bf.to_bytes()
-    else:
+    elif encoding == "range":
         payload = _encode_range([(sorted_keys[0], sorted_keys[-1])] if sorted_keys else [])
+    else:
+        raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
     return GenericHint(encoding=encoding, payload=payload)
 
 
 def decode_hint(encoding: str, payload: bytes) -> DecodedHint:
-    enc = HintEncoding(encoding)
-    if enc == HintEncoding.EXACT:
+    if encoding == "exact":
         return DecodedHint(keys=_decode_exact(payload))
-    if enc == HintEncoding.PREFIX:
+    if encoding == "prefix":
         return DecodedHint(keys=_decode_prefix(payload))
-    if enc == HintEncoding.BLOOM:
+    if encoding == "bloom":
         bf = BloomFilter.from_bytes(payload)
         return DecodedHint(keys=None, member=bf.__contains__)
-    return DecodedHint(keys=None, member=_decode_range(payload))
+    if encoding == "range":
+        return DecodedHint(keys=None, member=_decode_range(payload))
+    raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
 
 
 # -- bandwidth / transmission --------------------------------------------------------
@@ -420,6 +387,13 @@ def benefit_check(hint_bytes: int, bandwidth: float, latency_reduction: float, n
     return hint_bytes / bandwidth < latency_reduction * n_backups
 
 
+def _check(ok: bool, name: str, domain: str, value: object) -> None:
+    """Raise ValueError ``<name> must be <domain>, got <value>`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {domain}, got {value!r}")
+
+
+@finished
 class LinkModel(NamedTuple):
     """Affine link: delivering n bytes takes latency + n / bandwidth."""
 
@@ -428,14 +402,14 @@ class LinkModel(NamedTuple):
     loss_probability: float = 0.0
     seed: int = 0
 
+    def _finish(self) -> "LinkModel":
+        _check(self.latency >= 0, "latency", "a number >= 0", self.latency)
+        _check(self.bandwidth > 0, "bandwidth", "a number > 0", self.bandwidth)
+        _check(0 <= self.loss_probability <= 1, "loss_probability", "a number in [0, 1]", self.loss_probability)
+        return self
+
     def transfer_time(self, n_bytes: int) -> float:
         return self.latency + n_bytes / self.bandwidth
-
-
-class TransmissionStrategy(Enum):
-    INLINE = "inline"
-    SIDEBAND = "sideband"
-    ON_DEMAND = "on_demand"
 
 
 class DeliveryTimeline(NamedTuple):
@@ -444,7 +418,6 @@ class DeliveryTimeline(NamedTuple):
 
     hint_ready: Optional[float]
     batch_ready: float
-    hint_lost: bool = False
 
     @property
     def prefetch_window(self) -> float:
@@ -454,7 +427,7 @@ class DeliveryTimeline(NamedTuple):
 
 
 def simulate_transmission(
-    strategy: TransmissionStrategy | str,
+    strategy: str,
     hint_bytes: int,
     batch_bytes: int,
     link: LinkModel,
@@ -463,28 +436,73 @@ def simulate_transmission(
     miss_rate_threshold: float = 0.05,
     rng: Optional[random.Random] = None,
 ) -> DeliveryTimeline:
-    """Derive the delivery timeline of one (hint, batch) pair.
+    """Derive the delivery timeline of one (hint, batch) pair under one of
+    ``STRATEGIES``.
 
     Inline couples them into one message. Sideband sends the hint on its own
     channel starting at the same instant (subject to Bernoulli loss). On
     demand, the backup only requests a hint once its observed miss rate
     crosses the threshold, paying a request round trip after the batch lands.
     """
-    if isinstance(strategy, str):
-        strategy = TransmissionStrategy(strategy)
-    if strategy == TransmissionStrategy.INLINE:
+    if strategy == "inline":
         t = link.transfer_time(hint_bytes + batch_bytes)
         return DeliveryTimeline(hint_ready=t, batch_ready=t)
-    if strategy == TransmissionStrategy.SIDEBAND:
+    if strategy == "sideband":
         batch_ready = link.transfer_time(batch_bytes)
-        lost = False
-        if link.loss_probability > 0.0:
-            r = rng or random.Random(link.seed)
-            lost = r.random() < link.loss_probability
+        p = link.loss_probability
+        lost = p > 0.0 and (rng or random.Random(link.seed)).random() < p
         hint_ready = None if lost else link.transfer_time(hint_bytes)
-        return DeliveryTimeline(hint_ready=hint_ready, batch_ready=batch_ready, hint_lost=lost)
+        return DeliveryTimeline(hint_ready=hint_ready, batch_ready=batch_ready)
+    if strategy != "on_demand":
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     batch_ready = link.transfer_time(batch_bytes)
     if miss_rate < miss_rate_threshold:
         return DeliveryTimeline(hint_ready=None, batch_ready=batch_ready)
     hint_ready = batch_ready + link.latency + link.transfer_time(hint_bytes)
     return DeliveryTimeline(hint_ready=hint_ready, batch_ready=batch_ready)
+
+
+@finished
+class Scenario(NamedTuple):
+    """The settings of one ``ira proto`` run. A setting left out takes the
+    default of the object that owns it: the link's from ``LinkModel``,
+    ``target_fpr`` from ``encode_hint`` and ``miss_rate_threshold`` from
+    ``simulate_transmission``."""
+
+    batches: int = 20
+    ops_per_batch: int = 50
+    key_space: int = 200
+    write_fraction: float = 0.3
+    encoding: str = "exact"
+    strategy: str = "inline"
+    target_fpr: float = encode_hint.__kwdefaults__["target_fpr"]
+    latency: float = LinkModel._field_defaults["latency"]
+    bandwidth: float = LinkModel._field_defaults["bandwidth"]
+    loss_probability: float = LinkModel._field_defaults["loss_probability"]
+    seed: int = LinkModel._field_defaults["seed"]
+    backups: int = 1
+    latency_reduction: float = 0.01
+    batch_bytes: int = 2_000_000
+    miss_rate: float = 0.1
+    miss_rate_threshold: float = simulate_transmission.__kwdefaults__["miss_rate_threshold"]
+
+    def _finish(self) -> "Scenario":
+        for name in ("batches", "ops_per_batch", "key_space", "backups"):
+            _check(getattr(self, name) >= 1, name, "an integer >= 1", getattr(self, name))
+        for name in ("write_fraction", "miss_rate", "miss_rate_threshold"):
+            _check(0 <= getattr(self, name) <= 1, name, "a number in [0, 1]", getattr(self, name))
+        _check(self.latency_reduction >= 0, "latency_reduction", "a number >= 0", self.latency_reduction)
+        _check(self.batch_bytes >= 0, "batch_bytes", "an integer >= 0", self.batch_bytes)
+        _check(self.encoding in ENCODINGS, "encoding", f"one of {ENCODINGS}", self.encoding)
+        _check(self.strategy in STRATEGIES, "strategy", f"one of {STRATEGIES}", self.strategy)
+        try:  # a one-key filter needs the most probes: if it builds, every filter does
+            BloomFilter(1, self.target_fpr)
+        except ValueError:
+            raise ValueError(f"target_fpr must be a number in (0, 1) that needs at most {MAX_BLOOM_PROBES} "
+                             f"bloom probes, got {self.target_fpr!r}") from None
+        self.link()
+        return self
+
+    def link(self) -> LinkModel:
+        """The link these settings describe, checked by ``LinkModel``."""
+        return LinkModel(self.latency, self.bandwidth, self.loss_probability, self.seed)

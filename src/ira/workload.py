@@ -751,9 +751,9 @@ def save_trace(path: Path, params: GeneratorParams, blocks: Iterable[Block]) -> 
     return count
 
 
-def _read_trace_header(f) -> Tuple[bytes, int]:
-    """Check a trace file's magic and version; return its params JSON and
-    block count, leaving ``f`` at the first record."""
+def read_trace_header(f) -> Tuple[GeneratorParams, int]:
+    """Check a trace file's magic, version and generator params; return the
+    params and the block count, leaving ``f`` at the first record."""
     magic = f.read(4)
     if magic != TRACE_MAGIC:
         raise TraceFormatError(f"bad trace magic: {magic!r}")
@@ -766,7 +766,10 @@ def _read_trace_header(f) -> Tuple[bytes, int]:
         (count,) = _U64.unpack(f.read(8))
     except struct.error:
         raise TraceFormatError("truncated trace header") from None
-    return params_json, count
+    try:
+        return GeneratorParams(**json.loads(params_json.decode())), count
+    except (ValueError, TypeError) as exc:
+        raise TraceFormatError(f"bad trace params: {exc}") from None
 
 
 def _iter_records(f, count: int) -> Iterator[bytes]:
@@ -781,18 +784,9 @@ def _iter_records(f, count: int) -> Iterator[bytes]:
         yield payload
 
 
-def read_trace_params(path: Path) -> Tuple[GeneratorParams, int]:
-    with open(path, "rb") as f:
-        params_json, count = _read_trace_header(f)
-    try:
-        return GeneratorParams(**json.loads(params_json.decode())), count
-    except (ValueError, TypeError) as exc:
-        raise TraceFormatError(f"bad trace params: {exc}") from None
-
-
 def iter_trace_file(path: Path) -> Iterator[Block]:
     with open(path, "rb") as f:
-        _, count = _read_trace_header(f)
+        _, count = read_trace_header(f)
         keys: Dict[bytes, bytes] = {}  # interned across the file's blocks
         for payload in _iter_records(f, count):
             yield _decode_block(payload, keys)
@@ -802,7 +796,7 @@ def trace_block_numbers(path: Path) -> Iterator[int]:
     """The block numbers of a trace file, in file order, without decoding
     the blocks."""
     with open(path, "rb") as f:
-        _, count = _read_trace_header(f)
+        _, count = read_trace_header(f)
         for payload in _iter_records(f, count):
             if len(payload) < 8:
                 raise TraceFormatError("truncated trace record")

@@ -5,14 +5,14 @@ import hashlib
 import random
 from functools import lru_cache
 from pathlib import Path
-from typing import Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 import pytest
 
 from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_baseline
 from ira.cachesim import _check_capacity
 from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary_block, serialize_hint
-from ira.protocol import DecodedHint, GenericOp, GenericOpKind, GenericStore
+from ira.protocol import DecodedHint, Op as GenericOp
 from ira.store import WORD_LEN, ShardedIndex, StorageKey, check_word, storage_key
 from ira.workload import (
     Block,
@@ -121,13 +121,11 @@ def brute_force_optimal(
         best.cache_clear()
 
 
-def execute_direct(batch: Sequence[GenericOp], store: GenericStore) -> None:
-    """Run a generic batch straight against the store, with no hint."""
-    for op in batch:
-        if op.kind == GenericOpKind.WRITE:
-            store.put(op.key, op.value)  # type: ignore[arg-type]
-        else:
-            store.get(op.key)
+def execute_direct(batch: Sequence[GenericOp], store: Dict[bytes, bytes]) -> None:
+    """Run a generic batch straight against the state, with no hint."""
+    for kind, key, value in batch:
+        if kind == "write":
+            store[key] = value  # type: ignore[assignment]
 
 
 def hint_member(hint: DecodedHint, key: bytes) -> bool:

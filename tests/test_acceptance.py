@@ -18,7 +18,6 @@ from ira.backup import PipelineConfig, pipeline_run, run_baseline
 from ira.cachesim import compare_policies, simulate_belady, simulate_lru
 from ira.primary import Source, compress_hint, parse_hint, raw_hint_size, serialize_hint, run_primary_block, HintDb
 from ira.protocol import (
-    GenericStore,
     decode_hint,
     encode_hint,
     generic_generate,
@@ -279,14 +278,12 @@ def test_criterion_10_generalized_protocol_safety():
                     batch.append(write_op(key, bytes([rng.randrange(256)])))
                 else:
                     batch.append(read_op(key))
-            primary = GenericStore(dict(base))
-            backup = GenericStore(dict(base))
-            direct = GenericStore(dict(base))
-            access, _ = generic_generate(batch, primary)
+            primary, backup, direct = dict(base), dict(base), dict(base)
+            access = generic_generate(batch, primary)
             hint = encode_hint(access, encoding, target_fpr=0.01)
             generic_replay(batch, hint, backup, candidates=universe)
             execute_direct(batch, direct)
-            if not (backup.state() == direct.state() == primary.state()):
+            if not (backup == direct == primary):
                 failures += 1
             if encoding == "bloom":
                 view = decode_hint("bloom", hint.payload)

@@ -620,7 +620,7 @@ def test_cachesim_bad_trace_magic_is_config_error(tmp_path, capsys):
     bad.write_bytes(b"NOPE" + bytes(64))
     rc = main(["cachesim", "--trace", str(bad), "--block", "1", "--capacity", "4"])
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("cachesim: bad trace magic")
+    assert capsys.readouterr().err.startswith("trace error: bad trace magic")
 
 
 def test_proto_scenario(tmp_path, capsys):
@@ -643,6 +643,47 @@ def test_proto_scenario(tmp_path, capsys):
     with open(tmp_path / "proto.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 5
+
+
+# sha256 of proto.csv, its sidecar and stdout, as 9bbbb75 wrote them: each
+# encoding and strategy once, and a lossy sideband link
+PROTO_PINS = {
+    "bloom-inline": (
+        {"batches": 40, "ops_per_batch": 100, "key_space": 1000, "encoding": "bloom", "seed": 1001},
+        "701d5f3d92c77950ede7c9907e01102bdc5edaf89deefc7fdf29f2a674c5c5a6",
+        "d7204e2ddd122b9928a1d7c99e8a80890c84e4baf9cbc2c4441a95cd322c300a",
+        "7cd5ff8f045d22e224443a0a1bbcde989cb9f921717cfef3f726659734eea3cd",
+    ),
+    "prefix-sideband-lossy": (
+        {"encoding": "prefix", "strategy": "sideband", "loss_probability": 0.5},
+        "f32bd2f127035f71f3a7dafd9de722e2654e2a5d4660d4a8108563648adc226a",
+        "56be149d24512d5977e46630508c79d646cf06f9ddb8d7f08a3551a258774efc",
+        "777d96de4c1261a8557626823f10709386cd55d7d693c38deed3da4ef3757424",
+    ),
+    "range-on_demand": (
+        {"encoding": "range", "strategy": "on_demand", "miss_rate": 0.2},
+        "2875d7b2643f39acc3f65140b6c39c4f1f1440e4532c07bbf521ef107090cdfe",
+        "a5206e92c1c7fc39092cec36ccdd50909f42fe97528feabb6d1fd7984787c985",
+        "777d96de4c1261a8557626823f10709386cd55d7d693c38deed3da4ef3757424",
+    ),
+    "exact-on_demand": (
+        {"encoding": "exact", "strategy": "on_demand"},
+        "428e050873fe985fa91a5e521aa65090b17fa2570692d3525b5049d388c3abb9",
+        "94381a56afb0257de7e3588ccb4a44fb42dc00a0b2a53c3b886b66848d4d2316",
+        "777d96de4c1261a8557626823f10709386cd55d7d693c38deed3da4ef3757424",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PROTO_PINS))
+def test_proto_outputs_keep_their_bytes(tmp_path, capsys, name):
+    scenario, report_sha, sidecar_sha, stdout_sha = PROTO_PINS[name]
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    capsys.readouterr()
+    assert main(["proto", "--scenario", str(tmp_path / "scenario.json"), "--report", str(tmp_path / "proto.csv")]) == EXIT_OK
+    outputs = ((tmp_path / "proto.csv").read_bytes(), (tmp_path / "proto.csv.meta.json").read_bytes(),
+               capsys.readouterr().out.encode())
+    assert [hashlib.sha256(data).hexdigest() for data in outputs] == [report_sha, sidecar_sha, stdout_sha]
 
 
 @pytest.mark.parametrize(
@@ -674,7 +715,10 @@ def test_proto_rejects_unknown_scenario_settings(tmp_path, capsys):
     path.write_text(json.dumps({"encodng": "bloom", "batches": 2, "batchs": 2}))
     rc = main(["proto", "--scenario", str(path), "--report", str(tmp_path / "proto.csv")])
     assert rc == EXIT_CONFIG
-    assert "proto scenario: unknown settings ['batchs', 'encodng']" in capsys.readouterr().err
+    # the first unknown setting is named, as in a config section
+    assert capsys.readouterr().err == (
+        "config error: proto scenario: Scenario.__new__() got an unexpected keyword argument 'encodng'\n"
+    )
     assert not (tmp_path / "proto.csv").exists()
 
 
@@ -1157,8 +1201,13 @@ ENTRY_POINTS = {
     "generator-reads_only": ("config", {"generator": {"reads_only": "no"}}, "reads_only"),
     "baseline_cache-storage": ("config", {"baseline_cache": {"storage": True}}, "storage"),
     "pipeline-batch_size": ("config", {"pipeline": {"batch_size": "8"}}, "batch_size"),
-    "trace-header-n_accounts": ("trace", {"n_accounts": "x"}, "n_accounts"),
-    "trace-header-n_code_contracts": ("trace", {"n_code_contracts": 9}, "n_code_contracts"),  # n_contracts is 8
+    "trace-header-n_accounts": ("trace build-store", {"n_accounts": "x"}, "n_accounts"),
+    "trace-header-n_code_contracts": ("trace build-store", {"n_code_contracts": 9}, "n_code_contracts"),  # n_contracts is 8
+    "trace-header-run-primary": ("trace run-primary", {"n_accounts": "x"}, "n_accounts"),
+    "trace-header-run-baseline": ("trace run-baseline", {"n_accounts": "x"}, "n_accounts"),
+    "trace-header-run-backup": ("trace run-backup", {"n_accounts": "x"}, "n_accounts"),
+    "trace-header-analyze": ("trace analyze", {"n_accounts": "x"}, "n_accounts"),
+    "trace-header-cachesim": ("trace cachesim", {"n_accounts": "x"}, "n_accounts"),
     "manifest-c_random_seek": ("manifest", {"c_random_seek": 100.7}, "c_random_seek"),
     "proto-scenario": ("proto", {"batches": 2.9, "ops_per_batch": "5", "encoding": "bloom"}, "batches"),
     "smoke-int-for-float": ("config", {}, None),
@@ -1178,9 +1227,18 @@ def test_a_setting_of_the_wrong_type_is_exit_2_at_every_entry_point(demo_pipelin
             cfg[name] = {**cfg.get(name, {}), **section}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         argv = ["--config", str(tmp_path / "cfg.json"), "gen-trace", "--out", str(out)]
-    elif where == "trace":
+    elif where.startswith("trace "):
         (tmp_path / "t.trace").write_bytes(_with_trace_params((d / "t.trace").read_bytes(), value))
-        argv = ["--config", c, "build-store", "--trace", str(tmp_path / "t.trace"), "--out", str(out)]
+        command = where.split()[1]
+        store = ["--store", str(d / "store")]
+        argv = ["--config", c, command, "--trace", str(tmp_path / "t.trace"), *{
+            "build-store": ["--out", str(out)],
+            "run-primary": [*store, "--hints-out", str(out), "--report", str(tmp_path / "primary.csv")],
+            "run-baseline": [*store, "--report", str(out)],
+            "run-backup": [*store, "--hints", str(d / "hints.db"), "--report", str(out)],
+            "analyze": ["--per-block", str(out)],
+            "cachesim": ["--block", "1", "--capacity", "4"],
+        }[command]]
     elif where == "manifest":
         store = _copy_store(d, tmp_path)
         manifest = json.loads((store / "manifest.json").read_text())

@@ -11,7 +11,6 @@ from ira.protocol import (
     BloomFilter,
     CompletenessError,
     DecodeError,
-    GenericStore,
     LinkModel,
     benefit_check,
     decode_hint,
@@ -41,21 +40,19 @@ def random_batch(rng: random.Random, universe, n_ops=40, write_fraction=0.3):
 
 
 def test_generate_collects_reads_and_writes():
-    store = GenericStore({b"x": b"0"})
-    access, delta = generic_generate([read_op(b"x"), write_op(b"y", b"1")], store)
+    store = {b"x": b"0"}
+    access = generic_generate([read_op(b"x"), write_op(b"y", b"1")], store)
     assert access == {b"x", b"y"}
-    assert delta == {b"y": b"1"}
-    assert store.data[b"y"] == b"1"
+    assert store == {b"x": b"0", b"y": b"1"}
 
 
 def test_generate_empty_batch():
-    access, delta = generic_generate([], GenericStore())
-    assert access == set() and delta == {}
+    store = {}
+    assert generic_generate([], store) == set() and store == {}
 
 
 def test_generate_duplicate_reads_set_semantics():
-    access, _ = generic_generate([read_op(b"x"), read_op(b"x")], GenericStore())
-    assert access == {b"x"}
+    assert generic_generate([read_op(b"x"), read_op(b"x")], {}) == {b"x"}
 
 
 def test_op_validation():
@@ -159,7 +156,7 @@ def test_bloom_refuses_zero_width_payload():
     hint = encode_hint([b"k"], "bloom")
     hint = hint._replace(payload=payload)
     with pytest.raises(DecodeError):
-        generic_replay([read_op(b"k")], hint, GenericStore({b"k": b"v"}))
+        generic_replay([read_op(b"k")], hint, {b"k": b"v"})
 
 
 def test_bloom_refuses_more_probes_than_a_hint_holds():
@@ -201,23 +198,21 @@ def test_replay_matches_direct_execution_all_encodings(encoding):
     base = {k: b"v0" for k in universe}
     for trial in range(200):
         batch = random_batch(rng, universe)
-        primary = GenericStore(dict(base))
-        backup = GenericStore(dict(base))
-        direct = GenericStore(dict(base))
-        access, _ = generic_generate(batch, primary)
+        primary, backup, direct = dict(base), dict(base), dict(base)
+        access = generic_generate(batch, primary)
         hint = encode_hint(access, encoding, target_fpr=0.01)
         stats = generic_replay(batch, hint, backup, candidates=universe)
         execute_direct(batch, direct)
-        assert backup.state() == direct.state() == primary.state()
+        assert backup == direct == primary
         assert stats.extra_prefetches >= 0
 
 
 def test_exact_replay_zero_extra_prefetches():
     universe = [b"key:%02d" % i for i in range(10)]
     batch = [read_op(universe[0]), write_op(universe[1], b"x")]
-    primary = GenericStore({k: b"0" for k in universe})
-    backup = GenericStore({k: b"0" for k in universe})
-    access, _ = generic_generate(batch, primary)
+    primary = {k: b"0" for k in universe}
+    backup = {k: b"0" for k in universe}
+    access = generic_generate(batch, primary)
     stats = generic_replay(batch, encode_hint(access, "exact"), backup)
     assert stats.extra_prefetches == 0
     assert stats.prefetched == len(access)
@@ -227,9 +222,9 @@ def test_bloom_replay_prefetches_superset():
     rng = random.Random(9)
     universe = [b"key:%04d" % i for i in range(500)]
     batch = random_batch(rng, universe, n_ops=30)
-    primary = GenericStore({k: b"0" for k in universe})
-    backup = GenericStore({k: b"0" for k in universe})
-    access, _ = generic_generate(batch, primary)
+    primary = {k: b"0" for k in universe}
+    backup = {k: b"0" for k in universe}
+    access = generic_generate(batch, primary)
     hint = encode_hint(access, "bloom", target_fpr=0.05)
     stats = generic_replay(batch, hint, backup, candidates=universe)
     assert stats.prefetched >= len(access)
@@ -237,7 +232,7 @@ def test_bloom_replay_prefetches_superset():
 
 def test_incomplete_exact_hint_raises_completeness_error():
     batch = [read_op(b"a"), read_op(b"b")]
-    backup = GenericStore({b"a": b"1", b"b": b"2"})
+    backup = {b"a": b"1", b"b": b"2"}
     bad_hint = encode_hint({b"a"}, "exact")
     with pytest.raises(CompletenessError):
         generic_replay(batch, bad_hint, backup)
@@ -284,7 +279,7 @@ def test_sideband_opens_prefetch_window():
 def test_sideband_loss_drops_hint():
     link = LinkModel(latency=0.001, bandwidth=1e6, loss_probability=1.0, seed=4)
     t = simulate_transmission("sideband", 1000, 9000, link)
-    assert t.hint_lost and t.hint_ready is None
+    assert t.hint_ready is None
     assert t.batch_ready > 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from ira import ConfigError
 from ira.cachesim import SimResult, simulate_belady, simulate_lru
 from ira.config import BaselineCacheConfig, PipelineConfig, load_config
-from ira.protocol import read_op, write_op
+from ira.protocol import LinkModel, Scenario, read_op, write_op
 from ira.store import CostModel, Effects
 from ira.workload import GeneratorParams, GenesisState
 
@@ -45,7 +45,7 @@ def test_generic_op_constructors_check_their_op():
         write_op(b"", b"v")
     with pytest.raises(ValueError, match="^value present iff op is a write$"):
         write_op(b"k", None)
-    assert read_op(b"k").value is None and write_op(b"k", b"v").value == b"v"
+    assert read_op(b"k")[2] is None and write_op(b"k", b"v")[2] == b"v"
 
 
 def test_cost_model_checks_on_construction():
@@ -92,3 +92,28 @@ def test_an_unknown_setting_is_a_bad_section(tmp_path, section, record):
 def test_a_config_record_refuses_a_value_of_another_kind(record, field, value, words):
     with pytest.raises(TypeError, match=f"^{re.escape(f'{field} must be {words}, got {value!r}')}$"):
         record(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "setting, error",
+    [({"bandwidth": 0}, ValueError), ({"latency": -1}, ValueError),
+     ({"loss_probability": 1.5}, ValueError), ({"latency": "x"}, TypeError)],
+    ids=["bandwidth-0", "latency-negative", "loss-above-1", "latency-str"],
+)
+def test_a_link_refuses_a_setting_outside_its_domain(setting, error):
+    ((field, value),) = setting.items()
+    with pytest.raises(error, match=f"^{field} must be "):
+        LinkModel(**setting)
+    with pytest.raises(error, match=f"^{field} must be "):
+        Scenario(**setting)
+
+
+def test_an_omitted_proto_setting_takes_the_default_it_always_had():
+    assert Scenario()._asdict() == {
+        "batches": 20, "ops_per_batch": 50, "key_space": 200, "write_fraction": 0.3,
+        "encoding": "exact", "strategy": "inline", "target_fpr": 0.01,
+        "latency": 0.001, "bandwidth": 125_000_000.0, "loss_probability": 0.0, "seed": 0,
+        "backups": 1, "latency_reduction": 0.01, "batch_bytes": 2_000_000,
+        "miss_rate": 0.1, "miss_rate_threshold": 0.05,
+    }
+    assert Scenario().link() == LinkModel()

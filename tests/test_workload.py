@@ -20,7 +20,7 @@ from ira.workload import (
     execute_block,
     iter_trace,
     iter_trace_file,
-    read_trace_params,
+    read_trace_header,
     save_trace,
     _shuffle,
 )
@@ -244,7 +244,8 @@ def test_trace_file_round_trip(tmp_path):
     path = tmp_path / "t.trace"
     blocks = generate_trace(params)
     save_trace(path, params, blocks)
-    loaded_params, count = read_trace_params(path)
+    with open(path, "rb") as f:
+        loaded_params, count = read_trace_header(f)
     assert count == 12
     assert loaded_params == params
     loaded = list(iter_trace_file(path))
