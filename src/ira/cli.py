@@ -220,13 +220,11 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
                  len(result.raw_bytes), len(result.compressed_bytes))
             )
         hint_db.close()
-        exec_total = sum(row[1] for row in rows)
-        share = round(sum(row[2] for row in rows) / exec_total, 6) if exec_total else 0.0
         _write_report(
             report,
             ("block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"),
             rows,
-            _run_meta("run-primary", cfg, store, len(rows), hint_cost_share=share),
+            _run_meta("run-primary", cfg, store, len(rows), **_primary_overheads(rows)),
         )
     except BaseException:
         if hint_db is not None:
@@ -236,6 +234,29 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         raise
     print(f"run-primary: {len(rows)} blocks, hints -> {args.hints_out}")
     return EXIT_OK
+
+
+def _primary_overheads(rows: Sequence[tuple]) -> Dict[str, float]:
+    """The primary's hint cost over its execution cost, from the report's
+    rows: the direct construct cost (``hint_cost_share``); construct plus
+    serialize when each hint is built after its block runs
+    (``sequential_overhead``); and the extra wall when block ``b``'s hint is
+    built while block ``b + 1`` runs (``pipelined_overhead``)."""
+    exec_total = hint_end = 0  # the virtual clock: blocks run back to back
+    for row in rows:
+        exec_total += row[1]
+        hint_end = max(exec_total, hint_end) + row[2] + row[3]
+    construct_total = sum(row[2] for row in rows)
+    serialize_total = sum(row[3] for row in rows)
+
+    def share(cost: int) -> float:
+        return round(cost / exec_total, 6) if exec_total else 0.0
+
+    return {
+        "hint_cost_share": share(construct_total),
+        "sequential_overhead": share(construct_total + serialize_total),
+        "pipelined_overhead": share(hint_end - exec_total),
+    }
 
 
 def cmd_run_backup(args: argparse.Namespace) -> int:
@@ -382,6 +403,9 @@ def cmd_proto(args: argparse.Namespace) -> int:
 
     link = sc.link()
     rng = _random.Random(link.seed)
+    # the sideband's losses draw from their own stream, so a lossy link sends
+    # the same batches as a lossless one
+    loss_rng = _random.Random(link.seed)
     key_space, write_fraction = sc.key_space, sc.write_fraction
     universe = [b"key:%06d" % i for i in range(key_space)]
     primary = dict.fromkeys(universe, b"v0")
@@ -400,7 +424,7 @@ def cmd_proto(args: argparse.Namespace) -> int:
         hint = protocol_mod.encode_hint(access, sc.encoding, target_fpr=sc.target_fpr)
         stats = protocol_mod.generic_replay(batch, hint, backup_store, candidates=universe)
         timeline = protocol_mod.simulate_transmission(
-            sc.strategy, hint.size(), sc.batch_bytes, link, rng=rng,
+            sc.strategy, hint.size(), sc.batch_bytes, link, rng=loss_rng,
             miss_rate=sc.miss_rate, miss_rate_threshold=sc.miss_rate_threshold,
         )
         ok = protocol_mod.benefit_check(hint.size(), link.bandwidth, sc.latency_reduction, sc.backups)

@@ -12,7 +12,10 @@ Hint wire format (little-endian), 16-byte header then fixed-width entries:
 The source byte of a storage entry is the store's own as-of rule
 (``VersionedTable.locate``) read as a route: CHANGESET when a modification
 at or after the block holds the key's pre-image, PLAIN when the plain table
-answers, ZERO when the key has neither.
+answers, ZERO when the key has neither. The primary takes the route of each
+key its block read from the store as the read found it, so it locates every
+storage key once; only a key the block wrote before it read it is located
+again, at one history-index seek, when the hint is built.
 
 Entries are sorted and deduplicated (canonical form), so serialization is
 injective and doubles as the backup's prefetch order. Raw size is exactly
@@ -52,6 +55,7 @@ from .store import (
     OrderingError,
     StorageKey,
     StoreView,
+    ZERO_WORD,
     pack_account,
 )
 from .workload import Block, ExecResult, execute_block
@@ -89,6 +93,14 @@ class Source(IntEnum):
 
 
 _SOURCES = (Source.PLAIN, Source.ZERO, Source.CHANGESET)  # indexed by source byte
+_PLAIN, _ZERO, _CHANGESET = _SOURCES
+
+
+def _route(n: Optional[int], value: object) -> Source:
+    """The source of a key from what ``VersionedTable.locate`` found for it."""
+    if n is not None:
+        return _CHANGESET
+    return _ZERO if value is None else _PLAIN
 
 
 class Hint(NamedTuple):
@@ -103,32 +115,54 @@ class Hint(NamedTuple):
         return len(self.storage_entries) + len(self.accounts) + len(self.codes)
 
 
+class _RouteView(StoreView):
+    """The primary's view: a storage read locates its key once, charges what
+    ``read_as_of`` charges, and keeps the key's source in ``routes``.
+
+    It makes no head check of its own: ``run_primary_block`` requires the
+    store to hold the block, which is stricter than ``read_as_of``'s check.
+    Account and code reads are ``StoreView``'s.
+    """
+
+    __slots__ = ("routes", "_locate")
+
+    def __init__(self, store: ArchivalStore, block_number: int, meter: CostMeter):
+        super().__init__(store, block_number, meter)
+        self.routes: Dict[StorageKey, Source] = {}
+        self._locate = store.storage.locate
+
+    def get_storage(self, key: StorageKey) -> bytes:
+        n, value = self._locate(key, self.block_number)
+        self.meter.charge_as_of(n is not None or value is not None)
+        self.routes[key] = _route(n, value)
+        return ZERO_WORD if value is None else value
+
+
 def annotate_sources(
     storage_keys: Iterable[StorageKey],
     store: ArchivalStore,
     block_number: int,
     meter: Optional[CostMeter] = None,
+    known: Optional[Dict[StorageKey, Source]] = None,
 ) -> List[Tuple[StorageKey, Source]]:
     """Classify each key by where its start-of-block value lives, as
-    ``VersionedTable.locate`` finds it.
+    ``VersionedTable.locate`` finds it; the entries come sorted and unique.
 
     A key modified at or after ``block_number`` reads from that modification's
     change set; otherwise a plain-table entry answers; a key with neither has
-    never been written and reads as zero. One history-index seek is charged
-    per key.
+    never been written and reads as zero. A key in ``known`` (the routes the
+    block's reads found) takes its source from there at no cost; any other
+    key is located here, at one history-index seek.
     """
     locate = store.storage.locate
+    routes = known or {}
     out: List[Tuple[StorageKey, Source]] = []
-    for key in sorted(storage_keys):
-        if meter is not None:
-            meter.charge_seek()
-        n, value = locate(key, block_number)
-        if n is not None:
-            src = Source.CHANGESET
-        elif value is not None:
-            src = Source.PLAIN
-        else:
-            src = Source.ZERO
+    for key in sorted(set(storage_keys)):
+        src = routes.get(key)
+        if src is None:
+            if meter is not None:
+                meter.charge_seek()
+            src = _route(*locate(key, block_number))
         out.append((key, src))
     return out
 
@@ -142,26 +176,27 @@ def serialize_hint(hint: Hint) -> bytes:
     if hint.block_number < 0 or hint.block_number > 0xFFFFFFFF:
         raise SerializationError("block number out of range")
     out = bytearray(HINT_HEADER.pack(HINT_MAGIC, HINT_VERSION, 0, hint.block_number, len(s), len(a), len(c)))
-    prev_key: Optional[bytes] = None
+    # one test per entry; only a failed one asks which check it broke
+    prev = b""
     for key, src in s:
-        if len(key) != KEY_LEN:
-            raise SerializationError("bad storage key width")
-        if prev_key is not None and key <= prev_key:
-            raise SerializationError("storage entries must be strictly ascending")
-        prev_key = key
-        if not 0 <= int(src) <= 2:
+        if len(key) != KEY_LEN or key <= prev or not 0 <= src <= 2:
+            if len(key) != KEY_LEN:
+                raise SerializationError("bad storage key width")
+            if key <= prev:
+                raise SerializationError("storage entries must be strictly ascending")
             raise SerializationError(f"invalid source byte {src}")
         out += key
-        out.append(int(src))
+        out.append(src)
+        prev = key
     for name, addrs in (("account", a), ("code", c)):
-        prev: Optional[bytes] = None
+        prev = b""
         for addr in addrs:
             if len(addr) != ADDRESS_LEN:
                 raise SerializationError(f"bad {name} address width")
-            if prev is not None and addr <= prev:
+            if addr <= prev:
                 raise SerializationError(f"{name} entries must be strictly ascending")
-            prev = addr
             out += addr
+            prev = addr
     return bytes(out)
 
 
@@ -282,17 +317,21 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
 
     The store must already hold the block (head at or past it): the primary
     replays history, and the hint's sources say where each value lives then.
+    Execution reads through a view that keeps the source of every storage
+    key it reads, so the hint's construct cost is one seek per key the block
+    wrote before it read it.
     """
     if store.head_block < block.number:
         raise OrderingError(f"primary needs store head >= {block.number}, have {store.head_block}")
 
     model = store.cost_model
     exec_meter = CostMeter(model)
-    result: ExecResult = execute_block(block, StoreView(store, block.number, exec_meter), exec_meter)
+    view = _RouteView(store, block.number, exec_meter)
+    result: ExecResult = execute_block(block, view, exec_meter)
 
     construct_meter = CostMeter(model)
-    entries = annotate_sources(result.storage_keys, store, block.number, construct_meter)
-    hint = hint_from_sets(block.number, entries, result.account_addrs, result.code_addrs)
+    entries = annotate_sources(result.storage_keys, store, block.number, construct_meter, view.routes)
+    hint = Hint(block.number, entries, sorted(result.account_addrs), sorted(result.code_addrs))
 
     raw = serialize_hint(hint)
     compressed = compress_hint(raw)

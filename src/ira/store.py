@@ -21,7 +21,9 @@ according to a :class:`CostModel`. The charging rules are fixed:
 
 * ``read_as_of`` / ``account_as_of``: one random seek for the history index,
   plus one random seek when a value is actually fetched from a table
-  (absent keys touch no table beyond the index)
+  (absent keys touch no table beyond the index); :meth:`CostMeter.charge_as_of`
+  is the one place this rule is written, and the primary's view charges
+  its storage reads through it too
 * ``walk_wall``: a cursor walk over sorted keys costs one random seek for the
   first key and one sequential step per subsequent key; the keys are split
   into contiguous, count-balanced ranges over ``min(lanes, io_lanes)`` lanes,
@@ -233,6 +235,11 @@ class CostMeter:
     def charge_seek(self, n: int = 1) -> None:
         self.io += n * self.model.c_random_seek
 
+    def charge_as_of(self, found: bool) -> None:
+        """One as-of read: a seek for the history index consult, and one more
+        for the change-set or plain entry when the key has one."""
+        self.io += (2 if found else 1) * self.model.c_random_seek
+
     def charge_hit(self, n: int = 1) -> None:
         self.hit += n * self.model.c_hit
 
@@ -390,8 +397,7 @@ class ArchivalStore:
             raise OrderingError(f"read_as_of({block_number}) past head {self.head_block}")
         n, value = self.storage.locate(key, block_number)
         if meter is not None:
-            # the history index consult, then the change-set or plain entry
-            meter.charge_seek(1 if n is None and value is None else 2)
+            meter.charge_as_of(n is not None or value is not None)
         return ZERO_WORD if value is None else value
 
     def account_as_of(self, address: bytes, block_number: int, meter: Optional[CostMeter] = None) -> Optional[Account]:
@@ -400,8 +406,7 @@ class ArchivalStore:
             raise OrderingError(f"account_as_of({block_number}) past head {self.head_block}")
         n, acc = self.accounts.locate(address, block_number)
         if meter is not None:
-            # the history index consult, then the change-set or plain entry
-            meter.charge_seek(1 if n is None and acc is None else 2)
+            meter.charge_as_of(n is not None or acc is not None)
         return acc
 
     def code_as_of(self, address: bytes, block_number: int, meter: Optional[CostMeter] = None) -> Optional[bytes]:

@@ -121,9 +121,18 @@ def test_primary_sidecar_reports_hint_cost_share(demo_pipeline):
     with open(d / "primary.csv") as f:
         rows = list(csv.DictReader(f))
     construct = sum(int(r["hint_construct_cost"]) for r in rows)
+    serialize = sum(int(r["serialize_cost"]) for r in rows)
     execute = sum(int(r["exec_cost"]) for r in rows)
+    # block b's hint is built while block b + 1 runs
+    exec_end = hint_end = 0
+    for r in rows:
+        exec_end += int(r["exec_cost"])
+        hint_end = max(exec_end, hint_end) + int(r["hint_construct_cost"]) + int(r["serialize_cost"])
     meta = json.loads((d / "primary.csv.meta.json").read_text())
     assert 0 < meta["hint_cost_share"] == round(construct / execute, 6)
+    assert meta["hint_cost_share"] < meta["sequential_overhead"] == round((construct + serialize) / execute, 6)
+    assert 0 < meta["pipelined_overhead"] == round(hint_end / execute - 1, 6)
+    assert meta["pipelined_overhead"] <= meta["sequential_overhead"]
 
 
 def test_backup_sidecar_splits_prefetch_by_route(demo_pipeline):
@@ -645,8 +654,26 @@ def test_proto_scenario(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_proto_sideband_loss_leaves_the_batches_alone(tmp_path):
+    # the sideband's losses have their own random stream: a lossy link sends
+    # the same batches, so the hints and the prefetches stay as they were
+    columns = {}
+    for loss in (0.0, 0.5):
+        path = tmp_path / f"scenario-{loss}.json"
+        path.write_text(json.dumps({"strategy": "sideband", "batches": 5, "loss_probability": loss}))
+        report = tmp_path / f"proto-{loss}.csv"
+        assert main(["proto", "--scenario", str(path), "--report", str(report)]) == EXIT_OK
+        with open(report) as f:
+            rows = list(csv.DictReader(f))
+        columns[loss] = [(r["hint_bytes"], r["prefetched"]) for r in rows]
+        if loss:
+            assert any(r["hint_ready"] == "" for r in rows)  # some hints were lost
+    assert columns[0.0] == columns[0.5]
+
+
 # sha256 of proto.csv, its sidecar and stdout, as 9bbbb75 wrote them: each
-# encoding and strategy once, and a lossy sideband link
+# encoding and strategy once, and a lossy sideband link, whose report
+# changed when the sideband's losses got a random stream of their own
 PROTO_PINS = {
     "bloom-inline": (
         {"batches": 40, "ops_per_batch": 100, "key_space": 1000, "encoding": "bloom", "seed": 1001},
@@ -656,7 +683,7 @@ PROTO_PINS = {
     ),
     "prefix-sideband-lossy": (
         {"encoding": "prefix", "strategy": "sideband", "loss_probability": 0.5},
-        "f32bd2f127035f71f3a7dafd9de722e2654e2a5d4660d4a8108563648adc226a",
+        "ba82c6188fe3cf069569584d054cb5c8057cff85c43374b8c4f85ca13d2d9fcb",
         "56be149d24512d5977e46630508c79d646cf06f9ddb8d7f08a3551a258774efc",
         "777d96de4c1261a8557626823f10709386cd55d7d693c38deed3da4ef3757424",
     ),
@@ -1383,7 +1410,8 @@ def test_reports_of_an_empty_trace_are_header_only(tmp_path):
     summary = dict.fromkeys(("aggregate_speedup", "speedup_median", "speedup_p90", "speedup_p99", "wait_share_of_wall"), 0.0)
     expected = {
         "primary.csv": ("block,exec_cost,hint_construct_cost,serialize_cost,raw_bytes,compressed_bytes",
-                        {**shared, "subcommand": "run-primary", "hint_cost_share": 0.0}),
+                        {**shared, "subcommand": "run-primary", "hint_cost_share": 0.0,
+                         "sequential_overhead": 0.0, "pipelined_overhead": 0.0}),
         "baseline.csv": ("block,t_baseline,ops,reads,io_cost,digest", baseline),
         "backup.csv": ("block,t_wait,t_exec,prefetch_cost,hint_raw_bytes,hint_compressed_bytes,fallback,digest", backup),
         # the merged input sidecars, then compare's own subcommand

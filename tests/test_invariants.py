@@ -1,6 +1,7 @@
 """Randomized invariants over seeded inputs: a routed read equals
 ``read_as_of``, also for keys a hint routes as change-set that
-the store resolves to plain or zero, hinted replay reproduces the digests
+the store resolves to plain or zero, the primary's hint equals one built
+by locating every key afresh, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
 under any config and any mix of good, missing and misfiled hints, the
 clock equals that of a producer and an executor joined by a queue, more
@@ -17,9 +18,19 @@ from pathlib import Path
 import pytest
 
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
-from ira.primary import Hint, HintDb, Source, annotate_sources, decompress_hint, parse_hint, run_primary_block
-from ira.store import Account, ArchivalStore, CostMeter, Effects
-from ira.workload import build_store, derive_genesis
+from ira.primary import (
+    Hint,
+    HintDb,
+    Source,
+    annotate_sources,
+    decompress_hint,
+    hint_from_sets,
+    parse_hint,
+    run_primary_block,
+    serialize_hint,
+)
+from ira.store import Account, ArchivalStore, CostMeter, Effects, StoreView
+from ira.workload import build_store, derive_genesis, execute_block
 
 from conftest import demo_params, generate_trace, history_entries, mk_addr, mk_key, mk_word
 
@@ -108,6 +119,30 @@ def test_changeset_routed_batches_equal_read_as_of():
             store.read_as_of(key, b, point)
         assert result.wall_cost <= point.total, case
     assert min(resolved[kind] for kind in ("changeset", "plain", "zero")) > 100, resolved
+
+
+def test_primary_hint_equals_one_located_afresh():
+    # the primary takes each read key's source from the read; locating every
+    # key again, as a one-seek-per-key annotation does, gives the same bytes
+    rng = random.Random(61)
+    for case in range(150):
+        params = demo_params(blocks=rng.randrange(2, 8), seed=rng.randrange(1 << 30))._replace(
+            ephemeral_key_fraction=rng.random(),
+            hot_key_share=rng.random(),
+            read_write_ratio=rng.uniform(0.25, 12.0),
+        )
+        trace = generate_trace(params)
+        store = build_store(trace, derive_genesis(params))
+        for block in trace:
+            b = block.number
+            r = run_primary_block(block, store)
+            meter = CostMeter(store.cost_model)
+            plain = execute_block(block, StoreView(store, b, meter), meter)
+            entries = annotate_sources(plain.storage_keys, store, b)
+            fresh = hint_from_sets(b, entries, plain.account_addrs, plain.code_addrs)
+            assert serialize_hint(r.hint) == serialize_hint(fresh), (case, b)
+            assert r.exec_cost == meter.total, (case, b)
+            assert r.hint_construct_cost <= len(entries) * store.cost_model.c_random_seek, (case, b)
 
 
 def test_hinted_digests_equal_fallback_digests():

@@ -143,6 +143,26 @@ def test_serialize_rejects_unsorted_entries():
         serialize_hint(hint)
 
 
+@pytest.mark.parametrize(
+    "storage, accounts, codes, message",
+    [
+        ([(mk_key(1)[:-1], Source.PLAIN)], [], [], "bad storage key width"),
+        ([(mk_key(1), Source.PLAIN), (mk_key(1), Source.ZERO)], [], [], "storage entries must be strictly ascending"),
+        ([(mk_key(1), 3)], [], [], "invalid source byte 3"),
+        ([(mk_key(1), -1)], [], [], "invalid source byte -1"),
+        ([], [mk_addr(1) + b"\x00"], [], "bad account address width"),
+        ([], [mk_addr(2), mk_addr(1)], [], "account entries must be strictly ascending"),
+        ([], [], [b""], "bad code address width"),
+        ([], [mk_addr(1)], [mk_addr(1), mk_addr(1)], "code entries must be strictly ascending"),
+    ],
+    ids=["key-width", "key-order", "source-3", "source-negative", "account-width", "account-order", "code-width", "code-order"],
+)
+def test_serialize_names_the_check_an_entry_breaks(storage, accounts, codes, message):
+    with pytest.raises(SerializationError) as exc:
+        serialize_hint(Hint(1, storage, accounts, codes))
+    assert str(exc.value) == message
+
+
 def test_serialize_rejects_oversized_counts():
     hint = Hint(1, [], [mk_addr(i % 200) for i in range(2)], [])
     hint = hint._replace(accounts=[b"\x01" * 20] * 70000)  # overflows the u16 account count
@@ -300,12 +320,36 @@ def test_primary_mode_preconditions(demo_world):
         run_primary_block(trace[1], short_store)
 
 
-def test_hint_construct_cost_linear_in_storage(demo_world):
+def test_hint_construct_cost_counts_write_first_keys(demo_world):
+    # a key the block read from the store has its source from that read; only
+    # a key the block wrote before any read costs a history-index seek
     _, trace, store = demo_world
     model = store.cost_model
+    total_write_first = 0
     for block in trace:
+        first_kind = {}
+        for tx in block.txs:
+            for kind, key, _ in tx.ops:
+                if kind in (0, 1):  # STORAGE_READ, STORAGE_WRITE
+                    first_kind.setdefault(key, kind)
+        write_first = sum(kind == 1 for kind in first_kind.values())
         r = run_primary_block(block, store)
-        assert r.hint_construct_cost == len(r.hint.storage_entries) * model.c_random_seek
+        assert [k for k, _ in r.hint.storage_entries] == sorted(first_kind)
+        assert r.hint_construct_cost == write_first * model.c_random_seek
+        total_write_first += write_first
+    assert total_write_first > 0
+
+
+def test_annotation_takes_known_routes_without_a_seek():
+    store = three_block_store()
+    model = store.cost_model
+    keys = [mk_key(1), mk_key(2), mk_key(9)]
+    meter = CostMeter(model)
+    # the known sources need not be the store's: they are taken as given
+    known = {mk_key(1): Source.ZERO, mk_key(9): Source.PLAIN}
+    entries = annotate_sources(keys + keys, store, 3, meter, known)
+    assert entries == [(mk_key(1), Source.ZERO), (mk_key(2), Source.PLAIN), (mk_key(9), Source.PLAIN)]
+    assert meter.total == model.c_random_seek
 
 
 def test_serialization_order_matches_prefetch_order(demo_world):
