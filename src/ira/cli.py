@@ -171,7 +171,7 @@ def _undo_appends(path: Path, torn_bytes: int) -> Callable[[], None]:
 
 def cmd_run_primary(args: argparse.Namespace) -> int:
     from .config import load_config
-    from .primary import DigestLog, HintDb, run_primary_block
+    from .primary import DigestLog, HintDb, run_primary
     from .workload import iter_trace_file, trace_block_numbers
 
     cfg = load_config(args.config)
@@ -199,24 +199,26 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
             return EXIT_CONFIG
     store = _load_store(args, cfg)
     report = _out(args, args.report)
-    # A run that fails, on a bad trace record or an unwritable output, puts
-    # both logs back as it found them, so that a rerun is not refused as a
-    # clash, and removes its report.
+    # A run that fails, on a bad trace record, an unwritable output or in a
+    # hint's deflate, puts both logs back as it found them, so that a rerun
+    # is not refused as a clash, and removes its report.
     undo = [_undo_appends(hints_path, hints_torn)]
     if digest_log is not None:
         undo.append(_undo_appends(digests_path, digest_log.torn_bytes))
     hint_db = None
     rows = []
+    # every write below stays on this thread, in block order
+    results = run_primary(iter_trace_file(trace_path), store)
     try:
         hint_db = HintDb(hints_path)
         undo.append(lambda: report.unlink(missing_ok=True))
-        for block in iter_trace_file(trace_path):
-            result = run_primary_block(block, store)
-            hint_db.write_hint(block.number, result.compressed_bytes)
+        for result in results:
+            b = result.block_number
+            hint_db.write_hint(b, result.compressed_bytes)
             if digest_log is not None:
-                digest_log.write(block.number, result.digest)
+                digest_log.write(b, result.digest)
             rows.append(
-                (block.number, result.exec_cost, result.hint_construct_cost, result.serialize_cost,
+                (b, result.exec_cost, result.hint_construct_cost, result.serialize_cost,
                  len(result.raw_bytes), len(result.compressed_bytes))
             )
         hint_db.close()
@@ -227,6 +229,7 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
             _run_meta("run-primary", cfg, store, len(rows), **_primary_overheads(rows)),
         )
     except BaseException:
+        results.close()  # joins the deflate worker
         if hint_db is not None:
             hint_db.close()  # before the undo cuts its file
         for restore in undo:

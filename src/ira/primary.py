@@ -1,6 +1,16 @@
 """Primary-side engine: instrumented execution, source annotation, hint
 serialization/compression, hint persistence and the state-change digest.
 
+``run_primary`` is the primary's loop. Each block executes, is annotated,
+serialized and digested on the caller's thread (``run_primary_block``), and
+its raw hint deflates on one worker thread while the next block executes; at
+most one block is in flight, and the results come back in block order. The
+worker runs only zlib, which releases the GIL while it deflates, so the
+overlap needs a second core to pay; while the loop runs, the interpreter's
+switch interval is cut to 1 ms, so that the worker gets the GIL back soon
+each time zlib returns to Python. Whatever the caller writes, it writes on
+its own thread, in block order.
+
 Hint wire format (little-endian), 16-byte header then fixed-width entries:
 
     magic u16 (0x4948, bytes "HI"), version u8, flags u8,
@@ -40,10 +50,12 @@ import math
 import operator
 import os
 import struct
+import sys
+import threading
 import zlib
 from enum import IntEnum
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import IraError
 from .store import (
@@ -242,6 +254,13 @@ def compress_hint(raw: bytes) -> bytes:
     """Byte-stream compression that never expands: stores whichever of the
     zlib stream or the raw bytes is shorter. Raw hints start with 0x48, zlib
     streams with 0x78, so decoding is unambiguous."""
+    return _deflate(raw)
+
+
+def _deflate(raw: bytes) -> bytes:
+    # compress_hint's rule, under a name of its own for run_primary's worker
+    # thread: bench/launch.py wraps compress_hint in a span, and its Tracer
+    # keeps one span stack for every thread, so no wrapped name may run there
     comp = zlib.compressobj(level=6, wbits=15)
     z = comp.compress(raw) + comp.flush()
     return z if len(z) < len(raw) else raw
@@ -305,7 +324,7 @@ class PrimaryBlockResult(NamedTuple):
     effects: Effects
     hint: Hint
     raw_bytes: bytes
-    compressed_bytes: bytes
+    compressed_bytes: Optional[bytes]  # None until run_primary deflates the hint
     digest: bytes
     exec_cost: int
     hint_construct_cost: int
@@ -313,7 +332,8 @@ class PrimaryBlockResult(NamedTuple):
 
 
 def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
-    """Execute one block with access instrumentation and produce its hint.
+    """Execute one block with access instrumentation and produce its raw
+    hint; ``run_primary`` compresses it.
 
     The store must already hold the block (head at or past it): the primary
     replays history, and the hint's sources say where each value lives then.
@@ -334,7 +354,6 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
     hint = Hint(block.number, entries, sorted(result.account_addrs), sorted(result.code_addrs))
 
     raw = serialize_hint(hint)
-    compressed = compress_hint(raw)
     serialize_cost = model.c_random_seek + math.ceil(len(raw) / _SERIALIZE_PAGE) * model.c_sequential_step
 
     return PrimaryBlockResult(
@@ -342,12 +361,72 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
         effects=result.effects,
         hint=hint,
         raw_bytes=raw,
-        compressed_bytes=compressed,
+        compressed_bytes=None,
         digest=state_change_hash(result.effects),
         exec_cost=exec_meter.total,
         hint_construct_cost=construct_meter.total,
         serialize_cost=serialize_cost,
     )
+
+
+# A thread that waits for the GIL takes it from a busy thread only after the
+# switch interval (5 ms by default). The worker needs the GIL a few times per
+# hint (to start, to grow zlib's output buffer, to return), and a block
+# executes in a few milliseconds, so at the default most of each deflate
+# waits for the main thread instead of overlapping it.
+_SWITCH_INTERVAL_S = 0.001
+
+
+class _Deflate(threading.Thread):
+    """A block's raw hint deflating off the caller's thread, started when
+    built."""
+
+    def __init__(self, result: PrimaryBlockResult):
+        super().__init__(name="ira-deflate", daemon=True)
+        self.partial = result
+        self.out: Optional[bytes] = None
+        self.error: Optional[BaseException] = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self.out = _deflate(self.partial.raw_bytes)
+        except BaseException as exc:  # finish raises it on the caller's thread
+            self.error = exc
+
+    def finish(self) -> PrimaryBlockResult:
+        """Join the worker and fill in ``compressed_bytes``; an error on the
+        worker is raised here, on the caller's thread."""
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.partial._replace(compressed_bytes=self.out)
+
+
+def run_primary(blocks: Iterable[Block], store: ArchivalStore) -> Iterator[PrimaryBlockResult]:
+    """Run ``run_primary_block`` on each block and yield the results in block
+    order, ``compressed_bytes`` filled in. Block ``b``'s hint deflates on a
+    worker thread while block ``b + 1`` executes on this one, and the caller
+    gets block ``b`` while block ``b + 1``'s hint deflates. At most one block
+    is in flight, and the worker is joined when the loop ends, fails or is
+    closed. Until then the interpreter's switch interval is at most
+    ``_SWITCH_INTERVAL_S``."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(min(interval, _SWITCH_INTERVAL_S))
+    pending: Optional[_Deflate] = None
+    try:
+        for block in blocks:
+            result = run_primary_block(block, store)
+            done = pending.finish() if pending is not None else None
+            pending = _Deflate(result)
+            if done is not None:
+                yield done
+        if pending is not None:
+            yield pending.finish()
+    finally:
+        if pending is not None:
+            pending.join()
+        sys.setswitchinterval(interval)
 
 
 # -- hint database ----------------------------------------------------------------

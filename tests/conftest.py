@@ -11,7 +11,7 @@ import pytest
 
 from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_baseline
 from ira.cachesim import _check_capacity
-from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary_block, serialize_hint
+from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary, serialize_hint
 from ira.protocol import DecodedHint, Op as GenericOp
 from ira.store import WORD_LEN, ShardedIndex, StorageKey, check_word, storage_key
 from ira.workload import (
@@ -197,10 +197,9 @@ def primary_run(default_trace_path, default_store, tmp_path_factory):
     hint_path = tmp_path_factory.mktemp("hints") / "hints.db"
     hint_db = HintDb(hint_path)
     digests = {}
-    for block in iter_trace_file(default_trace_path):
-        r = run_primary_block(block, default_store)
-        hint_db.write_hint(block.number, r.compressed_bytes)
-        digests[block.number] = r.digest
+    for r in run_primary(iter_trace_file(default_trace_path), default_store):
+        hint_db.write_hint(r.block_number, r.compressed_bytes)
+        digests[r.block_number] = r.digest
     gc.collect()
     gc.freeze()
     yield {"hint_db": hint_db, "path": hint_path, "digests": digests}

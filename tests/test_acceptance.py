@@ -16,7 +16,7 @@ import pytest
 
 from ira.backup import PipelineConfig, pipeline_run, run_baseline
 from ira.cachesim import compare_policies, simulate_belady, simulate_lru
-from ira.primary import Source, compress_hint, parse_hint, raw_hint_size, serialize_hint, run_primary_block, HintDb
+from ira.primary import Source, compress_hint, parse_hint, raw_hint_size, serialize_hint, run_primary, HintDb
 from ira.protocol import (
     decode_hint,
     encode_hint,
@@ -177,9 +177,8 @@ def plain_world(tmp_path_factory):
     store = build_store(blocks, derive_genesis(params, keys))
     del keys
     hint_db = HintDb(tmp_path_factory.mktemp("plainhints") / "hints.db")
-    for block in blocks:
-        r = run_primary_block(block, store)
-        hint_db.write_hint(block.number, r.compressed_bytes)
+    for r in run_primary(blocks, store):
+        hint_db.write_hint(r.block_number, r.compressed_bytes)
     gc.collect()
     gc.freeze()
     # teardown relies on refcounting: these structures are acyclic, so they

@@ -18,7 +18,7 @@ from ira.backup import (
     replay_block,
     run_baseline,
 )
-from ira.primary import Hint, HintDb, Source, hint_from_sets, run_primary_block
+from ira.primary import Hint, HintDb, Source, hint_from_sets, run_primary, run_primary_block
 from ira.store import Account, ArchivalStore, CostModel, Effects, StorageKey, ZERO_WORD
 from ira.workload import (
     Block,
@@ -339,10 +339,9 @@ def pipeline_world(tmp_path_factory):
     hint_path = tmp_path_factory.mktemp("pipe") / "hints.db"
     db = HintDb(hint_path)
     digests = {}
-    for block in trace:
-        r = run_primary_block(block, store)
-        db.write_hint(block.number, r.compressed_bytes)
-        digests[block.number] = r.digest
+    for r in run_primary(trace, store):
+        db.write_hint(r.block_number, r.compressed_bytes)
+        digests[r.block_number] = r.digest
     yield params, trace, store, db, digests
     db.close()
 
@@ -380,9 +379,8 @@ def test_pipeline_wait_charged_to_first_block_of_stalled_batch():
 
     with tempfile.TemporaryDirectory() as td:
         db = HintDb(pathlib.Path(td) / "h.db")
-        for block in blocks:
-            r = run_primary_block(block, store)
-            db.write_hint(block.number, r.compressed_bytes)
+        for r in run_primary(blocks, store):
+            db.write_hint(r.block_number, r.compressed_bytes)
         cfg = PipelineConfig(batch_size=4, channel_capacity=8, warmup_blocks=0, workers=1)
         metrics = pipeline_run(blocks, store, db, cfg)
         db.close()
@@ -412,9 +410,8 @@ def test_pipeline_fast_prefetch_no_steady_wait():
 
     with tempfile.TemporaryDirectory() as td:
         db = HintDb(pathlib.Path(td) / "h.db")
-        for block in blocks:
-            r = run_primary_block(block, store)
-            db.write_hint(block.number, r.compressed_bytes)
+        for r in run_primary(blocks, store):
+            db.write_hint(r.block_number, r.compressed_bytes)
         cfg = PipelineConfig(batch_size=2, channel_capacity=4, warmup_blocks=2, workers=1)
         metrics = pipeline_run(blocks, store, db, cfg)
         db.close()
@@ -451,8 +448,8 @@ def test_pipeline_warmup_batches_ready_at_running_sum_of_walls(tmp_path):
     )
     store = build_store(blocks, genesis)
     with HintDb(tmp_path / "h.db") as db:
-        for block in blocks:
-            db.write_hint(block.number, run_primary_block(block, store).compressed_bytes)
+        for r in run_primary(blocks, store):
+            db.write_hint(r.block_number, r.compressed_bytes)
         cfg = PipelineConfig(batch_size=1, channel_capacity=1, warmup_blocks=3, workers=1)
         metrics = pipeline_run(blocks, store, db, cfg)
     assert [r.prefetch_cost for r in metrics.rows] == [424, 484, 444]
@@ -487,8 +484,8 @@ def test_pipeline_warmup_does_not_resume_after_a_batch_that_did_not_fit(tmp_path
     )
     store = build_store(blocks, genesis)
     with HintDb(tmp_path / "h.db") as db:
-        for block in blocks:
-            db.write_hint(block.number, run_primary_block(block, store).compressed_bytes)
+        for r in run_primary(blocks, store):
+            db.write_hint(r.block_number, r.compressed_bytes)
         cfg = PipelineConfig(batch_size=3, channel_capacity=3, warmup_blocks=5, workers=1)
         metrics = pipeline_run(blocks, store, db, cfg)
     rows = metrics.rows
@@ -519,8 +516,8 @@ def test_pipeline_walls_fall_with_workers_then_plateau(tmp_path, batch_size, war
     store = build_store(trace, derive_genesis(params))
     walls, waits = {}, {}
     with HintDb(tmp_path / "h.db") as db:
-        for block in trace:
-            db.write_hint(block.number, run_primary_block(block, store).compressed_bytes)
+        for r in run_primary(trace, store):
+            db.write_hint(r.block_number, r.compressed_bytes)
         for k in (1, 2, 4, 8, 16, 32, 64):
             cfg = PipelineConfig(
                 batch_size=batch_size, channel_capacity=batch_size, warmup_blocks=warmup_blocks, workers=k
@@ -547,9 +544,8 @@ def test_pipeline_corrupt_hint_falls_back(pipeline_world, tmp_path):
     params, trace, store, _, digests = pipeline_world
     path = tmp_path / "corrupt.db"
     db = HintDb(path)
-    for block in trace:
-        r = run_primary_block(block, store)
-        db.write_hint(block.number, r.compressed_bytes)
+    for r in run_primary(trace, store):
+        db.write_hint(r.block_number, r.compressed_bytes)
     db.close()
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF  # clobber a byte mid-file

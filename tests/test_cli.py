@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -1069,6 +1071,101 @@ def test_primary_failing_mid_trace_puts_back_torn_tails(demo_pipeline, tmp_path,
     for name, blob in before.items():
         assert (tmp_path / name).read_bytes() == blob, name
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.trace", "digests.bin", "hints.db"]
+
+
+def test_primary_runs_every_name_the_launcher_wraps_on_the_main_thread(demo_pipeline, tmp_path, capsys, monkeypatch):
+    # bench/launch.py's Tracer keeps one span stack for every thread, so each
+    # function and method it wraps for run-primary must run on the main
+    # thread; the deflate worker reaches compress_hint's rule by another name
+    from ira import primary, store, workload
+
+    threads = {}
+
+    def watch(owner, name, generator=False):
+        func = getattr(owner, name)
+        seen = threads.setdefault(f"{getattr(owner, '__name__', owner)}.{name}", set())
+
+        if generator:
+            @functools.wraps(func)
+            def wrapper(*args, **kwargs):
+                for item in func(*args, **kwargs):
+                    seen.add(threading.current_thread())
+                    yield item
+        else:
+            @functools.wraps(func)
+            def wrapper(*args, **kwargs):
+                seen.add(threading.current_thread())
+                return func(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    watch(workload, "iter_trace_file", generator=True)
+    for owner in (workload, primary):
+        watch(owner, "execute_block")
+    for name in ("run_primary_block", "annotate_sources", "serialize_hint", "compress_hint", "state_change_hash"):
+        watch(primary, name)
+    watch(primary.HintDb, "__init__")
+    watch(primary.HintDb, "write_hint")
+    for name in ("read_as_of", "account_as_of", "code_as_of"):
+        watch(store.ArchivalStore, name)
+    watch(store.ShardedIndex, "first_at_or_after")
+    for name in ("get_storage", "get_account", "get_code"):
+        watch(store.StoreView, name)
+
+    d, c = demo_pipeline
+    rc, err = _run_primary(d, c, tmp_path, capsys)
+    assert rc == EXIT_OK, err
+    for name in ("hints.db", "digests.bin", "primary.csv"):
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+    main_thread = threading.main_thread()
+    assert {name: seen for name, seen in threads.items() if seen - {main_thread}} == {}
+    called = {name for name, seen in threads.items() if seen}
+    assert {
+        "ira.workload.iter_trace_file", "ira.primary.execute_block", "ira.primary.run_primary_block",
+        "ira.primary.annotate_sources", "ira.primary.serialize_hint", "ira.primary.state_change_hash",
+        "HintDb.write_hint", "StoreView.get_account",
+    } <= called
+
+
+def test_primary_deflate_failure_reaches_the_caller_and_puts_back_its_outputs(demo_pipeline, tmp_path, monkeypatch):
+    # the third block's deflate fails on the worker after two blocks were
+    # stored: main raises that same exception, the logs are as they were
+    # found (torn tails included), the report is gone, the worker joined and
+    # the switch interval put back
+    from ira import primary
+
+    d, c = demo_pipeline
+    before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
+    for name, blob in before.items():
+        (tmp_path / name).write_bytes(blob)
+    failure = RuntimeError("deflate failed")
+    deflate, calls = primary._deflate, []
+
+    def third_fails(raw):
+        calls.append(threading.current_thread())
+        if len(calls) == 3:
+            raise failure
+        return deflate(raw)
+
+    monkeypatch.setattr(primary, "_deflate", third_fails)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    with pytest.raises(RuntimeError) as raised:
+        main(
+            [
+                "--config", c, "run-primary",
+                "--trace", str(d / "t.trace"),
+                "--store", str(d / "store"),
+                "--hints-out", str(tmp_path / "hints.db"),
+                "--digests-out", str(tmp_path / "digests.bin"),
+                "--report", str(tmp_path / "primary.csv"),
+            ]
+        )
+    assert raised.value is failure
+    assert len(calls) == 3 and threading.main_thread() not in calls
+    for name, blob in before.items():
+        assert (tmp_path / name).read_bytes() == blob, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["digests.bin", "hints.db"]
+    assert (threading.active_count(), sys.getswitchinterval()) == (threads, interval)
 
 
 def test_primary_refuses_a_digest_log_that_holds_its_blocks(demo_pipeline, tmp_path, capsys):

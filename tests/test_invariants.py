@@ -1,7 +1,9 @@
 """Randomized invariants over seeded inputs: a routed read equals
 ``read_as_of``, also for keys a hint routes as change-set that
 the store resolves to plain or zero, the primary's hint equals one built
-by locating every key afresh, hinted replay reproduces the digests
+by locating every key afresh, the pipelined primary loop yields what a
+sequential one does and ``run-primary`` writes its hint database byte for
+byte, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
 under any config and any mix of good, missing and misfiled hints, the
 clock equals that of a producer and an executor joined by a queue, more
@@ -11,6 +13,7 @@ same history index and as-of reads."""
 from __future__ import annotations
 
 import random
+import sys
 import tempfile
 from collections import Counter, deque
 from pathlib import Path
@@ -18,19 +21,23 @@ from pathlib import Path
 import pytest
 
 from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
+from ira.cli import EXIT_OK, main
 from ira.primary import (
+    DigestLog,
     Hint,
     HintDb,
     Source,
     annotate_sources,
+    compress_hint,
     decompress_hint,
     hint_from_sets,
     parse_hint,
+    run_primary,
     run_primary_block,
     serialize_hint,
 )
 from ira.store import Account, ArchivalStore, CostMeter, Effects, StoreView
-from ira.workload import build_store, derive_genesis, execute_block
+from ira.workload import build_store, derive_genesis, execute_block, save_trace
 
 from conftest import demo_params, generate_trace, history_entries, mk_addr, mk_key, mk_word
 
@@ -145,6 +152,60 @@ def test_primary_hint_equals_one_located_afresh():
             assert r.hint_construct_cost <= len(entries) * store.cost_model.c_random_seek, (case, b)
 
 
+def _sequential_primary(trace, store):
+    """The primary's loop with no worker: each block runs, then its hint is
+    compressed, one after the other on this thread."""
+    out = []
+    for block in trace:
+        r = run_primary_block(block, store)
+        out.append(r._replace(compressed_bytes=compress_hint(serialize_hint(r.hint))))
+    return out
+
+
+def test_pipelined_primary_equals_a_sequential_loop(tmp_path):
+    # every result of run_primary equals the sequential loop's, and
+    # run-primary writes the hint database and digest log that loop would;
+    # a short switch interval makes the main thread and the worker interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rng = random.Random(67)
+        for case in range(200):
+            params = demo_params(blocks=rng.randrange(1, 9), seed=rng.randrange(1 << 30))._replace(
+                ephemeral_key_fraction=rng.random(),
+                hot_key_share=rng.random(),
+                read_write_ratio=rng.uniform(0.25, 12.0),
+            )
+            trace = generate_trace(params)
+            store = build_store(trace, derive_genesis(params))
+            expected = _sequential_primary(trace, store)
+            assert list(run_primary(trace, store)) == expected, case
+            if case % 5:
+                continue
+            d = tmp_path / str(case)
+            d.mkdir()
+            save_trace(d / "t.trace", params, trace)
+            store.save(d / "store")
+            rc = main(
+                [
+                    "run-primary", "--trace", str(d / "t.trace"), "--store", str(d / "store"),
+                    "--hints-out", str(d / "hints.db"), "--digests-out", str(d / "digests.bin"),
+                    "--report", str(d / "primary.csv"),
+                ]
+            )
+            assert rc == EXIT_OK, case
+            with HintDb(d / "ref-hints.db") as db:
+                for r in expected:
+                    db.write_hint(r.block_number, r.compressed_bytes)
+            log = DigestLog(d / "ref-digests.bin")
+            for r in expected:
+                log.write(r.block_number, r.digest)
+            for name in ("hints.db", "digests.bin"):
+                assert (d / name).read_bytes() == (d / f"ref-{name}").read_bytes(), (case, name)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_hinted_digests_equal_fallback_digests():
     rng = random.Random(43)
     for case in range(300):
@@ -164,10 +225,9 @@ def test_hinted_digests_equal_fallback_digests():
         store = build_store(trace, derive_genesis(params))
         with tempfile.TemporaryDirectory() as td, HintDb(Path(td) / "hints.db") as db:
             primary = {}
-            for block in trace:
-                r = run_primary_block(block, store)
-                db.write_hint(block.number, r.compressed_bytes)
-                primary[block.number] = r.digest
+            for r in run_primary(trace, store):
+                db.write_hint(r.block_number, r.compressed_bytes)
+                primary[r.block_number] = r.digest
             hinted = pipeline_run(trace, store, db, cfg)
         fallback = pipeline_run(trace, store, None, cfg)
         # a miss raises CacheMissError, so a finished run had none
@@ -181,7 +241,7 @@ def random_world():
     params = demo_params(blocks=24, seed=5)._replace(txs_per_block_mean=4.0, unique_keys_median=20)
     trace = generate_trace(params)
     store = build_store(trace, derive_genesis(params))
-    hints = {block.number: run_primary_block(block, store).compressed_bytes for block in trace}
+    hints = {r.block_number: r.compressed_bytes for r in run_primary(trace, store)}
     return trace, store, hints
 
 

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
+import time
 
 import pytest
 
+from ira import primary
 from ira.primary import (
     DigestLog,
     Hint,
@@ -19,6 +23,7 @@ from ira.primary import (
     hint_from_sets,
     parse_hint,
     raw_hint_size,
+    run_primary,
     run_primary_block,
     serialize_hint,
     state_change_hash,
@@ -338,6 +343,36 @@ def test_hint_construct_cost_counts_write_first_keys(demo_world):
         assert r.hint_construct_cost == write_first * model.c_random_seek
         total_write_first += write_first
     assert total_write_first > 0
+
+
+def test_run_primary_yields_each_block_in_order_with_its_hint_compressed(demo_world):
+    _, trace, store = demo_world
+    results = list(run_primary(trace, store))
+    assert [r.block_number for r in results] == [block.number for block in trace]
+    assert all(r.compressed_bytes == compress_hint(r.raw_bytes) for r in results)
+    assert run_primary_block(trace[0], store).compressed_bytes is None
+
+
+def test_run_primary_closed_after_its_first_result_leaves_no_worker(demo_world, monkeypatch):
+    # block 2's hint is still deflating when the caller stops reading; closing
+    # the loop joins its worker and puts the switch interval back
+    _, trace, store = demo_world
+    deflate = primary._deflate
+
+    def slow(raw):
+        time.sleep(0.2)
+        return deflate(raw)
+
+    monkeypatch.setattr(primary, "_deflate", slow)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    results = run_primary(trace, store)
+    first = next(results)
+    assert first.block_number == trace[0].number
+    assert first.compressed_bytes == compress_hint(first.raw_bytes)
+    assert sys.getswitchinterval() <= primary._SWITCH_INTERVAL_S
+    results.close()
+    assert threading.active_count() == threads
+    assert sys.getswitchinterval() == interval
 
 
 def test_annotation_takes_known_routes_without_a_seek():
