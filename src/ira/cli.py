@@ -241,10 +241,11 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
 
 def _primary_overheads(rows: Sequence[tuple]) -> Dict[str, float]:
     """The primary's hint cost over its execution cost, from the report's
-    rows: the direct construct cost (``hint_cost_share``); construct plus
-    serialize when each hint is built after its block runs
-    (``sequential_overhead``); and the extra wall when block ``b``'s hint is
-    built while block ``b + 1`` runs (``pipelined_overhead``)."""
+    rows: the direct construct cost (``hint_cost_share``, 0 since every
+    route comes from a read); construct plus serialize when each hint is
+    built after its block runs (``sequential_overhead``); and the extra wall
+    when block ``b``'s hint is built while block ``b + 1`` runs
+    (``pipelined_overhead``)."""
     exec_total = hint_end = 0  # the virtual clock: blocks run back to back
     for row in rows:
         exec_total += row[1]

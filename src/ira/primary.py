@@ -22,10 +22,10 @@ Hint wire format (little-endian), 16-byte header then fixed-width entries:
 The source byte of a storage entry is the store's own as-of rule
 (``VersionedTable.locate``) read as a route: CHANGESET when a modification
 at or after the block holds the key's pre-image, PLAIN when the plain table
-answers, ZERO when the key has neither. The primary takes the route of each
-key its block read from the store as the read found it, so it locates every
-storage key once; only a key the block wrote before it read it is located
-again, at one history-index seek, when the hint is built.
+answers, ZERO when the key has neither. Execution reads every storage key
+of a block, a written one for its original value, so the primary takes each
+key's route from the read that located it, and building the hint seeks
+nothing.
 
 Entries are sorted and deduplicated (canonical form), so serialization is
 injective and doubles as the backup's prefetch order. Raw size is exactly
@@ -55,7 +55,7 @@ import threading
 import zlib
 from enum import IntEnum
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import IraError
 from .store import (
@@ -150,33 +150,10 @@ class _RouteView(StoreView):
         return ZERO_WORD if value is None else value
 
 
-def annotate_sources(
-    storage_keys: Iterable[StorageKey],
-    store: ArchivalStore,
-    block_number: int,
-    meter: Optional[CostMeter] = None,
-    known: Optional[Dict[StorageKey, Source]] = None,
-) -> List[Tuple[StorageKey, Source]]:
-    """Classify each key by where its start-of-block value lives, as
-    ``VersionedTable.locate`` finds it; the entries come sorted and unique.
-
-    A key modified at or after ``block_number`` reads from that modification's
-    change set; otherwise a plain-table entry answers; a key with neither has
-    never been written and reads as zero. A key in ``known`` (the routes the
-    block's reads found) takes its source from there at no cost; any other
-    key is located here, at one history-index seek.
-    """
-    locate = store.storage.locate
-    routes = known or {}
-    out: List[Tuple[StorageKey, Source]] = []
-    for key in sorted(set(storage_keys)):
-        src = routes.get(key)
-        if src is None:
-            if meter is not None:
-                meter.charge_seek()
-            src = _route(*locate(key, block_number))
-        out.append((key, src))
-    return out
+def annotate_sources(routes: Dict[StorageKey, Source]) -> List[Tuple[StorageKey, Source]]:
+    """The hint's storage entries, sorted: each key with the source that the
+    block's read of it found (``_RouteView.routes``)."""
+    return sorted(routes.items())
 
 
 def serialize_hint(hint: Hint) -> bytes:
@@ -279,24 +256,6 @@ def decompress_hint(data: bytes) -> bytes:
     raise HintIntegrityError(f"unrecognized hint envelope byte 0x{data[0]:02x}")
 
 
-def hint_from_sets(
-    block_number: int,
-    storage_entries: Sequence[Tuple[StorageKey, Source]],
-    accounts: Iterable[bytes],
-    codes: Iterable[bytes],
-) -> Hint:
-    """Build a canonical hint (sorted, deduplicated) from raw collections."""
-    dedup: Dict[StorageKey, Source] = {}
-    for key, src in storage_entries:
-        dedup[key] = src
-    return Hint(
-        block_number=block_number,
-        storage_entries=[(k, dedup[k]) for k in sorted(dedup)],
-        accounts=sorted(set(accounts)),
-        codes=sorted(set(codes)),
-    )
-
-
 # -- state-change digest ---------------------------------------------------------
 
 
@@ -327,7 +286,7 @@ class PrimaryBlockResult(NamedTuple):
     compressed_bytes: Optional[bytes]  # None until run_primary deflates the hint
     digest: bytes
     exec_cost: int
-    hint_construct_cost: int
+    hint_construct_cost: int  # 0: every route comes from a read (run_primary_block)
     serialize_cost: int
 
 
@@ -338,8 +297,9 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
     The store must already hold the block (head at or past it): the primary
     replays history, and the hint's sources say where each value lives then.
     Execution reads through a view that keeps the source of every storage
-    key it reads, so the hint's construct cost is one seek per key the block
-    wrote before it read it.
+    key it reads, and it reads every storage key of the block, so the hint
+    costs nothing to build beyond serializing it: ``hint_construct_cost`` is
+    always 0.
     """
     if store.head_block < block.number:
         raise OrderingError(f"primary needs store head >= {block.number}, have {store.head_block}")
@@ -348,10 +308,7 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
     exec_meter = CostMeter(model)
     view = _RouteView(store, block.number, exec_meter)
     result: ExecResult = execute_block(block, view, exec_meter)
-
-    construct_meter = CostMeter(model)
-    entries = annotate_sources(result.storage_keys, store, block.number, construct_meter, view.routes)
-    hint = Hint(block.number, entries, sorted(result.account_addrs), sorted(result.code_addrs))
+    hint = Hint(block.number, annotate_sources(view.routes), sorted(result.account_memo), sorted(result.code_memo))
 
     raw = serialize_hint(hint)
     serialize_cost = model.c_random_seek + math.ceil(len(raw) / _SERIALIZE_PAGE) * model.c_sequential_step
@@ -364,7 +321,7 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
         compressed_bytes=None,
         digest=state_change_hash(result.effects),
         exec_cost=exec_meter.total,
-        hint_construct_cost=construct_meter.total,
+        hint_construct_cost=0,
         serialize_cost=serialize_cost,
     )
 

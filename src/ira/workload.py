@@ -407,9 +407,8 @@ class ExecResult(NamedTuple):
     effects: Effects
     op_count: int
     read_count: int
-    storage_keys: Set[StorageKey]
-    account_addrs: Set[bytes]
-    code_addrs: Set[bytes]
+    account_memo: Dict[bytes, Optional[Account]]  # each account read, in first-fetch order
+    code_memo: Dict[bytes, Optional[bytes]]  # each code read, in first-fetch order
     access_log: Optional[List[Tuple[str, bytes]]]
 
 
@@ -426,16 +425,20 @@ def execute_block(
     ``len(ops) + 1`` (credited to the beneficiary) and bumps the sender nonce,
     which touches the sender, recipient and beneficiary accounts.
 
-    The meter is charged one compute unit per op and one hit unit per read
-    access (explicit read ops plus the implicit per-tx account touches); any
-    I/O the view performs lands on the same meter via the view itself.
+    A write to a storage key the block has not seen first reads the key's
+    original value through the view, as ``SSTORE`` does (EIP-2200). The
+    meter is charged one compute unit per op and one hit unit per read
+    access (explicit read ops, those original-value reads and the implicit
+    per-tx account touches); any I/O the view performs lands on the same
+    meter via the view itself.
 
-    The loop keeps no per-op bookkeeping. The view is asked for a key at its
-    first read in the block, and for a storage key again only while the
-    view's answer is ``None``. The read count is ``ops - writes + 3 * txs``,
-    and the access sets are the memos' keys once the loop is done (every
-    account the overlay holds was read first). ``collect_log`` adds the
-    block's ``access_log``.
+    The loop keeps no per-op bookkeeping. The view is asked for every key of
+    the block at its first access, and for a storage key again only while
+    its answer is ``None`` and no write has covered it. The read count is
+    ``ops - writes + write_first + 3 * txs``, where ``write_first`` counts the
+    keys first accessed by a write. The account and code memos come back as
+    they are, in first-fetch order (every account the overlay holds was read
+    first). ``collect_log`` adds the block's ``access_log``.
     """
     storage_overlay: Dict[StorageKey, bytes] = {}
     seen: Dict[StorageKey, Optional[bytes]] = {}  # each storage key's value as last read or written
@@ -444,7 +447,7 @@ def execute_block(
     code_memo: Dict[bytes, Optional[bytes]] = {}
     get_storage, get_account, get_code = view.get_storage, view.get_account, view.get_code
     beneficiary = block.beneficiary
-    ops = writes = 0
+    ops = writes = write_first = 0
 
     for sender, recipient, tx_ops in block.txs:
         for kind, key, value in tx_ops:
@@ -452,6 +455,9 @@ def execute_block(
                 if seen.get(key) is None:
                     seen[key] = get_storage(key)
             elif kind == 1:  # STORAGE_WRITE
+                if key not in seen:  # the original value, read once
+                    get_storage(key)
+                    write_first += 1
                 storage_overlay[key] = seen[key] = value
                 writes += 1
             elif kind == 2:  # ACCOUNT_READ
@@ -474,7 +480,7 @@ def execute_block(
         acc = account_overlay.get(beneficiary) or account_memo[beneficiary] or _EMPTY
         account_overlay[beneficiary] = tuple.__new__(Account, (acc[0] + fee, acc[1], acc[2]))
 
-    reads = ops - writes + 3 * len(block.txs)
+    reads = ops - writes + write_first + 3 * len(block.txs)
     if meter is not None:
         meter.charge_compute(ops)
         meter.charge_hit(reads)
@@ -483,9 +489,8 @@ def execute_block(
         effects=Effects(storage=storage_overlay, accounts=account_overlay),
         op_count=ops,
         read_count=reads,
-        storage_keys=set(seen),
-        account_addrs=set(account_memo),
-        code_addrs=set(code_memo),
+        account_memo=account_memo,
+        code_memo=code_memo,
         access_log=access_log(block) if collect_log else None,
     )
 

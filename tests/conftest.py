@@ -5,7 +5,7 @@ import hashlib
 import random
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -13,7 +13,7 @@ from ira.backup import BaselineCacheConfig, PipelineConfig, pipeline_run, run_ba
 from ira.cachesim import _check_capacity
 from ira.primary import Hint, HintDb, Source, compress_hint, decompress_hint, parse_hint, run_primary, serialize_hint
 from ira.protocol import DecodedHint, Op as GenericOp
-from ira.store import WORD_LEN, ShardedIndex, StorageKey, check_word, storage_key
+from ira.store import WORD_LEN, ArchivalStore, ShardedIndex, StorageKey, check_word, storage_key
 from ira.workload import (
     Block,
     GeneratorParams,
@@ -143,6 +143,28 @@ def history_entries(index: ShardedIndex, key: bytes) -> list:
 
 def history_key_count(index: ShardedIndex) -> int:
     return len(index._map)
+
+
+def hint_from_sets(
+    block_number: int,
+    storage_entries: Sequence[Tuple[StorageKey, Source]],
+    accounts: Iterable[bytes],
+    codes: Iterable[bytes],
+) -> Hint:
+    """Build a canonical hint (sorted, deduplicated) from raw collections."""
+    dedup: Dict[StorageKey, Source] = dict(storage_entries)
+    return Hint(block_number, [(k, dedup[k]) for k in sorted(dedup)], sorted(set(accounts)), sorted(set(codes)))
+
+
+def locate_sources(keys: Iterable[StorageKey], store: ArchivalStore, block_number: int) -> List[Tuple[StorageKey, Source]]:
+    """Each key's source at the start of ``block_number``, located afresh
+    with ``store.storage.locate`` (one history-index seek per key), sorted
+    and unique: the oracle for the routes the primary takes from its reads."""
+    out = []
+    for key in sorted(set(keys)):
+        n, value = store.storage.locate(key, block_number)
+        out.append((key, Source.CHANGESET if n is not None else Source.ZERO if value is None else Source.PLAIN))
+    return out
 
 
 def reroute_zero_key_to_plain(src: HintDb, dst_path: Path, from_block: int) -> int:

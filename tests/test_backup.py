@@ -18,8 +18,8 @@ from ira.backup import (
     replay_block,
     run_baseline,
 )
-from ira.primary import Hint, HintDb, Source, hint_from_sets, run_primary, run_primary_block
-from ira.store import Account, ArchivalStore, CostModel, Effects, StorageKey, ZERO_WORD
+from ira.primary import Hint, HintDb, Source, run_primary, run_primary_block
+from ira.store import Account, ArchivalStore, CostMeter, CostModel, Effects, StorageKey, ZERO_WORD
 from ira.workload import (
     Block,
     GeneratorParams,
@@ -28,7 +28,17 @@ from ira.workload import (
     derive_genesis,
 )
 
-from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word, reroute_zero_key_to_plain, storage_read, storage_write
+from conftest import (
+    demo_params,
+    generate_trace,
+    hint_from_sets,
+    mk_addr,
+    mk_key,
+    mk_word,
+    reroute_zero_key_to_plain,
+    storage_read,
+    storage_write,
+)
 
 
 # -- plan_prefetch -------------------------------------------------------------------
@@ -648,7 +658,7 @@ def test_pipeline_bounded_channel_limits_producer_lead(pipeline_world):
     assert metrics_wide.wall_cost <= metrics.wall_cost  # more buffering never hurts
     # here the one-batch channel holds the producer back; the walls are
     # pinned so that any change to the pipeline's clock shows
-    assert (metrics.wall_cost, metrics_wide.wall_cost) == (58193, 35009)
+    assert (metrics.wall_cost, metrics_wide.wall_cost) == (58625, 35116)
 
 
 def test_pipeline_holds_one_batch_of_caches_at_most(pipeline_world, monkeypatch):
@@ -692,6 +702,29 @@ def test_baseline_second_access_within_block_free():
     # one storage fetch (2 seeks) + three account misses; second read is free of I/O
     expected_io = 2 * model.c_random_seek + 3 * 2 * model.c_random_seek
     assert metrics.rows[0].io_cost == expected_io
+
+
+def test_baseline_pays_the_original_value_read_of_a_write_first_key(monkeypatch):
+    # SSTORE reads a slot's original value: a block whose only storage op
+    # writes a key it never read charges the baseline one as-of read for it
+    k = mk_key(1)
+    store = ArchivalStore()
+    store.seed_genesis(storage={k: mk_word(3)})
+    block = Block(1, mk_addr(250), [Transaction(mk_addr(1), mk_addr(2), [storage_write(k, mk_word(4))])])
+    charged = []
+    charge_as_of = CostMeter.charge_as_of
+
+    def record(meter, found):
+        charged.append(found)
+        charge_as_of(meter, found)
+
+    monkeypatch.setattr(CostMeter, "charge_as_of", record)
+    [row] = run_baseline([block], store).rows
+    seek = store.cost_model.c_random_seek
+    # the slot (found in the plain table), then three absent accounts
+    assert charged == [True, False, False, False]
+    assert row.io_cost == 2 * seek + 3 * seek
+    assert row.reads == 1 + 3
 
 
 def test_baseline_cross_block_lru_hit():

@@ -131,8 +131,9 @@ def test_primary_sidecar_reports_hint_cost_share(demo_pipeline):
         exec_end += int(r["exec_cost"])
         hint_end = max(exec_end, hint_end) + int(r["hint_construct_cost"]) + int(r["serialize_cost"])
     meta = json.loads((d / "primary.csv.meta.json").read_text())
-    assert 0 < meta["hint_cost_share"] == round(construct / execute, 6)
-    assert meta["hint_cost_share"] < meta["sequential_overhead"] == round((construct + serialize) / execute, 6)
+    # every route comes from a read of the block, so building a hint seeks nothing
+    assert construct == 0 == meta["hint_cost_share"]
+    assert 0 < meta["sequential_overhead"] == round((construct + serialize) / execute, 6)
     assert 0 < meta["pipelined_overhead"] == round(hint_end / execute - 1, 6)
     assert meta["pipelined_overhead"] <= meta["sequential_overhead"]
 

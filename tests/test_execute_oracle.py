@@ -1,15 +1,15 @@
 """``execute_block`` against a reference copy of its earlier loop.
 
-The reference keeps per-op counters, three access sets filled op by op and
-an access log built inside the loop. The loop under test derives all of
-these after the fact, so the two must agree on every ``ExecResult`` field,
-on the meter totals, and on the exact sequence of view calls (the baseline's
-cross-block LRU depends on that order).
+The reference keeps per-op counters, reads a written key's original value
+op by op, and builds the access log inside the loop. The loop under test
+derives the read count and the log after the fact, so the two must agree on
+every ``ExecResult`` field, on the meter totals, and on the exact sequence of
+view calls (the baseline's cross-block LRU depends on that order).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -36,16 +36,13 @@ _EMPTY = Account()
 
 
 def reference_execute_block(block: Block, view, meter: Optional[CostMeter] = None, collect_log: bool = False) -> ExecResult:
-    """The execution loop as it was before the access sets, the read count
-    and the access log moved out of it."""
+    """The execution loop as it was before the read count and the access log
+    moved out of it, with ``SSTORE``'s original-value read."""
     storage_overlay: Dict[StorageKey, bytes] = {}
     storage_memo: Dict[StorageKey, bytes] = {}
     account_overlay: Dict[bytes, Account] = {}
     account_memo: Dict[bytes, Optional[Account]] = {}
     code_memo: Dict[bytes, Optional[bytes]] = {}
-    storage_set: Set[StorageKey] = set()
-    account_set: Set[bytes] = set()
-    code_set: Set[bytes] = set()
     log: Optional[List[Tuple[str, bytes]]] = [] if collect_log else None
 
     ops = 0
@@ -54,7 +51,6 @@ def reference_execute_block(block: Block, view, meter: Optional[CostMeter] = Non
     def read_account(addr: bytes) -> Optional[Account]:
         nonlocal reads
         reads += 1
-        account_set.add(addr)
         if log is not None:
             log.append(("A", addr))
         acc = account_overlay.get(addr, _UNSET)
@@ -71,7 +67,6 @@ def reference_execute_block(block: Block, view, meter: Optional[CostMeter] = Non
             ops += 1
             if kind == 0:  # STORAGE_READ
                 reads += 1
-                storage_set.add(key)
                 if log is not None:
                     log.append(("S", key))
                 v = storage_overlay.get(key)
@@ -81,15 +76,16 @@ def reference_execute_block(block: Block, view, meter: Optional[CostMeter] = Non
                         v = view.get_storage(key)
                         storage_memo[key] = v
             elif kind == 1:  # STORAGE_WRITE
-                storage_set.add(key)
                 if log is not None:
                     log.append(("S", key))
+                if key not in storage_overlay and key not in storage_memo:
+                    reads += 1  # SSTORE reads the slot's original value
+                    storage_memo[key] = view.get_storage(key)
                 storage_overlay[key] = value
             elif kind == 2:  # ACCOUNT_READ
                 read_account(key)
             else:  # CODE_LOAD
                 reads += 1
-                code_set.add(key)
                 if log is not None:
                     log.append(("C", key))
                 c = code_memo.get(key, _UNSET)
@@ -121,9 +117,8 @@ def reference_execute_block(block: Block, view, meter: Optional[CostMeter] = Non
         effects=effects,
         op_count=ops,
         read_count=reads,
-        storage_keys=storage_set,
-        account_addrs=account_set,
-        code_addrs=code_set,
+        account_memo=account_memo,
+        code_memo=code_memo,
         access_log=log,
     )
 

@@ -1,7 +1,8 @@
 """Randomized invariants over seeded inputs: a routed read equals
 ``read_as_of``, also for keys a hint routes as change-set that
 the store resolves to plain or zero, the primary's hint equals one built
-by locating every key afresh, the pipelined primary loop yields what a
+by locating every key afresh, every engine asks its view for each storage
+key of a block exactly once, the pipelined primary loop yields what a
 sequential one does and ``run-primary`` writes its hint database byte for
 byte, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
@@ -20,26 +21,25 @@ from pathlib import Path
 
 import pytest
 
-from ira.backup import PipelineConfig, pipeline_run, plan_prefetch, prefetch
+from ira.backup import BaselineView, BlockCache, PipelineConfig, pipeline_run, plan_prefetch, prefetch, run_baseline
 from ira.cli import EXIT_OK, main
 from ira.primary import (
     DigestLog,
     Hint,
     HintDb,
     Source,
-    annotate_sources,
+    _RouteView,
     compress_hint,
     decompress_hint,
-    hint_from_sets,
     parse_hint,
     run_primary,
     run_primary_block,
     serialize_hint,
 )
 from ira.store import Account, ArchivalStore, CostMeter, Effects, StoreView
-from ira.workload import build_store, derive_genesis, execute_block, save_trace
+from ira.workload import build_store, collect_storage_keys, derive_genesis, execute_block, save_trace
 
-from conftest import demo_params, generate_trace, history_entries, mk_addr, mk_key, mk_word
+from conftest import demo_params, generate_trace, hint_from_sets, history_entries, locate_sources, mk_addr, mk_key, mk_word
 
 
 def _random_store(rng: random.Random):
@@ -64,7 +64,7 @@ def test_routed_values_equal_read_as_of():
     for case in range(2000):
         store, keys, addrs = _random_store(rng)
         for b in range(1, store.head_block + 2):
-            entries = annotate_sources(keys, store, b)
+            entries = locate_sources(keys, store, b)
             cache = prefetch(plan_prefetch([Hint(b, entries, addrs, [])]), store, workers=1).caches[b]
             for key, src in entries:
                 assert cache.storage[key] == store.read_as_of(key, b), (case, b, src)
@@ -128,16 +128,22 @@ def test_changeset_routed_batches_equal_read_as_of():
     assert min(resolved[kind] for kind in ("changeset", "plain", "zero")) > 100, resolved
 
 
+def _random_params(rng: random.Random, min_blocks: int, max_blocks: int):
+    """A small random world's generator params, with from ``min_blocks`` to
+    ``max_blocks - 1`` blocks."""
+    return demo_params(blocks=rng.randrange(min_blocks, max_blocks), seed=rng.randrange(1 << 30))._replace(
+        ephemeral_key_fraction=rng.random(),
+        hot_key_share=rng.random(),
+        read_write_ratio=rng.uniform(0.25, 12.0),
+    )
+
+
 def test_primary_hint_equals_one_located_afresh():
-    # the primary takes each read key's source from the read; locating every
-    # key again, as a one-seek-per-key annotation does, gives the same bytes
+    # the primary takes each key's source from the read; locating every key
+    # of the block's ops again, one seek per key, gives the same bytes
     rng = random.Random(61)
     for case in range(150):
-        params = demo_params(blocks=rng.randrange(2, 8), seed=rng.randrange(1 << 30))._replace(
-            ephemeral_key_fraction=rng.random(),
-            hot_key_share=rng.random(),
-            read_write_ratio=rng.uniform(0.25, 12.0),
-        )
+        params = _random_params(rng, 2, 8)
         trace = generate_trace(params)
         store = build_store(trace, derive_genesis(params))
         for block in trace:
@@ -145,11 +151,64 @@ def test_primary_hint_equals_one_located_afresh():
             r = run_primary_block(block, store)
             meter = CostMeter(store.cost_model)
             plain = execute_block(block, StoreView(store, b, meter), meter)
-            entries = annotate_sources(plain.storage_keys, store, b)
-            fresh = hint_from_sets(b, entries, plain.account_addrs, plain.code_addrs)
+            entries = locate_sources(collect_storage_keys([block]), store, b)
+            fresh = hint_from_sets(b, entries, plain.account_memo, plain.code_memo)
             assert serialize_hint(r.hint) == serialize_hint(fresh), (case, b)
             assert r.exec_cost == meter.total, (case, b)
-            assert r.hint_construct_cost <= len(entries) * store.cost_model.c_random_seek, (case, b)
+            assert r.hint_construct_cost == 0, (case, b)
+
+
+def _reads_from_ops(block) -> int:
+    """The read count of a block from its ops alone: every op but a write,
+    one original-value read per key first accessed by a write, and three
+    account reads per transaction."""
+    ops = writes = 0
+    first_kind = {}
+    for tx in block.txs:
+        for kind, key, _ in tx.ops:
+            ops += 1
+            writes += kind == 1
+            if kind <= 1:
+                first_kind.setdefault(key, kind)
+    return ops - writes + sum(kind == 1 for kind in first_kind.values()) + 3 * len(block.txs)
+
+
+def test_every_engine_asks_its_view_for_each_storage_key_once(tmp_path, monkeypatch):
+    # a block asks its view for each storage key it touches, a written one
+    # for its original value, and never twice: so the routes the primary's
+    # view keeps cover the whole hint, and the baseline pays for what the
+    # backup prefetches
+    calls = []
+
+    def counting(view_class):
+        get = view_class.get_storage
+
+        def get_storage(self, key):
+            calls.append((type(self).__name__, self.block_number, key))
+            return get(self, key)
+
+        monkeypatch.setattr(view_class, "get_storage", get_storage)
+
+    for view_class in (StoreView, _RouteView, BaselineView, BlockCache):
+        counting(view_class)
+    rng = random.Random(71)
+    for case in range(100):
+        params = _random_params(rng, 1, 9)
+        trace = generate_trace(params)
+        calls.clear()
+        store = build_store(trace, derive_genesis(params))
+        with HintDb(tmp_path / f"{case}.db") as db:
+            for r in run_primary(trace, store):
+                db.write_hint(r.block_number, r.compressed_bytes)
+            baseline = run_baseline(trace, store)
+            assert pipeline_run(trace, store, db).fallback_blocks == 0, case
+        assert pipeline_run(trace, store, None).fallback_blocks == len(trace), case
+        once = Counter((b.number, k) for b in trace for k in collect_storage_keys([b]))
+        # build-store and the fallback both read through a StoreView
+        expected = {"StoreView": once + once, "_RouteView": once, "BaselineView": once, "BlockCache": once}
+        for name, want in expected.items():
+            assert Counter((b, k) for view, b, k in calls if view == name) == want, (case, name)
+        assert [row.reads for row in baseline.rows] == [_reads_from_ops(b) for b in trace], case
 
 
 def _sequential_primary(trace, store):
@@ -171,11 +230,7 @@ def test_pipelined_primary_equals_a_sequential_loop(tmp_path):
     try:
         rng = random.Random(67)
         for case in range(200):
-            params = demo_params(blocks=rng.randrange(1, 9), seed=rng.randrange(1 << 30))._replace(
-                ephemeral_key_fraction=rng.random(),
-                hot_key_share=rng.random(),
-                read_write_ratio=rng.uniform(0.25, 12.0),
-            )
+            params = _random_params(rng, 1, 9)
             trace = generate_trace(params)
             store = build_store(trace, derive_genesis(params))
             expected = _sequential_primary(trace, store)
@@ -209,11 +264,7 @@ def test_pipelined_primary_equals_a_sequential_loop(tmp_path):
 def test_hinted_digests_equal_fallback_digests():
     rng = random.Random(43)
     for case in range(300):
-        params = demo_params(blocks=rng.randrange(2, 10), seed=rng.randrange(1 << 30))._replace(
-            ephemeral_key_fraction=rng.random(),
-            hot_key_share=rng.random(),
-            read_write_ratio=rng.uniform(0.25, 12.0),
-        )
+        params = _random_params(rng, 2, 10)
         batch = rng.randrange(1, 5)
         cfg = PipelineConfig(
             batch_size=batch,

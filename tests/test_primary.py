@@ -17,10 +17,9 @@ from ira.primary import (
     HintIntegrityError,
     SerializationError,
     Source,
-    annotate_sources,
+    _RouteView,
     compress_hint,
     decompress_hint,
-    hint_from_sets,
     parse_hint,
     raw_hint_size,
     run_primary,
@@ -32,7 +31,7 @@ from ira.store import Account, ArchivalStore, CostMeter, Effects, OrderingError,
 from ira.workload import build_store, derive_genesis, execute_block
 from ira.store import StoreView
 
-from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word
+from conftest import demo_params, generate_trace, hint_from_sets, mk_addr, mk_key, mk_word
 
 
 def random_key(rng: random.Random) -> StorageKey:
@@ -49,6 +48,13 @@ def random_hint(rng: random.Random, n_storage=None, n_accounts=None, n_codes=Non
 # -- source annotation --------------------------------------------------------------
 
 
+def route_of(store: ArchivalStore, key: StorageKey, block_number: int) -> Source:
+    """The source the primary's view records when a block reads ``key``."""
+    view = _RouteView(store, block_number, CostMeter(store.cost_model))
+    view.get_storage(key)
+    return view.routes[key]
+
+
 def three_block_store():
     store = ArchivalStore()
     store.apply_block(1, Effects(storage={mk_key(1): mk_word(10)}))
@@ -59,26 +65,22 @@ def three_block_store():
 
 def test_never_written_key_is_zero():
     store = three_block_store()
-    [(key, src)] = annotate_sources([mk_key(9)], store, 2)
-    assert src == Source.ZERO
+    assert route_of(store, mk_key(9), 2) == Source.ZERO
 
 
 def test_key_modified_before_query_only_is_plain():
     store = three_block_store()
-    [(key, src)] = annotate_sources([mk_key(2)], store, 3)
-    assert src == Source.PLAIN
+    assert route_of(store, mk_key(2), 3) == Source.PLAIN
 
 
 def test_key_modified_at_or_after_query_is_changeset():
     store = three_block_store()
-    [(key, src)] = annotate_sources([mk_key(1)], store, 3)
-    assert src == Source.CHANGESET
+    assert route_of(store, mk_key(1), 3) == Source.CHANGESET
     # and five blocks ahead of the query point
     store2 = ArchivalStore()
     for b in range(1, 7):
         store2.apply_block(b, Effects(storage={mk_key(5): mk_word(b)} if b == 6 else {}))
-    [(key, src)] = annotate_sources([mk_key(5)], store2, 1)
-    assert src == Source.CHANGESET
+    assert route_of(store2, mk_key(5), 1) == Source.CHANGESET
 
 
 def test_source_byte_values_are_fixed():
@@ -92,7 +94,8 @@ def test_source_routing_matches_read_as_of():
     store = three_block_store()
     keys = [mk_key(1), mk_key(2), mk_key(9)]
     for block_number in (1, 2, 3, 4):
-        for key, src in annotate_sources(keys, store, block_number):
+        for key in keys:
+            src = route_of(store, key, block_number)
             expect = store.read_as_of(key, block_number)
             if src == Source.ZERO:
                 routed = b"\x00" * 32
@@ -101,15 +104,6 @@ def test_source_routing_matches_read_as_of():
             else:
                 routed = store.read_as_of(key, block_number)
             assert routed == expect, (key, block_number, src)
-
-
-def test_annotation_cost_linear_in_key_count():
-    store = three_block_store()
-    model = store.cost_model
-    for n in (1, 10, 50):
-        meter = CostMeter(model)
-        annotate_sources([mk_key(100 + i) for i in range(n)], store, 2, meter)
-        assert meter.total == n * model.c_random_seek
 
 
 # -- serialization ------------------------------------------------------------------
@@ -325,11 +319,10 @@ def test_primary_mode_preconditions(demo_world):
         run_primary_block(trace[1], short_store)
 
 
-def test_hint_construct_cost_counts_write_first_keys(demo_world):
-    # a key the block read from the store has its source from that read; only
-    # a key the block wrote before any read costs a history-index seek
+def test_hint_holds_every_storage_key_at_no_construct_cost(demo_world):
+    # a key the block writes before it reads it is read for its original
+    # value too, so every key's source comes from a read and none is sought
     _, trace, store = demo_world
-    model = store.cost_model
     total_write_first = 0
     for block in trace:
         first_kind = {}
@@ -337,11 +330,10 @@ def test_hint_construct_cost_counts_write_first_keys(demo_world):
             for kind, key, _ in tx.ops:
                 if kind in (0, 1):  # STORAGE_READ, STORAGE_WRITE
                     first_kind.setdefault(key, kind)
-        write_first = sum(kind == 1 for kind in first_kind.values())
         r = run_primary_block(block, store)
         assert [k for k, _ in r.hint.storage_entries] == sorted(first_kind)
-        assert r.hint_construct_cost == write_first * model.c_random_seek
-        total_write_first += write_first
+        assert r.hint_construct_cost == 0
+        total_write_first += sum(kind == 1 for kind in first_kind.values())
     assert total_write_first > 0
 
 
@@ -373,18 +365,6 @@ def test_run_primary_closed_after_its_first_result_leaves_no_worker(demo_world, 
     results.close()
     assert threading.active_count() == threads
     assert sys.getswitchinterval() == interval
-
-
-def test_annotation_takes_known_routes_without_a_seek():
-    store = three_block_store()
-    model = store.cost_model
-    keys = [mk_key(1), mk_key(2), mk_key(9)]
-    meter = CostMeter(model)
-    # the known sources need not be the store's: they are taken as given
-    known = {mk_key(1): Source.ZERO, mk_key(9): Source.PLAIN}
-    entries = annotate_sources(keys + keys, store, 3, meter, known)
-    assert entries == [(mk_key(1), Source.ZERO), (mk_key(2), Source.PLAIN), (mk_key(9), Source.PLAIN)]
-    assert meter.total == model.c_random_seek
 
 
 def test_serialization_order_matches_prefetch_order(demo_world):

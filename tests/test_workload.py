@@ -65,17 +65,30 @@ def test_write_then_read_observes_write():
 
 
 class ExplodingStorageView(DictView):
-    """Proves a read was served by the overlay: reaching the view is an error."""
+    """Proves a read was served by the overlay: asking for a storage key a
+    second time is an error."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
 
     def get_storage(self, key):
-        raise AssertionError(f"read of {key!r} fell through to the base view")
+        if key in self.asked:
+            raise AssertionError(f"read of {key!r} fell through to the base view")
+        self.asked.append(key)
+        return super().get_storage(key)
 
 
 def test_read_after_write_never_touches_base_view():
+    # the write reads the slot's original value once, as SSTORE does; the
+    # read after it is served by the overlay
     k = mk_key(1)
-    block = one_tx_block([storage_write(k, mk_word(5)), storage_read(k)])
-    result = execute_block(block, ExplodingStorageView())
-    assert result.effects.storage == {k: mk_word(5)}
+    block = one_tx_block([storage_write(k, mk_word(5)), storage_write(k, mk_word(6)), storage_read(k)])
+    view = ExplodingStorageView()
+    result = execute_block(block, view)
+    assert result.effects.storage == {k: mk_word(6)}
+    assert view.asked == [k]
+    assert result.read_count == 1 + 1 + 3  # original value, the read, three accounts
 
 
 def test_read_write_read_hand_walk():
@@ -102,7 +115,6 @@ def test_cross_tx_visibility_within_block():
     result = execute_block(block, DictView(), collect_log=True)
     # the second tx's read does not fall back to the view: the overlay serves it
     assert result.effects.storage[k] == mk_word(77)
-    assert k in result.storage_keys
 
 
 def test_fee_flow_updates_sender_and_beneficiary():
@@ -113,7 +125,7 @@ def test_fee_flow_updates_sender_and_beneficiary():
     fee = 2  # one op + 1
     assert result.effects.accounts[sender] == Account(balance=100 - fee, nonce=5)
     assert result.effects.accounts[beneficiary] == Account(balance=1 + fee)
-    assert {sender, beneficiary, mk_addr(202)} <= result.account_addrs
+    assert {sender, beneficiary, mk_addr(202)} <= result.account_memo.keys()
 
 
 def test_effects_keep_last_write_only():
