@@ -6,14 +6,12 @@ routes each entry by its source byte:
 
 * plain keys: one forward cursor walk over the plain storage table
 * zero keys: filled with the zero word, no I/O
-* change-set keys: resolved as of each block via three sorted walks (history
-  index over the unique keys, change-set fetches ordered by (n, key) where n
-  is the first modification at or after the block, plain fetches for keys no
-  later block modified); blocks that resolve to the same n share one fetch
-* accounts: resolved as of each block via three sorted walks (history index,
-  change-set fetches ordered by (block, address), plain fetches); account
-  values change from block to block, so plain-table shortcuts would corrupt
-  replay
+* change-set keys and accounts, by one rule: resolved as of each block via
+  three sorted walks (history index over the unique keys, change-set fetches
+  ordered by (n, key) where n is the first modification at or after the
+  block, plain fetches for keys no later block modified); blocks that
+  resolve to the same n share one fetch. Account values change from block
+  to block, so plain-table shortcuts would corrupt replay
 * codes: sorted walks over the account and bytecode tables (bytecode is
   immutable, so the plain tables are authoritative at any block)
 
@@ -213,26 +211,33 @@ class PrefetchResult(NamedTuple):
 
 def _resolve(
     table: VersionedTable,
-    keys: Iterable[bytes],
-    block: int,
-    values: Dict[bytes, Any],
-    fetches: List[Tuple[int, bytes]],
-    plain_keys: Set[bytes],
-) -> None:
-    """Resolve ``keys`` as of ``block`` with ``table.locate``.
+    per_block: Iterable[Tuple[int, Sequence[bytes], Dict[bytes, Any]]],
+    workers: int,
+    model: CostModel,
+) -> Tuple[int, int, int]:
+    """Resolve each block's keys as of that block with ``table.locate``.
 
-    Puts the value of each key in ``values`` (``table.absent`` for an absent
-    key), the ``(n, key)`` change-set fetch of each key that has one in
-    ``fetches``, and each key read from the plain table in ``plain_keys``.
+    ``per_block`` yields ``(block, keys, values)``; the value of each key
+    goes in ``values`` (``table.absent`` for an absent key). Returns the
+    three walls: the history consult over the unique keys, the change-set
+    fetches over the unique ``(n, key)`` pairs (blocks that resolve to the
+    same ``n`` share one) and the plain reads over the unique keys that no
+    later block modified.
     """
     locate, absent = table.locate, table.absent
-    for key in keys:
-        n, value = locate(key, block)
-        if n is not None:
-            fetches.append((n, key))
-        elif value is not None:
-            plain_keys.add(key)
-        values[key] = absent if value is None else value
+    consult: Set[bytes] = set()
+    fetches: Set[Tuple[int, bytes]] = set()
+    plain_keys: Set[bytes] = set()
+    for block, keys, values in per_block:
+        consult.update(keys)
+        for key in keys:
+            n, value = locate(key, block)
+            if n is not None:
+                fetches.add((n, key))
+            elif value is not None:
+                plain_keys.add(key)
+            values[key] = absent if value is None else value
+    return tuple(walk_wall(len(part), workers, model) for part in (consult, fetches, plain_keys))
 
 
 def prefetch(plan: PrefetchPlan, store: ArchivalStore, *, workers: int) -> PrefetchResult:
@@ -257,26 +262,13 @@ def prefetch(plan: PrefetchPlan, store: ArchivalStore, *, workers: int) -> Prefe
         blocks = [b for b in plan.blocks if key in plan.runs[b].plain]
         raise PrefetchError(f"plain-routed key missing from plain storage: {key.hex()}", blocks) from None
 
-    # change-set keys and accounts: a history consult over the unique keys,
-    # then block-dependent values from a change-set walk and a plain walk
-    # over the keys no later block modified
-    cs_fetches: List[Tuple[int, bytes]] = []
-    cs_plain: Set[bytes] = set()
-    acct_fetches: List[Tuple[int, bytes]] = []
-    acct_plain: Set[bytes] = set()
-    for b, cache in caches.items():
-        _resolve(store.storage, plan.runs[b].changeset, b, cache.storage, cs_fetches, cs_plain)
-        _resolve(store.accounts, plan.per_block[b].accounts, b, cache.accounts, acct_fetches, acct_plain)
-    walls["changeset_consult"] = walk_wall(len({key for key, _ in plan.changeset_pairs}), workers, model)
-    walls["changeset_fetch"] = walk_wall(len(set(cs_fetches)), workers, model)
-    walls["changeset_plain"] = walk_wall(len(cs_plain), workers, model)
-    walls["account_consult"] = walk_wall(len({addr for addr, _ in plan.account_pairs}), workers, model)
-    # Storage prices its unique (n, key) fetches, since blocks that resolve
-    # to the same n share one; accounts price one fetch per (address, block),
-    # walked in (block, address) order. Sharing account fetches as well would
-    # change the simulated account cost.
-    walls["account_fetch"] = walk_wall(len(acct_fetches), workers, model)
-    walls["account_plain"] = walk_wall(len(acct_plain), workers, model)
+    # change-set keys and accounts: block-dependent values, by one rule
+    walls["changeset_consult"], walls["changeset_fetch"], walls["changeset_plain"] = _resolve(
+        store.storage, ((b, plan.runs[b].changeset, cache.storage) for b, cache in caches.items()), workers, model
+    )
+    walls["account_consult"], walls["account_fetch"], walls["account_plain"] = _resolve(
+        store.accounts, ((b, plan.per_block[b].accounts, cache.accounts) for b, cache in caches.items()), workers, model
+    )
 
     # codes: bytecode is immutable, so plain account and bytecode tables are
     # authoritative for any block

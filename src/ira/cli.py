@@ -148,12 +148,13 @@ def cmd_run_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _undo_appends(path: Path, torn_bytes: int) -> Callable[[], None]:
-    """A function that puts the file at ``path`` back as it is now, after
-    appends to it: cut back to its present length, with its torn tail of
-    ``torn_bytes`` (which an append cuts off first) written back. A file that
-    does not exist now is deleted."""
-    if not path.exists():
+def _undo_appends(path: Path, existed: bool, torn_bytes: int) -> Callable[[], None]:
+    """A function that puts the file at ``path``, which a writer has just
+    opened, back as the writer found it after the writer appends to it:
+    deleted if it did not exist before (``existed``), else cut back to its
+    present length, with its torn tail of ``torn_bytes`` (which an append
+    cuts off first) written back."""
+    if not existed:
         return lambda: path.unlink(missing_ok=True)
     keep = path.stat().st_size - torn_bytes
     with open(path, "rb") as f:
@@ -172,66 +173,50 @@ def _undo_appends(path: Path, torn_bytes: int) -> Callable[[], None]:
 def cmd_run_primary(args: argparse.Namespace) -> int:
     from .config import load_config
     from .primary import DigestLog, HintDb, run_primary
-    from .workload import iter_trace_file, trace_block_numbers
+    from .workload import iter_trace_file
 
     cfg = load_config(args.config)
-    trace_path = Path(args.trace)
+    store = _load_store(args, cfg)
     hints_path = _out(args, args.hints_out)
     digests_path = _out(args, args.digests_out) if args.digests_out else None
-    # One hint and one digest per block: refuse before any output is touched
-    # if the hint database, else the digest log, already holds a block of the
-    # trace, naming the first such block in trace order.
-    held = []
-    hints_torn = 0
-    if hints_path.exists():
-        with HintDb(hints_path, create=False) as db:
-            held.append((hints_path, "hint", set(db.blocks())))
-            hints_torn = db.torn_bytes
-    digest_log = None
-    if digests_path is not None:
-        digest_log = DigestLog(digests_path)
-        if digests_path.exists():
-            held.append((digests_path, "digest", digest_log.read_all()))
-    for path, what, blocks in held:
-        clash = next((b for b in trace_block_numbers(trace_path) if b in blocks), None)
-        if clash is not None:
-            print(f"run-primary: {path} already holds a {what} for block {clash}", file=sys.stderr)
-            return EXIT_CONFIG
-    store = _load_store(args, cfg)
     report = _out(args, args.report)
-    # A run that fails, on a bad trace record, an unwritable output or in a
-    # hint's deflate, puts both logs back as it found them, so that a rerun
-    # is not refused as a clash, and removes its report.
-    undo = [_undo_appends(hints_path, hints_torn)]
-    if digest_log is not None:
-        undo.append(_undo_appends(digests_path, digest_log.torn_bytes))
-    hint_db = None
+    # One hint and one digest per block: a log that already holds a block of
+    # the trace refuses it when the block is written. That failure, like one
+    # on a bad trace record, an unwritable output or in a hint's deflate,
+    # puts both logs back as the writers found them, so that a rerun is not
+    # refused as a clash, and removes a report this run began to write.
+    digest_log = None
+    undo = []
+    if digests_path is not None:
+        existed = digests_path.exists()
+        digest_log = DigestLog(digests_path)
+        undo.append(_undo_appends(digests_path, existed, digest_log.torn_bytes))
+    existed = hints_path.exists()
+    hint_db = HintDb(hints_path)
+    undo.append(_undo_appends(hints_path, existed, hint_db.torn_bytes))
     rows = []
     # every write below stays on this thread, in block order
-    results = run_primary(iter_trace_file(trace_path), store)
+    results = run_primary(iter_trace_file(Path(args.trace)), store)
     try:
-        hint_db = HintDb(hints_path)
-        undo.append(lambda: report.unlink(missing_ok=True))
         for result in results:
             b = result.block_number
             hint_db.write_hint(b, result.compressed_bytes)
             if digest_log is not None:
                 digest_log.write(b, result.digest)
             rows.append(
-                (b, result.exec_cost, result.hint_construct_cost, result.serialize_cost,
-                 len(result.raw_bytes), len(result.compressed_bytes))
+                (b, result.exec_cost, result.serialize_cost, len(result.raw_bytes), len(result.compressed_bytes))
             )
         hint_db.close()
+        undo.append(lambda: report.unlink(missing_ok=True))
         _write_report(
             report,
-            ("block", "exec_cost", "hint_construct_cost", "serialize_cost", "raw_bytes", "compressed_bytes"),
+            ("block", "exec_cost", "serialize_cost", "raw_bytes", "compressed_bytes"),
             rows,
             _run_meta("run-primary", cfg, store, len(rows), **_primary_overheads(rows)),
         )
     except BaseException:
         results.close()  # joins the deflate worker
-        if hint_db is not None:
-            hint_db.close()  # before the undo cuts its file
+        hint_db.close()  # before the undo cuts its file
         for restore in undo:
             restore()
         raise
@@ -241,24 +226,21 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
 
 def _primary_overheads(rows: Sequence[tuple]) -> Dict[str, float]:
     """The primary's hint cost over its execution cost, from the report's
-    rows: the direct construct cost (``hint_cost_share``, 0 since every
-    route comes from a read); construct plus serialize when each hint is
-    built after its block runs (``sequential_overhead``); and the extra wall
-    when block ``b``'s hint is built while block ``b + 1`` runs
-    (``pipelined_overhead``)."""
+    rows. A hint costs only its serialization, since every route comes from
+    a read of the block: ``sequential_overhead`` when each hint is
+    serialized after its block runs, and ``pipelined_overhead``, the extra
+    wall when block ``b``'s hint is serialized while block ``b + 1`` runs."""
     exec_total = hint_end = 0  # the virtual clock: blocks run back to back
     for row in rows:
         exec_total += row[1]
-        hint_end = max(exec_total, hint_end) + row[2] + row[3]
-    construct_total = sum(row[2] for row in rows)
-    serialize_total = sum(row[3] for row in rows)
+        hint_end = max(exec_total, hint_end) + row[2]
+    serialize_total = sum(row[2] for row in rows)
 
     def share(cost: int) -> float:
         return round(cost / exec_total, 6) if exec_total else 0.0
 
     return {
-        "hint_cost_share": share(construct_total),
-        "sequential_overhead": share(construct_total + serialize_total),
+        "sequential_overhead": share(serialize_total),
         "pipelined_overhead": share(hint_end - exec_total),
     }
 

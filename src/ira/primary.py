@@ -86,8 +86,11 @@ class SerializationError(Exception):
     """Hint cannot be serialized (non-canonical input or count overflow)."""
 
 
-class HintConflictError(Exception):
-    """A hint was already written for this block number."""
+class HintConflictError(IraError):
+    """A hint database or digest log already holds a record for the block
+    being written: one hint and one digest per block."""
+
+    prefix = "run-primary"
 
 
 class HintIntegrityError(IraError):
@@ -286,7 +289,6 @@ class PrimaryBlockResult(NamedTuple):
     compressed_bytes: Optional[bytes]  # None until run_primary deflates the hint
     digest: bytes
     exec_cost: int
-    hint_construct_cost: int  # 0: every route comes from a read (run_primary_block)
     serialize_cost: int
 
 
@@ -298,8 +300,7 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
     replays history, and the hint's sources say where each value lives then.
     Execution reads through a view that keeps the source of every storage
     key it reads, and it reads every storage key of the block, so the hint
-    costs nothing to build beyond serializing it: ``hint_construct_cost`` is
-    always 0.
+    costs nothing to build: ``serialize_cost`` is all that it charges.
     """
     if store.head_block < block.number:
         raise OrderingError(f"primary needs store head >= {block.number}, have {store.head_block}")
@@ -321,7 +322,6 @@ def run_primary_block(block: Block, store: ArchivalStore) -> PrimaryBlockResult:
         compressed_bytes=None,
         digest=state_change_hash(result.effects),
         exec_cost=exec_meter.total,
-        hint_construct_cost=0,
         serialize_cost=serialize_cost,
     )
 
@@ -396,7 +396,8 @@ _HDB_REC = struct.Struct("<QII")  # block, payload length, crc32
 class HintDb:
     """Append-only block_number -> compressed-hint map in a single file.
 
-    One hint per block; duplicate writes raise. Reads return the exact stored
+    One hint per block: writing a block the file holds raises
+    ``HintConflictError`` and writes nothing. Reads return the exact stored
     bytes, ``None`` for absent blocks, and raise on checksum failure.
 
     A record cut short at the end of the file (a crash mid-append) is a torn
@@ -442,7 +443,7 @@ class HintDb:
 
     def write_hint(self, block_number: int, data: bytes) -> None:
         if block_number in self._index:
-            raise HintConflictError(f"hint for block {block_number} already written")
+            raise HintConflictError(f"{self.path} already holds a hint for block {block_number}")
         f = self._file
         if self.torn_bytes:
             f.truncate(self._end)
@@ -483,6 +484,8 @@ class HintDb:
 class DigestLog:
     """Append-only block_number -> 32-byte digest file (primary fingerprints).
 
+    One digest per block: opening reads the blocks the file holds, and
+    ``write`` of one of them raises ``HintConflictError`` and writes nothing.
     A record cut short at the end of the file (a crash mid-append) is a torn
     tail, whose length ``torn_bytes`` holds. ``read_all`` skips it; it never
     writes, and a missing file raises FileNotFoundError, so a reader never
@@ -493,14 +496,18 @@ class DigestLog:
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self.torn_bytes = self.path.stat().st_size % self._REC.size if self.path.exists() else 0
+        self.torn_bytes = 0
+        self._blocks = set(self.read_all()) if self.path.exists() else set()
 
     def write(self, block_number: int, digest: bytes) -> None:
+        if block_number in self._blocks:
+            raise HintConflictError(f"{self.path} already holds a digest for block {block_number}")
         with open(self.path, "ab") as f:
             torn = f.tell() % self._REC.size
             if torn:
                 f.truncate(f.tell() - torn)
             f.write(self._REC.pack(block_number, digest))
+        self._blocks.add(block_number)
 
     def read_all(self) -> Dict[int, bytes]:
         out: Dict[int, bytes] = {}

@@ -795,14 +795,3 @@ def iter_trace_file(path: Path) -> Iterator[Block]:
         keys: Dict[bytes, bytes] = {}  # interned across the file's blocks
         for payload in _iter_records(f, count):
             yield _decode_block(payload, keys)
-
-
-def trace_block_numbers(path: Path) -> Iterator[int]:
-    """The block numbers of a trace file, in file order, without decoding
-    the blocks."""
-    with open(path, "rb") as f:
-        _, count = read_trace_header(f)
-        for payload in _iter_records(f, count):
-            if len(payload) < 8:
-                raise TraceFormatError("truncated trace record")
-            yield _U64.unpack_from(payload)[0]

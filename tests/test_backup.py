@@ -150,18 +150,19 @@ def test_prefetch_wall_monotone_and_saturating():
 
 # The batch has 32 zero keys (free), 16 change-set pairs over 15 keys that
 # resolve to 15 (n, key) fetches and no plain or zero value, 43 account pairs
-# over 16 addresses (27 change-set fetches, 9 plain addresses), and 4 code
-# addresses with 4 bytecode hashes. With walk(n) = 100 + (ceil(n / j) - 1) * 2
-# and j = min(workers, 16, n), the walls, in ROUTES order without the empty
+# over 16 addresses (27 of them resolve to change sets, as 21 unique
+# (n, address) fetches; 9 plain addresses), and 4 code addresses with 4
+# bytecode hashes. With walk(n) = 100 + (ceil(n / j) - 1) * 2 and
+# j = min(workers, 16, n), the walls, in ROUTES order without the empty
 # plain and change-set plain walks, are:
-#   workers=1:  128 + 128 + 130 + 152 + 116 + 106 + 106 = 866
-#   workers=2:  114 + 114 + 114 + 126 + 108 + 102 + 102 = 780
+#   workers=1:  128 + 128 + 130 + 140 + 116 + 106 + 106 = 854
+#   workers=2:  114 + 114 + 114 + 120 + 108 + 102 + 102 = 774
 #   workers=16: 100 + 100 + 100 + 102 + 100 + 100 + 100 = 702
 @pytest.mark.parametrize(
     "workers, wall, per_block",
     [
-        (1, 866, {1: 151, 2: 133, 3: 169, 4: 169, 5: 107, 6: 137}),
-        (2, 780, {1: 136, 2: 120, 3: 152, 4: 152, 5: 96, 6: 124}),
+        (1, 854, {1: 149, 2: 132, 3: 167, 4: 167, 5: 105, 6: 134}),
+        (2, 774, {1: 135, 2: 119, 3: 151, 4: 151, 5: 95, 6: 123}),
         (16, 702, {1: 123, 2: 108, 3: 137, 4: 137, 5: 86, 6: 111}),
     ],
 )
@@ -657,8 +658,12 @@ def test_pipeline_bounded_channel_limits_producer_lead(pipeline_world):
     metrics_wide = pipeline_run(trace, store, db, wide)
     assert metrics_wide.wall_cost <= metrics.wall_cost  # more buffering never hurts
     # here the one-batch channel holds the producer back; the walls are
-    # pinned so that any change to the pipeline's clock shows
-    assert (metrics.wall_cost, metrics_wide.wall_cost) == (58625, 35116)
+    # pinned so that any change to the pipeline's clock shows. In three
+    # batches two blocks resolve one address to the same change set and
+    # share its fetch (73, 62 and 62 unique (n, address) fetches of 74, 63
+    # and 63), so each of those account_fetch walks is one step (2) shorter;
+    # both walls wait on all three, 6 in all
+    assert (metrics.wall_cost, metrics_wide.wall_cost) == (58619, 35110)
 
 
 def test_pipeline_holds_one_batch_of_caches_at_most(pipeline_world, monkeypatch):

