@@ -105,8 +105,9 @@ def cmd_build_store(args: argparse.Namespace) -> int:
         storage_keys = workload_mod.collect_storage_keys(workload_mod.iter_trace_file(trace_path))
     genesis = workload_mod.derive_genesis(params, storage_keys)
     store = workload_mod.build_store(workload_mod.iter_trace_file(trace_path), genesis, model)
-    store.save(_out(args, args.out))
-    print(f"build-store: applied {count} blocks, head={store.head_block}, saved to {args.out}")
+    out = _out(args, args.out)
+    store.save(out)
+    print(f"build-store: applied {count} blocks, head={store.head_block}, saved to {out}")
     return EXIT_OK
 
 
@@ -148,28 +149,6 @@ def cmd_run_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _undo_appends(path: Path, existed: bool, torn_bytes: int) -> Callable[[], None]:
-    """A function that puts the file at ``path``, which a writer has just
-    opened, back as the writer found it after the writer appends to it:
-    deleted if it did not exist before (``existed``), else cut back to its
-    present length, with its torn tail of ``torn_bytes`` (which an append
-    cuts off first) written back."""
-    if not existed:
-        return lambda: path.unlink(missing_ok=True)
-    keep = path.stat().st_size - torn_bytes
-    with open(path, "rb") as f:
-        f.seek(keep)
-        tail = f.read()
-
-    def undo() -> None:
-        with open(path, "r+b") as f:
-            f.truncate(keep)
-            f.seek(keep)
-            f.write(tail)
-
-    return undo
-
-
 def cmd_run_primary(args: argparse.Namespace) -> int:
     from .config import load_config
     from .primary import DigestLog, HintDb, run_primary
@@ -178,26 +157,24 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     store = _load_store(args, cfg)
     hints_path = _out(args, args.hints_out)
-    digests_path = _out(args, args.digests_out) if args.digests_out else None
     report = _out(args, args.report)
     # One hint and one digest per block: a log that already holds a block of
-    # the trace refuses it when the block is written. That failure, like one
-    # on a bad trace record, an unwritable output or in a hint's deflate,
-    # puts both logs back as the writers found them, so that a rerun is not
-    # refused as a clash, and removes a report this run began to write.
+    # the trace refuses it when the block is written, and a file of the
+    # other log's kind is refused on opening. Any failure, like one on a bad
+    # trace record, an unwritable output or in a hint's deflate, rolls both
+    # logs back to how they were opened, so that a rerun is not refused as a
+    # clash, and removes a report this run began to write.
     digest_log = None
-    undo = []
-    if digests_path is not None:
-        existed = digests_path.exists()
-        digest_log = DigestLog(digests_path)
-        undo.append(_undo_appends(digests_path, existed, digest_log.torn_bytes))
-    existed = hints_path.exists()
-    hint_db = HintDb(hints_path)
-    undo.append(_undo_appends(hints_path, existed, hint_db.torn_bytes))
+    undo: List[Callable[[], None]] = []
     rows = []
     # every write below stays on this thread, in block order
     results = run_primary(iter_trace_file(Path(args.trace)), store)
     try:
+        if args.digests_out:
+            digest_log = DigestLog(_out(args, args.digests_out), create=True)
+            undo.append(digest_log.rollback)
+        hint_db = HintDb(hints_path)
+        undo.append(hint_db.rollback)
         for result in results:
             b = result.block_number
             hint_db.write_hint(b, result.compressed_bytes)
@@ -206,7 +183,6 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
             rows.append(
                 (b, result.exec_cost, result.serialize_cost, len(result.raw_bytes), len(result.compressed_bytes))
             )
-        hint_db.close()
         undo.append(lambda: report.unlink(missing_ok=True))
         _write_report(
             report,
@@ -216,11 +192,13 @@ def cmd_run_primary(args: argparse.Namespace) -> int:
         )
     except BaseException:
         results.close()  # joins the deflate worker
-        hint_db.close()  # before the undo cuts its file
-        for restore in undo:
+        for restore in reversed(undo):
             restore()
         raise
-    print(f"run-primary: {len(rows)} blocks, hints -> {args.hints_out}")
+    hint_db.close()
+    if digest_log is not None:
+        digest_log.close()
+    print(f"run-primary: {len(rows)} blocks, hints -> {hints_path}")
     return EXIT_OK
 
 
@@ -255,8 +233,8 @@ def cmd_run_backup(args: argparse.Namespace) -> int:
     # read before any output is written: a missing log is a missing input
     expected = None
     if args.digests:
-        digest_log = DigestLog(Path(args.digests))
-        expected = digest_log.read_all()
+        with DigestLog(Path(args.digests)) as digest_log:
+            expected = digest_log.read_all()
         if digest_log.torn_bytes:
             # a crash mid-append; the torn block's digest is not checked
             print(f"run-backup: ignoring a torn tail of {digest_log.torn_bytes} bytes in {args.digests}", file=sys.stderr)

@@ -36,11 +36,15 @@ always 0x78, which can never collide with the header magic byte 0x48): the
 smaller of the zlib stream and the raw bytes is stored, so the compressed
 form never exceeds the raw form.
 
-The hint database is a single append-only file of CRC-checked records indexed
-by block number; rereads return exact bytes, absent blocks read as ``None``
-(hints are advisory), and corruption raises so callers can fall back. A torn
-tail (a record cut short by a crash mid-append) is skipped on open, so its
-block reads as absent.
+The primary writes two per-block logs, the hint database (``HintDb``) and the
+digest log (``DigestLog``), in one format: a header naming the log's kind,
+then append-only, CRC-checked records indexed by block number. ``HintDb``
+owns the format, and ``DigestLog`` differs only in its magic and noun, so a
+file of one kind is refused when opened as the other. Rereads return exact
+bytes, absent blocks read as ``None`` (hints are advisory), and corruption
+raises so callers can fall back. A torn tail (a record cut short by a crash
+mid-append) is skipped on open, so its block reads as absent. A writer can
+roll its appends back, leaving the file as it found it.
 """
 
 from __future__ import annotations
@@ -93,8 +97,9 @@ class HintConflictError(IraError):
     prefix = "run-primary"
 
 
-class HintIntegrityError(IraError):
-    """Stored hint bytes fail structural or checksum validation."""
+class HintIntegrityError(IraError, ValueError):
+    """Stored log bytes fail structural or checksum validation: an unreadable
+    input, so a caller that catches ``ValueError`` for one catches this too."""
 
     prefix = "hint database error"
 
@@ -386,70 +391,83 @@ def run_primary(blocks: Iterable[Block], store: ArchivalStore) -> Iterator[Prima
         sys.setswitchinterval(interval)
 
 
-# -- hint database ----------------------------------------------------------------
+# -- per-block logs --------------------------------------------------------------
 
-_HDB_MAGIC = b"HDB1"
-_HDB_HEADER = _HDB_MAGIC + struct.pack("<HH", 1, 0)
-_HDB_REC = struct.Struct("<QII")  # block, payload length, crc32
+_LOG_VERSION = struct.pack("<HH", 1, 0)  # u16 version, u16 reserved
+_LOG_REC = struct.Struct("<QII")  # block, payload length, crc32
 
 
 class HintDb:
-    """Append-only block_number -> compressed-hint map in a single file.
+    """Append-only block_number -> compressed-hint log in a single file: the
+    one per-block log, which ``DigestLog`` reuses for the primary's digests.
 
-    One hint per block: writing a block the file holds raises
-    ``HintConflictError`` and writes nothing. Reads return the exact stored
-    bytes, ``None`` for absent blocks, and raise on checksum failure.
+    A log is its kind's 8-byte header (``MAGIC``, then version and reserved
+    fields), then records of ``u64 block | u32 length | u32 crc32 |
+    payload``. A file without its kind's header, a log of the other kind
+    among them, is refused on opening, naming its path. One record per
+    block: writing a block the log holds raises ``HintConflictError`` and
+    writes nothing. Reads return the exact stored bytes, ``None`` for absent
+    blocks, and raise on checksum failure.
 
     A record cut short at the end of the file (a crash mid-append) is a torn
     tail: opening keeps every whole record before it and sets ``torn_bytes``,
     so the torn block reads as absent. A reader (``create=False``) never
-    writes to the file; a writer cuts the torn tail off before it appends.
+    writes to the file; a writer creates the file if it is missing, cuts the
+    torn tail off before it appends, and can ``rollback`` every append.
     """
+
+    MAGIC = b"HDB1"
+    NOUN = "hint"  # what a record holds
+    KIND = "hint database"  # what the file is
 
     def __init__(self, path: Path, create: bool = True):
         self.path = Path(path)
         self._index: Dict[int, Tuple[int, int]] = {}
-        if not self.path.exists():
+        self._created = not self.path.exists()
+        if self._created:
             if not create:
                 raise FileNotFoundError(self.path)
-            self.path.write_bytes(_HDB_HEADER)
+            self.path.write_bytes(self.MAGIC + _LOG_VERSION)
         self._file = open(self.path, "r+b" if create else "rb")
-        self._end = 0  # end of the last whole record
-        self.torn_bytes = 0  # bytes after it, until a writer cuts them off
         try:
             self._scan()
         except HintIntegrityError:
             self._file.close()
             raise
+        # a writer's rollback cuts the file back to _start and writes _tail
+        self._start = self._end
+        self._file.seek(self._end)
+        self._tail = self._file.read() if create else b""
 
     def _scan(self) -> None:
         f = self._file
         size = os.fstat(f.fileno()).st_size
-        if f.read(len(_HDB_HEADER)) != _HDB_HEADER:
-            raise HintIntegrityError("bad hint database header")
-        pos = len(_HDB_HEADER)
-        while pos + _HDB_REC.size <= size:
+        header = self.MAGIC + _LOG_VERSION
+        if f.read(len(header)) != header:
+            raise HintIntegrityError(f"bad {self.KIND} header in {self.path}")
+        pos = len(header)
+        while pos + _LOG_REC.size <= size:
             f.seek(pos)
-            block, length, _crc = _HDB_REC.unpack(f.read(_HDB_REC.size))
-            end = pos + _HDB_REC.size + length
+            block, length, _crc = _LOG_REC.unpack(f.read(_LOG_REC.size))
+            end = pos + _LOG_REC.size + length
             if end > size:
                 break
             if block in self._index:
-                raise HintIntegrityError(f"duplicate record for block {block}")
+                raise HintIntegrityError(f"duplicate record for block {block} in {self.path}")
             self._index[block] = (pos, length)
             pos = end
-        self._end = pos
-        self.torn_bytes = size - pos
+        self._end = pos  # end of the last whole record
+        self.torn_bytes = size - pos  # bytes after it, until a writer cuts them off
 
     def write_hint(self, block_number: int, data: bytes) -> None:
         if block_number in self._index:
-            raise HintConflictError(f"{self.path} already holds a hint for block {block_number}")
+            raise HintConflictError(f"{self.path} already holds a {self.NOUN} for block {block_number}")
         f = self._file
         if self.torn_bytes:
             f.truncate(self._end)
             self.torn_bytes = 0
         f.seek(self._end)
-        f.write(_HDB_REC.pack(block_number, len(data), zlib.crc32(data)))
+        f.write(_LOG_REC.pack(block_number, len(data), zlib.crc32(data)))
         f.write(data)
         f.flush()
         self._index[block_number] = (self._end, len(data))
@@ -462,14 +480,27 @@ class HintDb:
         pos, length = entry
         f = self._file
         f.seek(pos)
-        block, stored_len, crc = _HDB_REC.unpack(f.read(_HDB_REC.size))
+        block, stored_len, crc = _LOG_REC.unpack(f.read(_LOG_REC.size))
         payload = f.read(stored_len)
         if block != block_number or stored_len != length or zlib.crc32(payload) != crc:
-            raise HintIntegrityError(f"hint record for block {block_number} is corrupt")
+            raise HintIntegrityError(f"{self.NOUN} record for block {block_number} in {self.path} is corrupt")
         return payload
 
     def blocks(self) -> List[int]:
         return sorted(self._index)
+
+    def rollback(self) -> None:
+        """Close the log and put its file back as this writer opened it:
+        deleted if the writer created it, else cut back to its last whole
+        record with its torn tail written back."""
+        self._file.close()
+        if self._created:
+            self.path.unlink(missing_ok=True)
+            return
+        with open(self.path, "r+b") as f:
+            f.truncate(self._start)
+            f.seek(self._start)
+            f.write(self._tail)
 
     def close(self) -> None:
         self._file.close()
@@ -481,39 +512,21 @@ class HintDb:
         self.close()
 
 
-class DigestLog:
-    """Append-only block_number -> 32-byte digest file (primary fingerprints).
+class DigestLog(HintDb):
+    """Append-only block_number -> 32-byte state-change digest log (the
+    primary's fingerprints): a ``HintDb`` of its own kind. It opens as a
+    reader unless ``create`` is set, so ``DigestLog(path).read_all()`` of a
+    missing file raises FileNotFoundError and writes nothing."""
 
-    One digest per block: opening reads the blocks the file holds, and
-    ``write`` of one of them raises ``HintConflictError`` and writes nothing.
-    A record cut short at the end of the file (a crash mid-append) is a torn
-    tail, whose length ``torn_bytes`` holds. ``read_all`` skips it; it never
-    writes, and a missing file raises FileNotFoundError, so a reader never
-    creates one. ``write`` cuts a torn tail off before it appends, creating
-    the file if need be, so the records after it stay aligned."""
+    MAGIC = b"DLG1"
+    NOUN = "digest"
+    KIND = "digest log"
 
-    _REC = struct.Struct("<Q32s")
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self.torn_bytes = 0
-        self._blocks = set(self.read_all()) if self.path.exists() else set()
+    def __init__(self, path: Path, create: bool = False):
+        super().__init__(path, create)
 
     def write(self, block_number: int, digest: bytes) -> None:
-        if block_number in self._blocks:
-            raise HintConflictError(f"{self.path} already holds a digest for block {block_number}")
-        with open(self.path, "ab") as f:
-            torn = f.tell() % self._REC.size
-            if torn:
-                f.truncate(f.tell() - torn)
-            f.write(self._REC.pack(block_number, digest))
-        self._blocks.add(block_number)
+        self.write_hint(block_number, digest)
 
     def read_all(self) -> Dict[int, bytes]:
-        out: Dict[int, bytes] = {}
-        buf = self.path.read_bytes()
-        self.torn_bytes = len(buf) % self._REC.size
-        for off in range(0, len(buf) - self.torn_bytes, self._REC.size):
-            block, digest = self._REC.unpack_from(buf, off)
-            out[block] = digest
-        return out
+        return {b: self.read_hint(b) for b in self.blocks()}

@@ -160,31 +160,37 @@ class DecodedHint(NamedTuple):
     member: Optional[Callable[[bytes], bool]] = None
 
 
-def _encode_exact(keys: List[bytes]) -> bytes:
-    out = bytearray(_U32.pack(len(keys)))
-    for key in keys:
-        out += _U16.pack(len(key))
-        out += key
+def _encode_strings(strings: List[bytes], per_item: int) -> bytes:
+    """The count of items, ``per_item`` strings each, as a u32, then each
+    string prefixed by its u16 length: an exact hint is its keys, one per
+    item, a range hint each interval's start and end."""
+    out = bytearray(_U32.pack(len(strings) // per_item))
+    for string in strings:
+        out += _U16.pack(len(string))
+        out += string
     return bytes(out)
 
 
-def _decode_exact(payload: bytes) -> Set[bytes]:
+def _decode_strings(encoding: str, payload: bytes, per_item: int) -> List[bytes]:
+    """The strings of an ``_encode_strings`` payload of ``per_item`` strings
+    per counted item; a payload cut short is truncated, one with bytes after
+    its last string has trailing bytes."""
+    truncated = f"{encoding} hint truncated"
     try:
         (count,) = _U32.unpack_from(payload, 0)
         off = 4
-        keys: Set[bytes] = set()
-        for _ in range(count):
-            (klen,) = _U16.unpack_from(payload, off)
-            off += 2
-            if off + klen > len(payload):
-                raise DecodeError("exact hint truncated")
-            keys.add(bytes(payload[off : off + klen]))
-            off += klen
-        if off != len(payload):
-            raise DecodeError("exact hint has trailing bytes")
-        return keys
-    except struct.error:
-        raise DecodeError("exact hint truncated") from None
+        strings: List[bytes] = []
+        for _ in range(count * per_item):
+            (n,) = _U16.unpack_from(payload, off)
+            off += 2 + n
+            if off > len(payload):
+                raise DecodeError(truncated)
+            strings.append(payload[off - n : off])
+    except struct.error:  # cut inside the count or a length
+        raise DecodeError(truncated) from None
+    if off != len(payload):
+        raise DecodeError(f"{encoding} hint has trailing bytes")
+    return strings
 
 
 def _encode_prefix(keys: List[bytes]) -> bytes:
@@ -301,16 +307,6 @@ class BloomFilter:
         return bf
 
 
-def _encode_range(intervals: Sequence[Tuple[bytes, bytes]]) -> bytes:
-    out = bytearray(_U32.pack(len(intervals)))
-    for start, end in intervals:
-        out += _U16.pack(len(start))
-        out += start
-        out += _U16.pack(len(end))
-        out += end
-    return bytes(out)
-
-
 class _RangeView:
     def __init__(self, intervals: List[Tuple[bytes, bytes]]):
         self.intervals = sorted(intervals)
@@ -321,34 +317,12 @@ class _RangeView:
         return i >= 0 and key <= self.intervals[i][1]
 
 
-def _decode_range(payload: bytes) -> _RangeView:
-    try:
-        (count,) = _U32.unpack_from(payload, 0)
-        off = 4
-        intervals: List[Tuple[bytes, bytes]] = []
-        for _ in range(count):
-            (slen,) = _U16.unpack_from(payload, off)
-            off += 2
-            start = bytes(payload[off : off + slen])
-            off += slen
-            (elen,) = _U16.unpack_from(payload, off)
-            off += 2
-            end = bytes(payload[off : off + elen])
-            off += elen
-            intervals.append((start, end))
-        if off != len(payload):
-            raise DecodeError("range hint has trailing bytes")
-        return _RangeView(intervals)
-    except struct.error:
-        raise DecodeError("range hint truncated") from None
-
-
 def encode_hint(keys: Iterable[bytes], encoding: str = "exact", *, target_fpr: float = 0.01) -> GenericHint:
     """Encode an access set under one of ``ENCODINGS``. A range hint is one
     interval, from the least key to the greatest (none for an empty set)."""
     sorted_keys = sorted(set(keys))
     if encoding == "exact":
-        payload = _encode_exact(sorted_keys)
+        payload = _encode_strings(sorted_keys, 1)
     elif encoding == "prefix":
         payload = _encode_prefix(sorted_keys)
     elif encoding == "bloom":
@@ -357,7 +331,7 @@ def encode_hint(keys: Iterable[bytes], encoding: str = "exact", *, target_fpr: f
             bf.add(key)
         payload = bf.to_bytes()
     elif encoding == "range":
-        payload = _encode_range([(sorted_keys[0], sorted_keys[-1])] if sorted_keys else [])
+        payload = _encode_strings([sorted_keys[0], sorted_keys[-1]] if sorted_keys else [], 2)
     else:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
     return GenericHint(encoding=encoding, payload=payload)
@@ -365,14 +339,15 @@ def encode_hint(keys: Iterable[bytes], encoding: str = "exact", *, target_fpr: f
 
 def decode_hint(encoding: str, payload: bytes) -> DecodedHint:
     if encoding == "exact":
-        return DecodedHint(keys=_decode_exact(payload))
+        return DecodedHint(keys=set(_decode_strings(encoding, payload, 1)))
     if encoding == "prefix":
         return DecodedHint(keys=_decode_prefix(payload))
     if encoding == "bloom":
         bf = BloomFilter.from_bytes(payload)
         return DecodedHint(keys=None, member=bf.__contains__)
     if encoding == "range":
-        return DecodedHint(keys=None, member=_decode_range(payload))
+        bounds = _decode_strings(encoding, payload, 2)
+        return DecodedHint(keys=None, member=_RangeView(list(zip(bounds[::2], bounds[1::2]))))
     raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
 
 

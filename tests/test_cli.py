@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 import pytest
 
@@ -202,9 +202,9 @@ def test_primary_rerun_into_partial_outputs_puts_every_output_back(
     with HintDb(d / "hints.db", create=False) as src, HintDb(tmp_path / "hints.db") as dst:
         for b in hint_blocks:
             dst.write_hint(b, src.read_hint(b))
-    log = DigestLog(tmp_path / "digests.bin")
-    for b in digest_blocks:
-        log.write(b, digests[b])
+    with DigestLog(tmp_path / "digests.bin", create=True) as log:
+        for b in digest_blocks:
+            log.write(b, digests[b])
     for name in ("primary.csv", "primary.csv.meta.json"):
         (tmp_path / name).write_bytes((d / name).read_bytes())
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -292,12 +292,14 @@ def test_backup_without_hints_falls_back(demo_pipeline, tmp_path):
 
 
 def test_backup_digest_mismatch_exit_code(demo_pipeline, tmp_path):
+    from ira.primary import DigestLog
+
     d, c = demo_pipeline
-    # corrupt one digest record (flip a byte inside a 32-byte digest)
-    blob = bytearray((d / "digests.bin").read_bytes())
-    blob[9] ^= 0xFF
+    # a whole log whose digest of block 1 has one byte flipped
     bad = tmp_path / "digests.bin"
-    bad.write_bytes(bytes(blob))
+    with DigestLog(d / "digests.bin") as src, DigestLog(bad, create=True) as log:
+        for b, digest in src.read_all().items():
+            log.write(b, bytes([digest[0] ^ 0xFF]) + digest[1:] if b == 1 else digest)
     rc = main(
         [
             "--config", c, "run-backup",
@@ -309,6 +311,29 @@ def test_backup_digest_mismatch_exit_code(demo_pipeline, tmp_path):
         ]
     )
     assert rc == EXIT_DIGEST
+
+
+def test_backup_corrupt_digest_record_is_exit_2_naming_the_log(demo_pipeline, tmp_path, capsys):
+    # a byte flipped under a record's crc is a corrupt log, not a mismatch
+    d, c = demo_pipeline
+    blob = bytearray((d / "digests.bin").read_bytes())
+    blob[8 + 16 + 5] ^= 0xFF  # inside the first record's digest
+    bad = tmp_path / "digests.bin"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(d / "hints.db"),
+            "--digests", str(bad),
+            "--report", str(tmp_path / "backup.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"hint database error: digest record for block 1 in {bad} is corrupt\n"
+    assert not (tmp_path / "backup.csv").exists()
 
 
 def test_backup_summary_counts_the_blocks_it_verified(demo_pipeline, tmp_path, capsys):
@@ -343,8 +368,8 @@ def test_backup_digests_of_other_blocks_verify_nothing(demo_pipeline, tmp_path, 
     from ira.primary import DigestLog
 
     d, c = demo_pipeline
-    other = DigestLog(tmp_path / "other.bin")
-    other.write(999, bytes(32))
+    with DigestLog(tmp_path / "other.bin", create=True) as other:
+        other.write(999, bytes(32))
     capsys.readouterr()
     rc = main(
         [
@@ -461,7 +486,7 @@ def test_backup_torn_digest_log_tail_is_reported_and_left_alone(demo_pipeline, t
     d, c = demo_pipeline
     blob = (d / "digests.bin").read_bytes()
     torn = tmp_path / "digests.bin"
-    torn.write_bytes(blob[:-20])  # the last block's record, cut 20 bytes short
+    torn.write_bytes(blob[:-20])  # the last block's 48-byte record, cut 20 bytes short
     capsys.readouterr()
     rc = main(
         [
@@ -475,7 +500,7 @@ def test_backup_torn_digest_log_tail_is_reported_and_left_alone(demo_pipeline, t
     )
     out, err = capsys.readouterr()
     assert rc == EXIT_OK
-    assert f"ignoring a torn tail of 20 bytes in {torn}" in err
+    assert f"ignoring a torn tail of 28 bytes in {torn}" in err
     assert "digests of 5 of 6 blocks verified" in out
     assert torn.read_bytes() == blob[:-20]
 
@@ -1047,6 +1072,12 @@ _DAMAGED_TRACES = {
 }
 
 
+def _torn_logs(d: Path) -> Dict[str, bytes]:
+    """Each log of ``d`` cut to its 8-byte header and a first record cut
+    short: the torn tail of a crash in the first append."""
+    return {name: (d / name).read_bytes()[:40] for name in ("hints.db", "digests.bin")}
+
+
 @pytest.mark.parametrize("damage", sorted(_DAMAGED_TRACES))
 def test_primary_failing_mid_trace_leaves_its_outputs_as_they_were(demo_pipeline, tmp_path, capsys, damage):
     # blocks before the bad record were stored; the failed run takes them
@@ -1081,8 +1112,7 @@ def test_primary_failing_mid_trace_puts_back_torn_tails(demo_pipeline, tmp_path,
     d, c = demo_pipeline
     bad = tmp_path / "bad.trace"
     bad.write_bytes(_with_op_kind((d / "t.trace").read_bytes(), 3, 9))
-    # the hint database's 8-byte header, then a first record cut short
-    before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
+    before = _torn_logs(d)
     for name, blob in before.items():
         (tmp_path / name).write_bytes(blob)
     rc = main(
@@ -1163,7 +1193,7 @@ def test_primary_deflate_failure_reaches_the_caller_and_puts_back_its_outputs(de
     from ira import primary
 
     d, c = demo_pipeline
-    before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
+    before = _torn_logs(d)
     for name, blob in before.items():
         (tmp_path / name).write_bytes(blob)
     failure = RuntimeError("deflate failed")
@@ -1257,6 +1287,68 @@ def test_primary_digest_log_in_a_missing_directory_stores_no_hint(demo_pipeline,
     assert not (tmp_path / "hints.db").exists()
     assert run_primary(tmp_path / "digests.bin") == EXIT_OK
     assert (tmp_path / "digests.bin").read_bytes() == (d / "digests.bin").read_bytes()
+
+
+def test_primary_with_one_path_for_both_logs_exits_2_and_leaves_no_file(demo_pipeline, tmp_path, capsys):
+    # the digest log is made first; the hint database then finds a digest
+    # log's header, is refused, and the digest log is rolled back
+    d, c = demo_pipeline
+    shared = tmp_path / "logs.bin"
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-primary",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints-out", str(shared),
+            "--digests-out", str(shared),
+            "--report", str(tmp_path / "primary.csv"),
+        ]
+    )
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"hint database error: bad hint database header in {shared}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["--hints", "--digests"])
+def test_backup_refuses_a_log_of_the_other_kind_naming_it(demo_pipeline, tmp_path, capsys, option):
+    d, c = demo_pipeline
+    logs = {"--hints": d / "hints.db", "--digests": d / "digests.bin"}
+    wrong = logs["--digests" if option == "--hints" else "--hints"]
+    logs[option] = wrong
+    capsys.readouterr()
+    rc = main(
+        [
+            "--config", c, "run-backup",
+            "--trace", str(d / "t.trace"),
+            "--store", str(d / "store"),
+            "--hints", str(logs["--hints"]),
+            "--digests", str(logs["--digests"]),
+            "--report", str(tmp_path / "backup.csv"),
+        ]
+    )
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    kind = "hint database" if option == "--hints" else "digest log"
+    assert err == f"hint database error: bad {kind} header in {wrong}\n"
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_out_dir_stdout_names_the_paths_written(demo_config, tmp_path, capsys):
+    outs = tmp_path / "outs"
+
+    def run(*argv):
+        capsys.readouterr()
+        assert main(["--config", str(demo_config), "--out-dir", str(outs), *argv]) == EXIT_OK, argv[0]
+        return capsys.readouterr().out
+
+    assert f" to {outs / 'demo.trace'} " in run("gen-trace", "--out", "demo.trace")
+    trace = str(outs / "demo.trace")
+    assert run("build-store", "--trace", trace, "--out", "store").endswith(f", saved to {outs / 'store'}\n")
+    store = str(outs / "store")
+    out = run("run-primary", "--trace", trace, "--store", store, "--hints-out", "h.db", "--report", "p.csv")
+    assert out.endswith(f"blocks, hints -> {outs / 'h.db'}\n")
+    assert {p.name for p in outs.iterdir()} == {"demo.trace", "store", "h.db", "p.csv", "p.csv.meta.json"}
 
 
 def test_build_store_onto_an_existing_file_is_io_error(demo_pipeline, tmp_path, capsys):
@@ -1472,7 +1564,7 @@ def test_primary_on_a_store_behind_the_trace_is_store_error(demo_pipeline, tmp_p
     short.write_text(json.dumps({"generator": demo_params(blocks=4)._asdict()}))
     assert main(["--config", str(short), "gen-trace", "--out", str(tmp_path / "short.trace")]) == EXIT_OK
     assert main(["build-store", "--trace", str(tmp_path / "short.trace"), "--out", str(tmp_path / "store")]) == EXIT_OK
-    before = {"hints.db": (d / "hints.db").read_bytes()[:40], "digests.bin": b"\x07" * 17}
+    before = _torn_logs(d)
     for name, blob in before.items():
         (tmp_path / name).write_bytes(blob)
     capsys.readouterr()

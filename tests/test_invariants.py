@@ -8,8 +8,10 @@ byte, hinted replay reproduces the digests
 of the unhinted fallback, and the pipeline's clock and cost totals add up
 under any config and any mix of good, missing and misfiled hints, the
 clock equals that of a producer and an executor joined by a queue, more
-prefetch workers never raise the wall, and a saved store loads back with the
-same history index and as-of reads."""
+prefetch workers never raise the wall, a saved store loads back with the
+same history index and as-of reads, and a per-block log of either kind, cut
+anywhere or trailed by junk, reads back its whole records and rolls back
+byte for byte."""
 
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from ira.primary import (
     DigestLog,
     Hint,
     HintDb,
+    HintIntegrityError,
     Source,
     _RouteView,
     compress_hint,
@@ -251,9 +254,9 @@ def test_pipelined_primary_equals_a_sequential_loop(tmp_path):
             with HintDb(d / "ref-hints.db") as db:
                 for r in expected:
                     db.write_hint(r.block_number, r.compressed_bytes)
-            log = DigestLog(d / "ref-digests.bin")
-            for r in expected:
-                log.write(r.block_number, r.digest)
+            with DigestLog(d / "ref-digests.bin", create=True) as log:
+                for r in expected:
+                    log.write(r.block_number, r.digest)
             for name in ("hints.db", "digests.bin"):
                 assert (d / name).read_bytes() == (d / f"ref-{name}").read_bytes(), (case, name)
     finally:
@@ -404,3 +407,50 @@ def test_single_pass_clock_equals_queued_producer_executor(random_world, tmp_pat
         waits, wall = _queued_clock(batches, cfg)
         assert waits == [r.t_wait for r in rows], (case, cfg)
         assert wall == metrics.wall_cost, (case, cfg)
+
+
+def test_cut_or_junk_logs_read_whole_records_and_roll_back_byte_for_byte(tmp_path):
+    rng = random.Random(53)
+    for case in range(300):
+        kind, other = rng.choice(((HintDb, DigestLog), (DigestLog, HintDb)))
+        path = tmp_path / f"{case}.log"
+        records, ends = [], [8]  # the header, then one end per record
+        with kind(path, create=True) as log:
+            for block in rng.sample(range(1, 100), rng.randint(0, 5)):
+                payload = rng.randbytes(32 if kind is DigestLog else rng.randint(0, 600))
+                log.write_hint(block, payload)
+                records.append((block, payload))
+                ends.append(ends[-1] + 16 + len(payload))
+        whole = path.read_bytes()
+        assert len(whole) == ends[-1]
+        if rng.random() < 0.5:
+            blob = whole[: rng.randrange(len(whole) + 1)]
+        else:  # junk shorter than a record header cannot parse as a record
+            blob = whole + rng.randbytes(rng.randint(1, 15))
+        path.write_bytes(blob)
+        if len(blob) < 8:  # cut inside the header: refused, like a bad one
+            with pytest.raises(HintIntegrityError):
+                kind(path, create=False)
+            continue
+        kept = sum(end <= len(blob) for end in ends[1:])
+
+        with kind(path, create=False) as reader:
+            assert reader.blocks() == sorted(b for b, _ in records[:kept]), case
+            assert all(reader.read_hint(b) == payload for b, payload in records[:kept]), case
+            assert all(reader.read_hint(b) is None for b, _ in records[kept:]), case
+            assert reader.torn_bytes == len(blob) - ends[kept], case
+        with pytest.raises(HintIntegrityError):
+            other(path, create=False)
+        assert path.read_bytes() == blob, case  # neither reader wrote
+
+        writer = kind(path, create=True)
+        for block in rng.sample(range(100, 200), rng.randint(0, 3)):
+            writer.write_hint(block, rng.randbytes(rng.randint(0, 64)))
+        writer.rollback()
+        assert path.read_bytes() == blob, case
+
+        created = kind(tmp_path / f"{case}.new", create=True)
+        for block in rng.sample(range(1, 100), rng.randint(0, 3)):
+            created.write_hint(block, rng.randbytes(32))
+        created.rollback()
+        assert not (tmp_path / f"{case}.new").exists(), case

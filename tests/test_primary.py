@@ -491,21 +491,21 @@ def test_hintdb_bad_header_still_raises(tmp_path):
 
 
 def test_digest_log_round_trip(tmp_path):
-    log = DigestLog(tmp_path / "digests.bin")
-    log.write(1, b"\x01" * 32)
-    log.write(2, b"\x02" * 32)
-    assert log.read_all() == {1: b"\x01" * 32, 2: b"\x02" * 32}
+    with DigestLog(tmp_path / "digests.bin", create=True) as log:
+        log.write(1, b"\x01" * 32)
+        log.write(2, b"\x02" * 32)
+        assert log.read_all() == {1: b"\x01" * 32, 2: b"\x02" * 32}
 
 
 def test_digest_log_refuses_a_block_it_holds(tmp_path):
     # one digest per block, whether the log wrote the block itself or found
     # it on opening; a refused write leaves the file as it was
     path = tmp_path / "digests.bin"
-    log = DigestLog(path)
+    log = DigestLog(path, create=True)
     log.write(1, b"\x01" * 32)
     blob = path.read_bytes()
-    for writer in (log, DigestLog(path)):
-        with pytest.raises(HintConflictError) as err:
+    for writer in (log, DigestLog(path, create=True)):
+        with writer, pytest.raises(HintConflictError) as err:
             writer.write(1, b"\x02" * 32)
         assert str(err.value) == f"{path} already holds a digest for block 1"
         assert path.read_bytes() == blob
@@ -518,13 +518,27 @@ def test_digest_log_reader_creates_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_digest_log_unreadable_is_a_value_error_and_left_as_found(tmp_path):
+    # a caller that treats ValueError as unreadable input catches a bad log
+    path = tmp_path / "digests.bin"
+    for blob in (b"\x07" * 40, b"HDB1" + bytes(4)):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=str(path)):
+            DigestLog(path).read_all()
+        assert path.read_bytes() == blob
+
+
 def test_digest_log_writer_cuts_torn_tail_before_appending(tmp_path):
     path = tmp_path / "digests.bin"
-    log = DigestLog(path)
-    for b in (1, 2, 3):
-        log.write(b, bytes([b]) * 32)
-    path.write_bytes(path.read_bytes()[:-20])  # block 3's record, cut 20 bytes short
-    log.write(4, b"\x04" * 32)
-    log.write(5, b"\x05" * 32)
-    assert log.read_all() == {b: bytes([b]) * 32 for b in (1, 2, 4, 5)}
-    assert log.torn_bytes == 0
+    with DigestLog(path, create=True) as log:
+        for b in (1, 2, 3):
+            log.write(b, bytes([b]) * 32)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-20])  # block 3's record, cut 20 bytes short
+    with DigestLog(path, create=True) as log:
+        assert log.torn_bytes == 16 + 32 - 20
+        log.write(4, b"\x04" * 32)
+        log.write(5, b"\x05" * 32)
+        assert log.read_all() == {b: bytes([b]) * 32 for b in (1, 2, 4, 5)}
+        assert log.torn_bytes == 0
+    assert path.read_bytes()[: len(whole) - 48] == whole[:-48]

@@ -293,3 +293,26 @@ def test_on_demand_above_threshold_pays_round_trip():
     link = LinkModel(latency=0.002, bandwidth=1e6)
     t = simulate_transmission("on_demand", 1000, 9000, link, miss_rate=0.5, miss_rate_threshold=0.05)
     assert t.hint_ready == pytest.approx(t.batch_ready + 0.002 + 0.002 + 1000 / 1e6)
+
+
+@pytest.mark.parametrize("encoding", ["exact", "range"])
+def test_every_cut_of_a_length_prefixed_hint_is_truncated(encoding):
+    # exact keeps every key, range the least and the greatest: both are
+    # length-prefixed strings after a u32 count
+    payload = encode_hint([b"abc", b"de", b"xyz"], encoding).payload
+    for cut in range(len(payload)):
+        with pytest.raises(DecodeError) as err:
+            decode_hint(encoding, payload[:cut])
+        assert str(err.value) == f"{encoding} hint truncated", cut
+    with pytest.raises(DecodeError) as err:
+        decode_hint(encoding, payload + b"\x00")
+    assert str(err.value) == f"{encoding} hint has trailing bytes"
+
+
+def test_length_prefixed_hints_are_pinned():
+    assert encode_hint([b"de", b"abc", b"xyz"], "exact").payload == b"\x03\x00\x00\x00\x03\x00abc\x02\x00de\x03\x00xyz"
+    assert encode_hint([b"de", b"abc", b"xyz"], "range").payload == b"\x01\x00\x00\x00\x03\x00abc\x03\x00xyz"
+    assert encode_hint([], "exact").payload == encode_hint([], "range").payload == b"\x00\x00\x00\x00"
+    assert decode_hint("exact", encode_hint([b"de", b"abc"], "exact").payload).keys == {b"abc", b"de"}
+    member = decode_hint("range", encode_hint([b"de", b"abc"], "range").payload).member
+    assert member(b"b") and member(b"de") and not member(b"e")
