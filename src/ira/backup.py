@@ -39,17 +39,18 @@ batch's prefetch are done, and a steady batch's prefetch starts when the
 producer is free and the channel has room for the batch, that is, once an
 earlier steady block has started. No clock value depends on a later batch,
 so ``pipeline_run`` times and replays each batch as soon as it is prefetched,
-in one pass, and holds one batch of caches at most. Leading warm-up batches
-bypass the channel, bounded by a block count and a buffer entry budget; the
-first batch that does not fit ends warm-up for good. Like steady batches,
-each is prefetched on every lane, one after another, and its blocks are ready
-when its own prefetch ends.
+in one pass. It takes the blocks from their iterator one batch at a time and
+holds one batch of decoded blocks, hints and caches at most. Leading warm-up
+batches bypass the channel, bounded by a block count and a buffer entry
+budget; the first batch that does not fit ends warm-up for good. Like steady
+batches, each is prefetched on every lane, one after another, and its blocks
+are ready when its own prefetch ends.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import IraError
@@ -435,12 +436,14 @@ def pipeline_run(
     to them). Missing or corrupt hints, and hints the store cannot serve,
     degrade that block to direct execution against the store, flagged in its
     row.
+
+    ``blocks`` is consumed one batch at a time, and every reference to a
+    batch is dropped before the next one is taken, so a trace streamed from
+    a file is never held whole.
     """
     config = config or PipelineConfig()
     model = store.cost_model
-    block_list = list(blocks)
-    size = config.batch_size
-    batches = (_decode_batch(block_list[i : i + size], hint_db) for i in range(0, len(block_list), size))
+    it = iter(blocks)
     by_route = dict.fromkeys(ROUTES, 0)
     corrupt = 0
     rows: List[BlockMetrics] = []
@@ -456,7 +459,10 @@ def pipeline_run(
     # each batch is replayed as soon as it is prefetched.
     warm = True
     prod_free = warm_blocks = warm_entries = 0
-    for batch in batches:
+    while True:
+        batch = _decode_batch(list(islice(it, config.batch_size)), hint_db)
+        if not batch.blocks:
+            break
         room = 0
         if warm:
             entries = sum(hint.entry_count() for hint in batch.plan.per_block.values())
@@ -491,6 +497,8 @@ def pipeline_run(
                 cost, raw, comp = pf.per_block_cost[b], batch.raw_sizes[b], batch.comp_sizes[b]
             rows.append(BlockMetrics(b, start - exec_free, t_exec, cost, raw, comp, b in batch.fallback, digest))
             exec_free = start + t_exec
+        # nothing of this batch may be alive while the next one is decoded
+        batch = pf = block = result = rb = None
 
     return ReplayMetrics(
         rows=rows,

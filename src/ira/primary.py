@@ -99,9 +99,12 @@ class HintConflictError(IraError):
 
 class HintIntegrityError(IraError, ValueError):
     """Stored log bytes fail structural or checksum validation: an unreadable
-    input, so a caller that catches ``ValueError`` for one catches this too."""
+    input, so a caller that catches ``ValueError`` for one catches this too.
+    ``kind`` names the kind of log at fault, which prefixes the message."""
 
-    prefix = "hint database error"
+    def __init__(self, message: str, kind: str = "hint database"):
+        super().__init__(message)
+        self.prefix = f"{kind} error"
 
 
 class Source(IntEnum):
@@ -444,7 +447,7 @@ class HintDb:
         size = os.fstat(f.fileno()).st_size
         header = self.MAGIC + _LOG_VERSION
         if f.read(len(header)) != header:
-            raise HintIntegrityError(f"bad {self.KIND} header in {self.path}")
+            raise HintIntegrityError(f"bad {self.KIND} header in {self.path}", self.KIND)
         pos = len(header)
         while pos + _LOG_REC.size <= size:
             f.seek(pos)
@@ -453,7 +456,7 @@ class HintDb:
             if end > size:
                 break
             if block in self._index:
-                raise HintIntegrityError(f"duplicate record for block {block} in {self.path}")
+                raise HintIntegrityError(f"duplicate record for block {block} in {self.path}", self.KIND)
             self._index[block] = (pos, length)
             pos = end
         self._end = pos  # end of the last whole record
@@ -483,7 +486,7 @@ class HintDb:
         block, stored_len, crc = _LOG_REC.unpack(f.read(_LOG_REC.size))
         payload = f.read(stored_len)
         if block != block_number or stored_len != length or zlib.crc32(payload) != crc:
-            raise HintIntegrityError(f"{self.NOUN} record for block {block_number} in {self.path} is corrupt")
+            raise HintIntegrityError(f"{self.NOUN} record for block {block_number} in {self.path} is corrupt", self.KIND)
         return payload
 
     def blocks(self) -> List[int]:

@@ -680,14 +680,16 @@ def _encode_block(block: Block) -> bytes:
     return bytes(out)
 
 
-def _decode_block(payload: bytes, keys: Dict[bytes, bytes]) -> Block:
-    """Decode one trace record; ``keys`` interns storage keys and addresses.
+def _decode_block(payload: bytes) -> Block:
+    """Decode one trace record. Its storage keys and addresses are interned
+    within the record, so equal keys of a block are one object, and they die
+    with the block.
 
     Slices are taken without width checks. Instead the walk must end exactly
     at the end of the record: ``off`` only grows, so a short slice anywhere
     would leave it past the end.
     """
-    intern = keys.setdefault
+    intern = {}.setdefault  # one dict per record
     new = tuple.__new__  # skips the argument handling of Transaction(...) and Block(...)
     # plain ints compare faster than the enum members
     write, code = int(OpKind.STORAGE_WRITE), int(OpKind.CODE_LOAD)
@@ -792,6 +794,5 @@ def _iter_records(f, count: int) -> Iterator[bytes]:
 def iter_trace_file(path: Path) -> Iterator[Block]:
     with open(path, "rb") as f:
         _, count = read_trace_header(f)
-        keys: Dict[bytes, bytes] = {}  # interned across the file's blocks
         for payload in _iter_records(f, count):
-            yield _decode_block(payload, keys)
+            yield _decode_block(payload)

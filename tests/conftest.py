@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import weakref
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -73,6 +74,19 @@ def demo_params(blocks: int = 3, seed: int = 42) -> GeneratorParams:
 
 def generate_trace(params: GeneratorParams) -> List[Block]:
     return list(iter_trace(params))
+
+
+class _WeakTxs(list):
+    """A block's transaction list that takes weak references, as a plain list
+    or a tuple does not."""
+
+
+def watched(block: Block, refs: List[weakref.ref]) -> Block:
+    """``block`` with its transactions in a list that ``refs`` gets a weak
+    reference to, so a test can tell when the block has died."""
+    txs = _WeakTxs(block.txs)
+    refs.append(weakref.ref(txs))
+    return block._replace(txs=txs)
 
 
 def trace_file_hash(path: Path) -> str:

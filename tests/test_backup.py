@@ -38,6 +38,7 @@ from conftest import (
     reroute_zero_key_to_plain,
     storage_read,
     storage_write,
+    watched,
 )
 
 
@@ -688,6 +689,28 @@ def test_pipeline_holds_one_batch_of_caches_at_most(pipeline_world, monkeypatch)
     metrics = pipeline_run(trace, store, db, cfg)
     assert metrics.digests() == digests and metrics.fallback_blocks == 0
     assert (peak, live) == (cfg.batch_size, 0)
+
+
+@pytest.mark.parametrize("hinted", [True, False], ids=["replayed", "fallback"])
+def test_pipeline_pulls_one_batch_ahead_of_replay(pipeline_world, hinted):
+    # blocks are taken a batch at a time, and nothing of a batch is alive
+    # when the next batch is decoded: when the first block of a batch is
+    # pulled, every block pulled before it is gone
+    _, trace, store, db, digests = pipeline_world
+    cfg = PipelineConfig(batch_size=4, channel_capacity=8, warmup_blocks=4, workers=1)
+    pulled = []  # a weak reference to each pulled block's transactions
+    alive_at_batch_start = []
+
+    def stream():
+        for i, block in enumerate(trace):
+            if i % cfg.batch_size == 0:
+                alive_at_batch_start.append(sum(ref() is not None for ref in pulled))
+            yield watched(block, pulled)
+
+    metrics = pipeline_run(stream(), store, db if hinted else None, cfg)
+    assert metrics.digests() == digests and metrics.fallback_blocks == (0 if hinted else len(trace))
+    assert alive_at_batch_start == [0] * (len(trace) // cfg.batch_size)
+    assert all(ref() is None for ref in pulled)
 
 
 # -- baseline -----------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_backup_corrupt_digest_record_is_exit_2_naming_the_log(demo_pipeline, tm
         ]
     )
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err == f"hint database error: digest record for block 1 in {bad} is corrupt\n"
+    assert capsys.readouterr().err == f"digest log error: digest record for block 1 in {bad} is corrupt\n"
     assert not (tmp_path / "backup.csv").exists()
 
 
@@ -1330,7 +1330,7 @@ def test_backup_refuses_a_log_of_the_other_kind_naming_it(demo_pipeline, tmp_pat
     out, err = capsys.readouterr()
     assert rc == EXIT_CONFIG
     kind = "hint database" if option == "--hints" else "digest log"
-    assert err == f"hint database error: bad {kind} header in {wrong}\n"
+    assert err == f"{kind} error: bad {kind} header in {wrong}\n"
     assert out == "" and list(tmp_path.iterdir()) == []
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ira import workload
 from ira.store import Account, CostMeter, CostModel, StorageKey, StoreView, ZERO_WORD
 from ira.workload import (
     Block,
@@ -25,7 +26,17 @@ from ira.workload import (
     _shuffle,
 )
 
-from conftest import demo_params, generate_trace, mk_addr, mk_key, mk_word, storage_read, storage_write, trace_file_hash
+from conftest import (
+    demo_params,
+    generate_trace,
+    mk_addr,
+    mk_key,
+    mk_word,
+    storage_read,
+    storage_write,
+    trace_file_hash,
+    watched,
+)
 
 
 class DictView:
@@ -313,18 +324,39 @@ def test_trace_record_with_unknown_op_kind_is_format_error(tmp_path):
         list(iter_trace_file(path))
 
 
-def test_trace_decode_interns_storage_keys_across_blocks(tmp_path):
-    params = demo_params(blocks=4)
+def test_trace_decode_interns_keys_per_block_and_keeps_no_earlier_block(tmp_path, monkeypatch):
+    # equal keys and addresses of a block are one object; a key that two
+    # blocks share is two objects, so a block's keys die with the block; and
+    # the file's iterator keeps nothing of a block once it yields the next
+    params = demo_params(blocks=6)
     path = tmp_path / "t.trace"
     save_trace(path, params, generate_trace(params))
-    seen = {}
-    for block in iter_trace_file(path):
+
+    def block_keys(block):
+        yield block.beneficiary
         for tx in block.txs:
+            yield tx.sender
+            yield tx.recipient
             for kind, key, _ in tx.ops:
                 if kind <= OpKind.STORAGE_WRITE:
                     assert type(key) is StorageKey and len(key) == 52
-                assert seen.setdefault(key, key) is key
-    assert seen
+                yield key
+
+    blocks = list(iter_trace_file(path))
+    interned = []
+    for block in blocks:
+        seen = {}
+        assert all(seen.setdefault(key, key) is key for key in block_keys(block))
+        interned.append(seen)
+    shared = [k for k in interned[0] if k in interned[1]]
+    assert shared and all(interned[0][k] is not interned[1][k] for k in shared)
+
+    decode = workload._decode_block
+    decoded = []  # a weak reference to each decoded block's transactions
+    monkeypatch.setattr(workload, "_decode_block", lambda payload: watched(decode(payload), decoded))
+    for block in iter_trace_file(path):
+        assert all(ref() is None for ref in decoded[:-1])
+    assert len(decoded) == len(blocks)
 
 
 def test_decoded_ops_are_plain_tuples(tmp_path):
