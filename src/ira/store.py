@@ -14,7 +14,10 @@ modification at or after ``b`` and returns its recorded pre-image; if no such
 modification exists the plain table answers, and a key with no plain entry
 is absent (storage reads it as the zero word). :meth:`VersionedTable.locate`
 is the one place this rule is written; every as-of read, the primary's source
-annotation and the backup's prefetch go through it.
+annotation and the backup's prefetch go through it. By the same rule the
+state at the start of block ``head_block + 1`` is the plain tables alone, so
+:class:`HeadView`, which a store builder reads through, answers each read
+with one dict lookup and no history consult.
 
 I/O is simulated, never real: table accesses charge a :class:`CostMeter`
 according to a :class:`CostModel`. The charging rules are fixed:
@@ -37,8 +40,11 @@ with records in native key order, plus ``manifest.json`` carrying the head
 block and cost-model snapshot. Each versioned table is two files, its plain
 table and its change sets; ``_TABLES`` is the one list of the files, their
 record shapes, key widths and value codecs, and both ``save`` and ``load``
-walk it. ``load`` accepts a file only if the records it reads match the
-file's count and end exactly at its last byte; it rebuilds the history index
+walk it. ``save`` packs each distinct variable-width record once per
+table, through a memo, and writes a plain table in one buffered call and a
+change set in one call per block, streaming from the sorted keys. ``load``
+accepts a file only if the records it reads match the file's count and end
+exactly at its last byte; it rebuilds the history index
 from the change sets and rejects a file whose records repeat a (block, key)
 pair or list a key's blocks out of order. The two storage tables have
 fixed-width records, so ``load`` checks their length first and then slices
@@ -55,9 +61,10 @@ from __future__ import annotations
 import bisect
 import json
 import struct
-from pathlib import Path
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import IraError, finished, fresh_parts
 
@@ -174,19 +181,47 @@ class _Table(NamedTuple):
     changes: bool  # records are ``u64 block | key | value``, else ``key | value``
     part: Callable[[ArchivalStore], Any]  # the plain dict, or the versioned table
     key_len: int
-    pack: Callable[[Any], bytes]
-    # (value, offset after it) of a variable-width value; None for a
-    # WORD_LEN word, which load slices in bulk
+    # the bytes of a variable-width value, and (value, offset after it) of
+    # one read back; both None for a WORD_LEN word, which save writes as it
+    # is and load slices in bulk
+    pack: Optional[Callable[[Any], bytes]]
     unpack: Optional[Callable[[bytes, int, dict], Tuple[Any, int]]]
 
 
 _TABLES = (
-    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, bytes, None),
+    _Table("plain_storage.bin", False, attrgetter("storage.plain"), KEY_LEN, None, None),
     _Table("plain_accounts.bin", False, attrgetter("accounts.plain"), ADDRESS_LEN, pack_account, _unpack_account),
     _Table("bytecodes.bin", False, attrgetter("bytecodes"), HASH_LEN, _pack_code, _unpack_code),
-    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, bytes, None),
+    _Table("storage_changesets.bin", True, attrgetter("storage"), KEY_LEN, None, None),
     _Table("account_changesets.bin", True, attrgetter("accounts"), ADDRESS_LEN, _pack_prior_account, _unpack_prior_account),
 )
+
+
+class _Packed(dict):
+    """The bytes of each distinct value seen so far, packed on first sight."""
+
+    __slots__ = ("pack",)
+
+    def __init__(self, pack: Callable[[Any], bytes]):
+        super().__init__()
+        self.pack = pack
+
+    def __missing__(self, value: Any) -> bytes:
+        out = self[value] = self.pack(value)
+        return out
+
+
+def _records(
+    part: Dict[bytes, Any], packed: Optional[Callable[[Any], bytes]], prefix: Optional[bytes] = None
+) -> Iterator[bytes]:
+    """The pieces of ``part``'s records in key order: the ``prefix`` if one
+    is given, the key, then the value through ``packed`` (as it is when
+    ``packed`` is None)."""
+    keys = sorted(part)
+    values = map(part.__getitem__, keys)
+    if packed is not None:
+        values = map(packed, values)
+    return chain.from_iterable(zip(keys, values) if prefix is None else zip(repeat(prefix), keys, values))
 
 
 @finished
@@ -422,25 +457,29 @@ class ArchivalStore:
     # -- persistence ----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
+        """Write the store to ``directory`` in the layout ``load`` reads.
+
+        A plain table's records go to its file in one buffered
+        ``writelines`` call, and a change-set file's in one call per block.
+        Each call streams the pieces of the records from the sorted keys, so
+        no second copy of a table is built. Variable-width values are packed
+        through a memo that lives for one table, so each distinct record is
+        packed once: a genesis gives thousands of accounts the same record.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for table in _TABLES:
-            part, pack = table.part(self), table.pack
+            part = table.part(self)
+            packed = None if table.pack is None else _Packed(table.pack).__getitem__
             with open(directory / table.name, "wb") as f:
                 if table.changes:
                     changesets = part.changesets
                     f.write(_U64.pack(sum(map(len, changesets.values()))))
                     for block in sorted(changesets):
-                        cs, prefix = changesets[block], _U64.pack(block)
-                        for key in sorted(cs):
-                            f.write(prefix)
-                            f.write(key)
-                            f.write(pack(cs[key]))
+                        f.writelines(_records(changesets[block], packed, _U64.pack(block)))
                 else:
                     f.write(_U64.pack(len(part)))
-                    for key in sorted(part):
-                        f.write(key)
-                        f.write(pack(part[key]))
+                    f.writelines(_records(part, packed))
 
         manifest = {
             "format": STORE_FORMAT_VERSION,
@@ -550,6 +589,42 @@ class StoreView:
 
     def get_code(self, address: bytes) -> Optional[bytes]:
         return self.store.code_as_of(address, self.block_number, self.meter)
+
+
+class HeadView:
+    """Read-only view of the store's head state: the state at the start of
+    block ``head_block + 1``, the block a builder applies next.
+
+    No modification lies at or after that block, so by the as-of rule the
+    state there is the plain tables, and each read is one dict lookup with
+    no history consult; :class:`StoreView` at ``head_block + 1`` gives the
+    same answers through ``locate``. Nothing is charged. The view follows
+    the head, so one view serves every block of a build.
+    """
+
+    __slots__ = ("store", "_storage", "_accounts", "_codes")
+
+    def __init__(self, store: ArchivalStore):
+        self.store = store
+        self._storage = store.storage.plain
+        self._accounts = store.accounts.plain
+        self._codes = store.bytecodes
+
+    @property
+    def block_number(self) -> int:
+        return self.store.head_block + 1
+
+    def get_storage(self, key: StorageKey) -> bytes:
+        return self._storage.get(key, ZERO_WORD)
+
+    def get_account(self, address: bytes) -> Optional[Account]:
+        return self._accounts.get(address)
+
+    def get_code(self, address: bytes) -> Optional[bytes]:
+        acc = self._accounts.get(address)
+        if acc is None or acc.code_hash is None:
+            return None
+        return self._codes.get(acc.code_hash)
 
 
 def walk_wall(n_keys: int, lanes: int, cost_model: CostModel) -> int:

@@ -54,9 +54,9 @@ from .store import (
     CostModel,
     DEFAULT_COST_MODEL,
     Effects,
+    HeadView,
     KEY_LEN,
     StorageKey,
-    StoreView,
     WORD_LEN,
     storage_key,
 )
@@ -365,11 +365,15 @@ def seed_word_for(key: StorageKey) -> bytes:
 
 def derive_genesis(params: GeneratorParams, storage_keys: Optional[Iterable[StorageKey]] = None) -> GenesisState:
     """Base state implied by the params: the account universe, contract
-    accounts with bytecode, and (optionally) pre-seeded storage keys."""
+    accounts with bytecode, and (optionally) pre-seeded storage keys.
+
+    Identical records share one immutable :class:`Account`: every funded
+    account is the same object, and so is every contract without code.
+    """
     genesis = GenesisState()
-    start_balance = 10**24
+    funded, codeless = Account(balance=10**24, nonce=0), Account(balance=0, nonce=1)
     for i in range(params.n_accounts):
-        genesis.accounts[account_address(i)] = Account(balance=start_balance, nonce=0)
+        genesis.accounts[account_address(i)] = funded
     for i in range(params.n_contracts):
         if i < params.n_code_contracts:
             code = contract_code(i)
@@ -377,7 +381,7 @@ def derive_genesis(params: GeneratorParams, storage_keys: Optional[Iterable[Stor
             genesis.codes[ch] = code
             genesis.accounts[contract_address(i)] = Account(balance=0, nonce=1, code_hash=ch)
         else:
-            genesis.accounts[contract_address(i)] = Account(balance=0, nonce=1)
+            genesis.accounts[contract_address(i)] = codeless
     if storage_keys is not None:
         for key in storage_keys:
             genesis.storage[key] = seed_word_for(key)
@@ -513,13 +517,19 @@ def build_store(
     cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> ArchivalStore:
     """Build a full archival store: seed genesis, then execute and apply every
-    block in order (each block runs against the state its predecessors left)."""
+    block in order.
+
+    Each block runs against the state its predecessors left, which is the
+    store's head, so it reads through one :class:`HeadView`: one dict lookup
+    per read, where a :class:`StoreView` would consult the history index for
+    an answer that is always the plain table's. ``apply_block`` refuses a
+    block numbered out of order, after it has run.
+    """
     store = ArchivalStore(cost_model)
     store.seed_genesis(genesis.storage, genesis.accounts, genesis.codes)
+    view = HeadView(store)
     for block in blocks:
-        view = StoreView(store, block.number)
-        result = execute_block(block, view)
-        store.apply_block(block.number, result.effects)
+        store.apply_block(block.number, execute_block(block, view).effects)
     return store
 
 

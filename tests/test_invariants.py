@@ -9,9 +9,10 @@ of the unhinted fallback, and the pipeline's clock and cost totals add up
 under any config and any mix of good, missing and misfiled hints, the
 clock equals that of a producer and an executor joined by a queue, more
 prefetch workers never raise the wall, a saved store loads back with the
-same history index and as-of reads, and a per-block log of either kind, cut
-anywhere or trailed by junk, reads back its whole records and rolls back
-byte for byte."""
+same history index and as-of reads, the head view a build reads through
+answers as a ``StoreView`` at the next block and the build saves the same
+bytes, and a per-block log of either kind, cut anywhere or trailed by junk,
+reads back its whole records and rolls back byte for byte."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from ira.primary import (
     run_primary_block,
     serialize_hint,
 )
-from ira.store import Account, ArchivalStore, CostMeter, Effects, StoreView
+from ira.store import Account, ArchivalStore, CostMeter, Effects, HeadView, StoreView
 from ira.workload import build_store, collect_storage_keys, derive_genesis, execute_block, save_trace
 
 from conftest import demo_params, generate_trace, hint_from_sets, history_entries, locate_sources, mk_addr, mk_key, mk_word
@@ -141,6 +142,61 @@ def _random_params(rng: random.Random, min_blocks: int, max_blocks: int):
     )
 
 
+def _store_view_build(blocks, genesis):
+    """``build_store`` as it was, with a ``StoreView`` per block: the oracle
+    of the head view's build."""
+    store = ArchivalStore()
+    store.seed_genesis(genesis.storage, genesis.accounts, genesis.codes)
+    for block in blocks:
+        store.apply_block(block.number, execute_block(block, StoreView(store, block.number)).effects)
+    return store
+
+
+def _saved_bytes(store, directory):
+    store.save(directory)
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_head_view_reads_as_a_store_view_at_the_next_block(tmp_path):
+    # after every block a build applies, the head view answers each storage
+    # key, account and code address of the world, and absent ones, as the
+    # as-of rule does at head + 1; a build through it saves the bytes of
+    # one through a StoreView per block
+    rng = random.Random(73)
+    absent_keys = [mk_key(i, contract=250) for i in range(3)]
+    absent_addrs = [b"\xee" * 20, b"\xef" * 20]
+    for case in range(60):
+        params = _random_params(rng, 1, 9)._replace(seed_trace_keys=rng.random() < 0.5)
+        trace = generate_trace(params)
+        keys = collect_storage_keys(trace)
+        genesis = derive_genesis(params, keys if params.seed_trace_keys else None)
+        addrs = set(genesis.accounts)
+        for block in trace:
+            addrs.add(block.beneficiary)
+            for tx in block.txs:
+                addrs.update([tx.sender, tx.recipient])
+                addrs.update(key for kind, key, _ in tx.ops if kind >= 2)
+        keys, addrs = sorted(keys) + absent_keys, sorted(addrs) + absent_addrs
+
+        store = ArchivalStore()
+        store.seed_genesis(genesis.storage, genesis.accounts, genesis.codes)
+        view = HeadView(store)
+        for block in [None] + trace:
+            if block is not None:
+                store.apply_block(block.number, execute_block(block, view).effects)
+            oracle = StoreView(store, store.head_block + 1)
+            assert view.block_number == oracle.block_number, case
+            for key in keys:
+                assert view.get_storage(key) == oracle.get_storage(key), (case, view.block_number)
+            for addr in addrs:
+                assert view.get_account(addr) == oracle.get_account(addr), (case, view.block_number)
+                assert view.get_code(addr) == oracle.get_code(addr), (case, view.block_number)
+        assert any(view.get_code(addr) is not None for addr in addrs), case
+
+        built = _saved_bytes(build_store(trace, genesis), tmp_path / f"{case}-head")
+        assert built == _saved_bytes(_store_view_build(trace, genesis), tmp_path / f"{case}-oracle"), case
+
+
 def test_primary_hint_equals_one_located_afresh():
     # the primary takes each key's source from the read; locating every key
     # of the block's ops again, one seek per key, gives the same bytes
@@ -191,7 +247,7 @@ def test_every_engine_asks_its_view_for_each_storage_key_once(tmp_path, monkeypa
 
         monkeypatch.setattr(view_class, "get_storage", get_storage)
 
-    for view_class in (StoreView, _RouteView, BaselineView, BlockCache):
+    for view_class in (HeadView, StoreView, _RouteView, BaselineView, BlockCache):
         counting(view_class)
     rng = random.Random(71)
     for case in range(100):
@@ -206,8 +262,8 @@ def test_every_engine_asks_its_view_for_each_storage_key_once(tmp_path, monkeypa
             assert pipeline_run(trace, store, db).fallback_blocks == 0, case
         assert pipeline_run(trace, store, None).fallback_blocks == len(trace), case
         once = Counter((b.number, k) for b in trace for k in collect_storage_keys([b]))
-        # build-store and the fallback both read through a StoreView
-        expected = {"StoreView": once + once, "_RouteView": once, "BaselineView": once, "BlockCache": once}
+        # build-store reads through its head view, the fallback through a StoreView
+        expected = {"HeadView": once, "StoreView": once, "_RouteView": once, "BaselineView": once, "BlockCache": once}
         for name, want in expected.items():
             assert Counter((b, k) for view, b, k in calls if view == name) == want, (case, name)
         assert [row.reads for row in baseline.rows] == [_reads_from_ops(b) for b in trace], case

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
@@ -15,6 +16,9 @@ from ira.store import (
     OrderingError,
     ShardedIndex,
     ZERO_WORD,
+    _pack_code,
+    _pack_prior_account,
+    pack_account,
     storage_key,
     walk_wall,
 )
@@ -329,6 +333,94 @@ def test_store_save_load_round_trip(tmp_path):
     for key in (mk_key(1), mk_key(7)):
         for b in (1, 2, 3):
             assert loaded.read_as_of(key, b) == store.read_as_of(key, b)
+
+
+def _reference_save(store: ArchivalStore, directory) -> None:
+    """The per-record writer ``save`` replaced, kept as the reference for
+    its bytes: two or three writes per record, each value packed afresh."""
+    directory.mkdir(parents=True)
+    tables = (
+        ("plain_storage.bin", False, store.storage.plain, bytes),
+        ("plain_accounts.bin", False, store.accounts.plain, pack_account),
+        ("bytecodes.bin", False, store.bytecodes, _pack_code),
+        ("storage_changesets.bin", True, store.storage, bytes),
+        ("account_changesets.bin", True, store.accounts, _pack_prior_account),
+    )
+    for name, changes, part, pack in tables:
+        with open(directory / name, "wb") as f:
+            if changes:
+                changesets = part.changesets
+                f.write(struct.pack("<Q", sum(map(len, changesets.values()))))
+                for block in sorted(changesets):
+                    cs, prefix = changesets[block], struct.pack("<Q", block)
+                    for key in sorted(cs):
+                        f.write(prefix)
+                        f.write(key)
+                        f.write(pack(cs[key]))
+            else:
+                f.write(struct.pack("<Q", len(part)))
+                for key in sorted(part):
+                    f.write(key)
+                    f.write(pack(part[key]))
+
+
+def _random_saved_store(rng: random.Random) -> ArchivalStore:
+    """Accounts with and without a code hash, drawn from a small pool so
+    records repeat, as one object and as equal copies; accounts created by
+    a block (an absent prior); words that repeat; blocks that change
+    nothing and so have no change set."""
+    codes = {bytes([i]) * 32: bytes([i]) * rng.randrange(0, 40) for i in range(1, 4)}
+    pool = [Account(rng.randrange(-3, 3) * 10**24, rng.randrange(3), rng.choice([None, *codes])) for _ in range(4)]
+
+    def account():
+        acc = rng.choice(pool)
+        return acc if rng.random() < 0.5 else Account(*acc)
+
+    keys = [mk_key(i, contract=rng.randrange(3)) for i in range(rng.randrange(1, 12))]
+    addrs = [mk_addr(i) for i in range(rng.randrange(1, 12))]
+    words = [mk_word(rng.randrange(5)) for _ in range(3)]
+    store = ArchivalStore()
+    store.seed_genesis(
+        storage={k: rng.choice(words) for k in keys if rng.random() < 0.4},
+        accounts={a: account() for a in addrs if rng.random() < 0.4},
+        codes={h: c for h, c in codes.items() if rng.random() < 0.7},
+    )
+    for b in range(1, rng.randrange(1, 9)):
+        if rng.random() < 0.25:
+            store.apply_block(b, Effects())
+            continue
+        storage = {k: rng.choice(words) for k in keys if rng.random() < 0.3}
+        accounts = {a: account() for a in addrs if rng.random() < 0.3}
+        store.apply_block(b, Effects(storage=storage, accounts=accounts))
+    return store
+
+
+def test_save_writes_the_bytes_of_a_per_record_writer(tmp_path):
+    # save packs each distinct record once and writes a table, or a block's
+    # change set, in one call; the files are byte for byte the reference's,
+    # and load gives back every table
+    rng = random.Random(83)
+    seen = set()
+    for case in range(300):
+        store = _random_saved_store(rng)
+        store.save(tmp_path / f"{case}")
+        _reference_save(store, tmp_path / f"{case}-ref")
+        for path in sorted((tmp_path / f"{case}-ref").iterdir()):
+            assert (tmp_path / f"{case}" / path.name).read_bytes() == path.read_bytes(), (case, path.name)
+        loaded = ArchivalStore.load(tmp_path / f"{case}")
+        assert loaded.head_block == store.head_block, case
+        assert loaded.bytecodes == store.bytecodes, case
+        for ours, theirs in ((loaded.storage, store.storage), (loaded.accounts, store.accounts)):
+            assert ours.plain == theirs.plain, case
+            assert ours.changesets == theirs.changesets, case
+        _assert_same_history(loaded, store)
+        for b in range(1, store.head_block + 1):
+            if b not in store.storage.changesets and b not in store.accounts.changesets:
+                seen.add("no change set")
+        for cs in store.accounts.changesets.values():
+            for acc in cs.values():
+                seen.add("absent prior" if acc is None else "no code" if acc.code_hash is None else "code")
+    assert seen == {"no change set", "absent prior", "no code", "code"}
 
 
 def test_loaded_accounts_are_account_records_equal_to_the_saved_ones(tmp_path):

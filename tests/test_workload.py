@@ -433,3 +433,12 @@ def test_build_store_effects_depend_on_account_state():
     s1 = build_store(trace, g1)
     s2 = build_store(trace, g2)
     assert s1.accounts.plain != s2.accounts.plain
+
+
+def test_genesis_shares_identical_account_records():
+    # every funded account is one record, and so is every contract without
+    # code; a contract with code keeps its own, for its own hash
+    params = demo_params()
+    records = list(derive_genesis(params).accounts.values())
+    assert len(records) == params.n_accounts + params.n_contracts
+    assert len({id(acc) for acc in records}) == len(set(records)) == 2 + params.n_code_contracts
